@@ -40,8 +40,10 @@ def _round12(x):
     return x
 
 
+# Every echo names its stream: with none, click caches a wrapper per stream
+# object and never frees a redirected StringIO, so in-process runs leak.
 def _emit_json(obj):
-    click.echo(json.dumps(_round12(obj)))
+    click.echo(json.dumps(_round12(obj)), file=sys.stdout)
 
 
 def _load_dist(path: str) -> JointDist:
@@ -82,7 +84,7 @@ def _write_rows(rows, header, out):
         with open(out, "w") as fh:
             fh.write(buf.getvalue())
     else:
-        click.echo(buf.getvalue(), nl=False)
+        click.echo(buf.getvalue(), nl=False, file=sys.stdout)
 
 
 @click.group()
@@ -144,7 +146,7 @@ def ribbon():
 @ribbon.command("check")
 @click.option("--dist", "dist_path", required=True)
 @click.option("--lambda", "lam_text", required=True)
-@click.option("--kind", type=click.Choice(["mc", "tilde", "sprime"]), default="mc")
+@click.option("--kind", type=click.Choice(ribbon_mc.KINDS), default="mc")
 def ribbon_check(dist_path, lam_text, kind):
     d = _load_dist(dist_path)
     lam = _parse_lambda(lam_text, d.k)
@@ -168,22 +170,18 @@ def ribbon_check(dist_path, lam_text, kind):
 
 @ribbon.command("trace")
 @click.option("--dist", "dist_path", required=True)
-@click.option("--grid", "grid_n", default=50, show_default=True)
-@click.option("--kind", type=click.Choice(["mc", "tilde", "sprime"]), default="mc")
+@click.option(
+    "--grid", "grid_n", type=click.IntRange(min=1), default=50, show_default=True
+)
+@click.option("--kind", type=click.Choice(ribbon_mc.KINDS), default="mc")
 @click.option("--out", "out_path", default=None)
 def ribbon_trace(dist_path, grid_n, kind, out_path):
     """Grid sweep over lambda points; CSV of memberships."""
     d = _load_dist(dist_path)
-    fn = {
-        "mc": ribbon_mc.mc_membership,
-        "sprime": ribbon_mc.mc_membership_sprime,
-        "tilde": ribbon_mc.tilde_membership,
-    }[kind]
-    g = ribbon_mc.gram_matrix(d)
     axes = [np.linspace(0, 1, grid_n)] * d.k
-    rows = []
-    for lam in np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d.k):
-        rows.append([*map(float, lam), int(fn(d, lam, g).verdict)])
+    lams = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d.k)
+    member = ribbon_mc.membership_verdicts(d, kind, lams)
+    rows = [[*map(float, lam), int(m)] for lam, m in zip(lams, member)]
     header = [f"lambda_{i+1}" for i in range(d.k)] + ["member"]
     _write_rows(rows, header, out_path)
 
@@ -386,7 +384,8 @@ def suite(name, seed):
     """Run a named reproduction bundle and print a pass/fail table."""
     rows = _suite_rows(name, seed)
     all_ok = True
-    click.echo(f"{'case':40s} {'measured':>16s} {'expected':>16s}  status")
+    header = f"{'case':40s} {'measured':>16s} {'expected':>16s}  status"
+    click.echo(header, file=sys.stdout)
     for case, measured, expected, tol in rows:
         if tol is None:
             ok = measured == expected
@@ -395,7 +394,8 @@ def suite(name, seed):
         all_ok &= ok
         click.echo(
             f"{case:40s} {measured:16.10g} {expected:16.10g}  "
-            + ("pass" if ok else "FAIL")
+            + ("pass" if ok else "FAIL"),
+            file=sys.stdout,
         )
     if not all_ok:
         sys.exit(1)
@@ -410,13 +410,13 @@ def main(argv=None):
     except SystemExit as e:
         return int(e.code or 0)
     except click.UsageError as e:
-        click.echo(f"error: {e.format_message()}", err=True)
+        click.echo(f"error: {e.format_message()}", file=sys.stderr)
         return 2
     except PhiRibbonError as e:
-        click.echo(f"error: {e}", err=True)
+        click.echo(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # internal failure
-        click.echo(f"internal error: {e}", err=True)
+        click.echo(f"internal error: {e}", file=sys.stderr)
         return 1
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .dist import JointDist, JointFunction, MarginalFunction, marginal
 from .errors import (
     BadLambda,
+    BadParameter,
     BadShape,
     NonGeneric,
     NotCorrelationMatrix,
@@ -31,6 +32,8 @@ from .errors import (
 
 PSD_TOL = 1e-9
 _common_tol = 1e-8
+KINDS = ("mc", "sprime", "tilde")
+_STACK_ROWS = 4096  # lambda rows per stacked eigenvalue solve: bounds its memory
 
 
 @dataclass(frozen=True)
@@ -44,13 +47,6 @@ class GramMatrix:
     @property
     def size(self) -> int:
         return int(sum(self.block_dims))
-
-    def block_slices(self) -> list[slice]:
-        out, start = [], 0
-        for dim in self.block_dims:
-            out.append(slice(start, start + dim))
-            start += dim
-        return out
 
 
 @dataclass(frozen=True)
@@ -111,34 +107,44 @@ def gram_matrix(d: JointDist) -> GramMatrix:
     return GramMatrix(dims, M, basis)
 
 
-def _check_lambda(lam, k: int) -> np.ndarray:
+def _check_lambda(lam, k: int, ndim: int = 1) -> np.ndarray:
+    """Validated lambda point, or a stack of points as rows when ``ndim`` is 2."""
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (k,):
+    if lam.ndim != ndim or lam.shape[-1] != k:
         raise BadLambda(f"lambda must have {k} entries")
-    if np.any(lam < 0) or np.any(lam > 1):
+    # NaN fails both comparisons, so it is rejected along with inf
+    if not np.all((lam >= 0) & (lam <= 1)):
         raise BadLambda("lambda entries must lie in [0, 1]")
     return lam
 
 
-def _expand(lam: np.ndarray, dims) -> np.ndarray:
-    return np.repeat(lam, dims)
+def _test_matrices(kind: str, g: GramMatrix, lams: np.ndarray):
+    """Stack of matrices whose PSD-ness decides membership, one per lambda row.
+
+    "mc" deletes the blocks of zero lambda entries, so its rows must share
+    them.  Also returns the index of the rows and columns of M kept.
+    """
+    L, M, keep = np.repeat(lams, g.block_dims, axis=1), g.M, slice(None)
+    if kind == "mc":
+        if not lams[0].all():
+            keep = np.repeat(lams[0] > 0, g.block_dims)
+            L, M = L[:, keep], M[np.ix_(keep, keep)]
+        return (1.0 / L)[:, :, None] * np.eye(len(M)) - M, keep
+    if kind == "sprime":
+        return M - M @ (L[:, :, None] * M), keep
+    return M - L[:, :, None] * np.eye(len(M)), keep
 
 
 def _witness_functions(
-    d: JointDist, g: GramMatrix, coeffs: np.ndarray, kept: list[int] | None = None
+    d: JointDist, g: GramMatrix, coeffs: np.ndarray
 ) -> tuple[MarginalFunction, ...]:
-    """Map a coefficient vector back to one function per coordinate."""
-    kept = kept if kept is not None else list(range(len(g.block_dims)))
-    out = []
-    pos = 0
-    for i in range(d.k):
+    """Map a coefficient vector over all of M back to one function per coordinate."""
+    out, pos = [], 0
+    for i, dim in enumerate(g.block_dims):
         vals = np.zeros(d.alphabet_sizes[i])
-        if i in kept:
-            dim = g.block_dims[i]
-            c = coeffs[pos : pos + dim]
-            pos += dim
-            for cj, fj in zip(c, g.basis[i]):
-                vals += cj * fj.values
+        for cj, fj in zip(coeffs[pos : pos + dim], g.basis[i]):
+            vals += cj * fj.values
+        pos += dim
         out.append(MarginalFunction(i, vals))
     return tuple(out)
 
@@ -184,63 +190,66 @@ def tilde_gap(d: JointDist, lam, fs) -> float:
     return g
 
 
-def mc_membership(d: JointDist, lam, g: GramMatrix | None = None) -> MembershipResult:
-    """PSD test ``Lambda^{-1} - M >= 0`` after deleting lambda_i = 0 blocks."""
+def _membership(kind: str, d: JointDist, lam, g: GramMatrix | None) -> MembershipResult:
     lam = _check_lambda(lam, d.k)
     g = g or gram_matrix(d)
-    kept = [i for i in range(d.k) if lam[i] > 0]
-    if not kept:
+    A, keep = _test_matrices(kind, g, lam[None])
+    if A.shape[-1] == 0:
         return MembershipResult(True, float("inf"))
-    sl = g.block_slices()
-    idx = np.concatenate([np.arange(s.start, s.stop) for s in [sl[i] for i in kept]])
-    if idx.size == 0:
-        return MembershipResult(True, float("inf"))
-    Msub = g.M[np.ix_(idx, idx)]
-    dims = [g.block_dims[i] for i in kept]
-    inv = _expand(1.0 / lam[kept], dims)
-    A = np.diag(inv) - Msub
-    w, V = np.linalg.eigh(A)
+    w, V = np.linalg.eigh(A[0])
     if w[0] >= -PSD_TOL:
         return MembershipResult(True, float(w[0]))
-    c = V[:, 0]
-    fs = _witness_functions(d, g, c, kept)
-    gap = fc2_gap(d, lam, fs)
+    c = np.zeros(g.size)
+    c[keep] = V[:, 0]
+    fs = _witness_functions(d, g, c)
+    if kind == "mc":
+        gap = fc2_gap(d, lam, fs)
+    elif kind == "sprime":
+        gap = mc_def_gap(d, lam, JointFunction(sum(f.lift(d).values for f in fs)))
+    else:
+        gap = tilde_gap(d, lam, fs)
     return MembershipResult(False, float(w[0]), fs, float(gap))
+
+
+def mc_membership(d: JointDist, lam, g: GramMatrix | None = None) -> MembershipResult:
+    """PSD test ``Lambda^{-1} - M >= 0`` after deleting lambda_i = 0 blocks."""
+    return _membership("mc", d, lam, g)
 
 
 def mc_membership_sprime(
     d: JointDist, lam, g: GramMatrix | None = None
 ) -> MembershipResult:
     """Same region via ``M - M Lambda M >= 0``; lambda_i = 0 needs no care."""
-    lam = _check_lambda(lam, d.k)
-    g = g or gram_matrix(d)
-    L = _expand(lam, g.block_dims)
-    A = g.M - g.M @ (L[:, None] * g.M)
-    w, V = np.linalg.eigh(A)
-    if w[0] >= -PSD_TOL:
-        return MembershipResult(True, float(w[0]))
-    c = V[:, 0]
-    fs = _witness_functions(d, g, c)
-    f = JointFunction(sum(fi.lift(d).values for fi in fs))
-    gap = mc_def_gap(d, lam, f)
-    return MembershipResult(False, float(w[0]), fs, float(gap))
+    return _membership("sprime", d, lam, g)
 
 
 def tilde_membership(d: JointDist, lam, g: GramMatrix | None = None) -> MembershipResult:
     """Sum-variance region: member iff ``M - Lambda >= 0`` blockwise."""
-    lam = _check_lambda(lam, d.k)
+    return _membership("tilde", d, lam, g)
+
+
+def membership_verdicts(
+    d: JointDist, kind: str, lams, g: GramMatrix | None = None
+) -> np.ndarray:
+    """Verdicts of one ``kind`` of membership at each row of ``lams``.
+
+    Stacked solves of the single-point functions' test matrices, with their
+    tolerance but no witnesses; "mc" rows are grouped by zero pattern.
+    """
+    if kind not in KINDS:
+        raise BadParameter(f"kind must be one of {KINDS}")
+    lams = _check_lambda(lams, d.k, ndim=2)
     g = g or gram_matrix(d)
-    L = _expand(lam, g.block_dims)
-    A = g.M - np.diag(L)
-    if A.size == 0:
-        return MembershipResult(True, float("inf"))
-    w, V = np.linalg.eigh(A)
-    if w[0] >= -PSD_TOL:
-        return MembershipResult(True, float(w[0]))
-    c = V[:, 0]
-    fs = _witness_functions(d, g, c)
-    gap = tilde_gap(d, lam, fs)
-    return MembershipResult(False, float(w[0]), fs, float(gap))
+    groups = (lams > 0) @ (1 << np.arange(d.k)) if kind == "mc" else np.zeros(len(lams))
+    out = np.ones(len(lams), dtype=bool)
+    for group in np.unique(groups):
+        rows = np.flatnonzero(groups == group)
+        for start in range(0, len(rows), _STACK_ROWS):
+            chunk = rows[start : start + _STACK_ROWS]
+            A, _ = _test_matrices(kind, g, lams[chunk])
+            if A.shape[-1]:
+                out[chunk] = np.linalg.eigvalsh(A)[:, 0] >= -PSD_TOL
+    return out
 
 
 def bipartite_closed_form(rho: float, lam) -> bool:
@@ -355,7 +364,8 @@ def detect_structure(d: JointDist, g: GramMatrix | None = None) -> dict:
     """
     g = g or gram_matrix(d)
     k = d.k
-    off = g.M - _block_diag_of(g)
+    block = np.repeat(np.arange(k), g.block_dims)
+    off = np.where(block[:, None] == block, 0.0, g.M)  # cross blocks only
     w = np.linalg.eigvalsh(g.M) if g.size else np.array([1.0])
     report = {
         "pairwise_independent": bool(np.max(np.abs(off)) < 1e-10) if g.size else True,
@@ -370,43 +380,28 @@ def detect_structure(d: JointDist, g: GramMatrix | None = None) -> dict:
     return report
 
 
-def _block_diag_of(g: GramMatrix) -> np.ndarray:
-    out = np.zeros_like(g.M)
-    for s in g.block_slices():
-        out[s, s] = g.M[s, s]
-    return out
-
-
 def mc_boundary_trace(
     d: JointDist, directions: int = 64, g: GramMatrix | None = None
 ) -> list[tuple[np.ndarray, bool]]:
-    """Bisect membership along rays from the origin of the lambda cube.
+    """Exit points of rays from the origin of the lambda cube, in closed form.
 
-    The region is down-closed along such rays (the defining inequalities
-    are linear in lambda), so bisection is exact.  Returns the last member
-    point on each ray together with membership of the full-length point.
+    Along ``t v``, ``Lambda^{-1} - M >= 0`` reads ``I/t - S M S >= 0`` with
+    ``S = diag(sqrt(v))`` expanded over blocks (zero entries of v give zero
+    rows), so the ray exits at ``t* = 1/lambda_max(S M S)``.  M has identity
+    diagonal blocks and ``max v = 1``, so ``lambda_max >= 1`` and ``t* <= 1``
+    (the floor at 1 covers constant coordinates, whose blocks are empty).
+    Returns the last member point on each ray together with membership of
+    the full-length point.
     """
-    g = g or gram_matrix(d)
     if d.k != 2:
         raise BadShape("mc_boundary_trace currently supports k = 2")
-    out = []
-    for j in range(directions):
-        theta = (j + 0.5) / directions * (np.pi / 2)
-        direction = np.array([np.cos(theta), np.sin(theta)])
-        direction = direction / np.max(direction)  # exits the cube at t = 1
-        lo, hi = 0.0, 1.0
-        full = mc_membership(d, direction, g).verdict
-        if full:
-            out.append((direction, True))
-            continue
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if mc_membership(d, mid * direction, g).verdict:
-                lo = mid
-            else:
-                hi = mid
-        out.append((lo * direction, False))
-    return out
+    g = g or gram_matrix(d)
+    theta = (np.arange(directions) + 0.5) / directions * (np.pi / 2)
+    v = np.column_stack([np.cos(theta), np.sin(theta)])
+    v /= v.max(axis=1, keepdims=True)  # each ray exits the cube at t = 1
+    s = np.sqrt(np.repeat(v, g.block_dims, axis=1))
+    top = np.linalg.eigvalsh(s[:, :, None] * g.M * s[:, None, :]).max(axis=1, initial=1)
+    return [(u, True) if t <= 1 + PSD_TOL else (u / t, False) for u, t in zip(v, top)]
 
 
 def rho2_from_trace(trace) -> float:

@@ -1,8 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import csv
+import gc
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -95,10 +98,12 @@ def test_ribbon_check_member_and_witness(dsbs05, capsys):
 
 
 def test_ribbon_check_bad_lambda(dsbs05, capsys):
-    code, _ = run_cli(
-        capsys, "ribbon", "check", "--dist", dsbs05, "--lambda", "0.5"
-    )
-    assert code == 2
+    for text in ("0.5", "nan,0.5", "0.5,inf"):
+        code, out = run_cli(
+            capsys, "ribbon", "check", "--dist", dsbs05, "--lambda", text
+        )
+        assert code == 2, text
+        assert out == ""
 
 
 def test_ribbon_trace_row_count(dsbs05, capsys, tmp_path):
@@ -111,6 +116,53 @@ def test_ribbon_trace_row_count(dsbs05, capsys, tmp_path):
     rows = list(csv.reader(io.StringIO(out_path.read_text())))
     assert rows[0] == ["lambda_1", "lambda_2", "member"]
     assert len(rows) == 101
+
+
+def test_ribbon_trace_rejects_bad_grid(dsbs05, capsys):
+    for grid in ("0", "-1"):
+        code, out = run_cli(
+            capsys, "ribbon", "trace", "--dist", dsbs05, "--grid", grid
+        )
+        assert code == 2, grid
+        assert out == ""
+
+
+@pytest.mark.parametrize("kind", ["mc", "sprime", "tilde"])
+def test_ribbon_trace_rows_match_check(dsbs05, capsys, kind):
+    code, out = run_cli(
+        capsys, "ribbon", "trace", "--dist", dsbs05, "--grid", "5", "--kind", kind
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 25
+    for *lam, member in rows:
+        _, checked = run_cli(
+            capsys, "ribbon", "check", "--dist", dsbs05, "--lambda", ",".join(lam),
+            "--kind", kind,
+        )
+        obj = json.loads(checked)
+        if abs(obj["min_eigenvalue"]) > 1e-9:
+            assert int(member) == int(obj["member"]), (kind, lam)
+
+
+@pytest.mark.parametrize(
+    "argv, redirect",
+    [
+        (["ribbon", "check", "--lambda", "0.5,0.5"], contextlib.redirect_stdout),
+        (["ribbon", "trace", "--grid", "4"], contextlib.redirect_stdout),
+        (["ribbon", "check", "--lambda", "0.5"], contextlib.redirect_stderr),
+    ],
+    ids=["check-stdout", "trace-stdout", "error-stderr"],
+)
+def test_main_frees_redirected_stream(dsbs05, argv, redirect):
+    buf = io.StringIO()
+    with redirect(buf):
+        main([*argv, "--dist", dsbs05])
+    assert buf.getvalue()
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None
 
 
 def test_phi_ribbon_check_xor(tmp_path, capsys):

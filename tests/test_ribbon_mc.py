@@ -3,10 +3,18 @@
 import numpy as np
 import pytest
 
+from phiribbon import ribbon_mc
 from phiribbon.correlation import maximal_correlation
 from phiribbon.dist import JointFunction, canonical, make_joint, pair_product
-from phiribbon.errors import BadLambda, BadShape, NonGeneric, NotCorrelationMatrix
+from phiribbon.errors import (
+    BadLambda,
+    BadParameter,
+    BadShape,
+    NonGeneric,
+    NotCorrelationMatrix,
+)
 from phiribbon.ribbon_mc import (
+    PSD_TOL,
     bbt_closed_form,
     bipartite_closed_form,
     detect_structure,
@@ -17,6 +25,7 @@ from phiribbon.ribbon_mc import (
     mc_def_gap,
     mc_membership,
     mc_membership_sprime,
+    membership_verdicts,
     pearson_matrix,
     rho2_from_trace,
     tilde_gap,
@@ -59,6 +68,9 @@ def test_lambda_validation():
         mc_membership(d, [0.5])
     with pytest.raises(BadLambda):
         mc_membership(d, [0.5, 1.5])
+    for bad in ([np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.5]):
+        with pytest.raises(BadLambda):
+            mc_membership(d, bad)
 
 
 def test_mc_membership_dsbs_boundary_point():
@@ -216,6 +228,107 @@ def test_mc_boundary_trace_matches_closed_curve():
             assert (1 - 1 / l1) * (1 - 1 / l2) >= 0.25 - 1e-6
         else:
             assert (1 - 1 / l1) * (1 - 1 / l2) == pytest.approx(0.25, abs=2e-3)
+
+
+def _bisection_trace(d, directions, g):
+    """Reference: 40-step bisection of mc_membership along each ray.
+
+    The region is down-closed along rays from the origin (the defining
+    inequalities are linear in lambda), so bisection converges to the exit.
+    """
+    out = []
+    for j in range(directions):
+        theta = (j + 0.5) / directions * (np.pi / 2)
+        direction = np.array([np.cos(theta), np.sin(theta)])
+        direction = direction / np.max(direction)  # exits the cube at t = 1
+        if mc_membership(d, direction, g).verdict:
+            out.append((direction, True))
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if mc_membership(d, mid * direction, g).verdict:
+                lo = mid
+            else:
+                hi = mid
+        out.append((lo * direction, False))
+    return out
+
+
+def _trace_laws():
+    rng = np.random.default_rng(17)
+    laws = {
+        f"random-{'x'.join(map(str, s))}-{i}": _random_dist(rng, s)
+        for s in ((2, 2), (3, 3), (4, 4))
+        for i in range(2)
+    }
+    laws["independent"] = make_joint([2, 3], np.outer([0.4, 0.6], [0.2, 0.3, 0.5]).ravel())
+    laws["perfectly-correlated"] = canonical("equal_copies", k=2, base=[0.3, 0.7])
+    laws["constant-coordinate"] = make_joint([2, 2], [0.4, 0.6, 0.0, 0.0])
+    return laws
+
+
+@pytest.mark.parametrize("name", sorted(_trace_laws()))
+def test_mc_boundary_trace_matches_bisection(name):
+    d = _trace_laws()[name]
+    g = gram_matrix(d)
+    trace = mc_boundary_trace(d, 64, g)
+    reference = _bisection_trace(d, 64, g)
+    assert len(trace) == len(reference) == 64
+    for (lam, member), (ref_lam, ref_member) in zip(trace, reference):
+        assert member == ref_member
+        assert np.max(np.abs(lam - ref_lam)) <= 1e-8
+
+
+def _grid(k, n):
+    axes = [np.linspace(0, 1, n)] * k  # starts at 0: includes the lambda_i = 0 planes
+    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, k)
+
+
+@pytest.mark.parametrize(
+    "sizes, n", [((2, 2), 11), ((3, 3), 9), ((2, 2, 2), 7), ((2, 2, 3), 6), ((3, 2, 2), 5)]
+)
+def test_membership_verdicts_match_single_point_tests(sizes, n, monkeypatch):
+    # small stacks, so that stack boundaries fall inside zero-pattern groups
+    monkeypatch.setattr(ribbon_mc, "_STACK_ROWS", 7)
+    rng = np.random.default_rng(19)
+    d = _random_dist(rng, sizes)
+    g = gram_matrix(d)
+    lams = _grid(d.k, n)
+    fns = {"mc": mc_membership, "sprime": mc_membership_sprime, "tilde": tilde_membership}
+    for kind, fn in fns.items():
+        verdicts = membership_verdicts(d, kind, lams, g)
+        assert verdicts.shape == (len(lams),)
+        compared = 0
+        for lam, verdict in zip(lams, verdicts):
+            res = fn(d, lam, g)
+            if abs(res.min_eigenvalue) > PSD_TOL:
+                assert verdict == res.verdict, (kind, lam.tolist())
+                compared += 1
+        assert compared > len(lams) // 2
+    mc = membership_verdicts(d, "mc", lams)
+    assert mc.any() and not mc.all()
+
+
+def test_membership_verdicts_degenerate_laws():
+    for d in (
+        canonical("equal_copies", k=3, base=[0.5, 0.5]),
+        make_joint([2, 2], [0.4, 0.6, 0.0, 0.0]),
+        make_joint([2, 2], [1.0, 0.0, 0.0, 0.0]),
+    ):
+        lams = _grid(d.k, 5)
+        for kind, fn in (("mc", mc_membership), ("tilde", tilde_membership)):
+            want = [fn(d, lam).verdict for lam in lams]
+            assert membership_verdicts(d, kind, lams).tolist() == want
+
+
+def test_membership_verdicts_validation():
+    d = canonical("dsbs", lam=0.5)
+    with pytest.raises(BadParameter):
+        membership_verdicts(d, "bogus", [[0.5, 0.5]])
+    for bad in ([0.5, 0.5], [[0.5, 0.5, 0.5]], [[0.5, np.nan]], [[0.5, 1.5]]):
+        with pytest.raises(BadLambda):
+            membership_verdicts(d, "mc", bad)
 
 
 def test_rho2_from_trace_recovers_rho_squared():

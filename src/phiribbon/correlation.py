@@ -1,23 +1,28 @@
-"""Scalar correlation measures: maximal correlation and the SDPI constant.
+"""Scalar correlation measures, and the projected-gradient engine of all searches.
 
 Maximal correlation is spectral (second singular value of the normalized
 joint matrix).  The SDPI constant ``eta_phi`` is a supremum of entropy
 ratios with no closed form in general, so it is estimated by multi-start
-projected gradient ascent; every reported value is achieved by a concrete
-witness function and is therefore a certified lower bound.
+projected gradient ascent plus a small-amplitude sweep; every reported
+value is achieved by a concrete witness function and is therefore a
+certified lower bound.  The ascent and the region searches of
+``ribbon_phi`` share one engine, :func:`_pgd`, which moves every restart of
+a search as one row of a matrix, so each objective evaluation is a single
+row-stacked NumPy call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dist import JointDist, MarginalFunction
 from .errors import BadParameter, NotBipartite
-from .phi import PhiSpec, _entropy_of_weighted
+from .phi import PhiSpec, _entropy_rows
 
-_VAR_FLOOR = 1e-12
+_VAR_FLOOR = 1e-12  # H_phi(f) at or below this leaves the ratio undefined
+_ACCEPT = 1e-18  # decrease a trial move must exceed to be taken
 
 
 @dataclass(frozen=True)
@@ -32,10 +37,14 @@ class SearchOpts:
     step_init: float = 0.1
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise BadParameter("restarts must be >= 1")
-        if self.grad_tol <= 0 or self.violation_tol <= 0:
-            raise BadParameter("tolerances must be positive")
+        for name, least in (("restarts", 1), ("max_iters", 0), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+                raise BadParameter(f"{name} must be an integer >= {least}, got {v!r}")
+        for name in ("grad_tol", "violation_tol", "step_init"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float, np.number)) and np.isfinite(v) and v > 0):
+                raise BadParameter(f"{name} must be finite and positive, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -100,62 +109,99 @@ def eta_lower_bound_rho2(d: JointDist) -> float:
     return maximal_correlation(d) ** 2
 
 
-def _ratio_and_grad(
-    fx: np.ndarray,
-    P: np.ndarray,
-    px: np.ndarray,
-    py: np.ndarray,
-    phi: PhiSpec,
-    psi: PhiSpec,
-):
-    """Objective H_psi(E[f|Y]) / H_phi(f) and its gradient in f."""
-    mean = float(px @ fx)
-    gy = (P.T @ fx) / py
-    num = _entropy_of_weighted(psi, py, gy)
-    den = _entropy_of_weighted(phi, px, fx)
-    if den <= _VAR_FLOOR:
-        return None
-    # dN/df_x = sum_y p(x,y) Psi'(g_y) - p(x) Psi'(E f)
-    dpsi_g = psi.deriv(1, gy)
-    dpsi_m = float(psi.deriv(1, mean))
-    grad_num = P @ dpsi_g - px * dpsi_m
-    dphi_f = phi.deriv(1, fx)
-    dphi_m = float(phi.deriv(1, mean))
-    grad_den = px * (dphi_f - dphi_m)
+def _ratio_and_grad(F, P, px, py, phi: PhiSpec, psi: PhiSpec):
+    """Row-wise objective H_psi(E[f|Y]) / H_phi(f) and its gradient in f.
+
+    Rows with ``H_phi(f) <= _VAR_FLOOR`` have no ratio; they report -inf.
+    """
+    mean = F @ px
+    gy = (F @ P) / py
+    num = _entropy_rows(psi, py, gy)
+    den = _entropy_rows(phi, px, F)
+    ok = den > _VAR_FLOOR
+    den = np.where(ok, den, 1.0)
+    # dN/df_x = sum_y p(x,y) Psi'(g_y) - p(x) Psi'(E f); one call per function
+    dpsi = psi.deriv(1, np.hstack([gy, mean[:, None]]))
+    dphi = phi.deriv(1, np.hstack([F, mean[:, None]]))
+    grad_num = dpsi[:, :-1] @ P.T - px * dpsi[:, -1:]
+    grad_den = px * (dphi[:, :-1] - dphi[:, -1:])
     ratio = num / den
-    grad = (grad_num - ratio * grad_den) / den
-    return ratio, grad
+    grad = (grad_num - ratio[:, None] * grad_den) / den[:, None]
+    return np.where(ok, ratio, -np.inf), np.where(ok[:, None], grad, 0.0)
 
 
-def _amplitude_sweep(
-    direction: np.ndarray,
-    P: np.ndarray,
-    px: np.ndarray,
-    py: np.ndarray,
-    phi: PhiSpec,
-    psi: PhiSpec,
-) -> tuple[float, np.ndarray]:
-    """Best ratio along f = c + eps * direction for shrinking amplitudes.
+def _pgd(objective, F, lo, hi, opts: SearchOpts, project=None, stop_below=None):
+    """Projected gradient descent from every row of ``F`` at once.
+
+    ``objective`` maps an (R, n) matrix to a value and a gradient row per
+    row, +inf where undefined.  Each pass tries one move per running row,
+    ``clip(f - step * g, lo, hi)`` with the box-projected gradient g, then
+    ``project`` if given; a move that lowers the value by more than
+    ``_ACCEPT`` is taken (step * 1.5), else the step halves.  A row stops
+    after ``opts.max_iters`` moves, at step ``1e-14 (hi - lo)``, or when
+    |g| < ``opts.grad_tol`` (tested before each move).  With ``stop_below``
+    the batch ends once a stopped row is below it; rows still moving then
+    report +inf, so the best row is always a finished one.
+
+    Returns final values, final rows, and which rows met the gradient test.
+    """
+    F = np.array(F, dtype=float)
+    vals, G = objective(F)
+    vals = np.where(np.isnan(vals), np.inf, vals)
+    step_floor = 1e-14 * (hi - lo)
+
+    def box_projected(G, F):
+        return np.where(((F <= lo) & (G > 0)) | ((F >= hi) & (G < 0)), 0.0, G)
+
+    D = box_projected(G, F)
+    converged = np.isfinite(vals) & (np.linalg.norm(D, axis=1) < opts.grad_tol)
+    step = opts.step_init * (hi - lo)
+    # the running rows, kept compact: indices into F, rows, values,
+    # directions, steps and accepted moves; vals reads +inf until they stop
+    live = np.isfinite(vals) & ~converged & (step > step_floor) & (opts.max_iters > 0)
+    run = np.flatnonzero(live)
+    Fr, vr, Dr = F[run], vals[run], D[run]
+    step, moves = np.full(len(run), step), np.zeros(len(run), dtype=int)
+    vals[run] = np.inf
+    while len(run) and (stop_below is None or vals.min() >= stop_below):
+        trial = np.clip(Fr - step[:, None] * Dr, lo, hi)
+        if project is not None:
+            trial = project(trial)
+        v, g = objective(trial)
+        ok = v < vr - _ACCEPT
+        Fr = np.where(ok[:, None], trial, Fr)
+        vr = np.where(ok, v, vr)
+        Dr = np.where(ok[:, None], box_projected(g, trial), Dr)
+        moves += ok
+        step *= np.where(ok, 1.5, 0.5)
+        conv = np.linalg.norm(Dr, axis=1) < opts.grad_tol
+        done = conv | (moves >= opts.max_iters) | (step <= step_floor)
+        if done.any():
+            F[run[done]], vals[run[done]], converged[run[done]] = Fr[done], vr[done], conv[done]
+            keep = ~done
+            run, Fr, vr, Dr, step, moves = (
+                run[keep], Fr[keep], vr[keep], Dr[keep], step[keep], moves[keep]
+            )
+    return vals, F, converged
+
+
+def _amplitude_sweep(directions, neg_ratio, px, a, b) -> tuple[float, np.ndarray]:
+    """Best ratio over f = c + eps * u for every direction and shrinking eps.
 
     Small-amplitude expansion of both entropies turns the ratio into a
     Rayleigh quotient, so sweeping eps downward recovers the supremum when
-    it is attained in the constant-function limit.
+    it is attained in the constant-function limit.  eps halves from
+    ``0.45 (b - a)`` to just above ``1e-5 (b - a)``; all directions and
+    amplitudes are rows of one evaluation.
     """
-    a, b = phi.domain
-    c = 0.5 * (a + b)
-    u = direction - px @ direction
-    span = max(np.max(np.abs(u)), 1e-300)
-    u = u / span
-    best = -np.inf
-    best_f = None
-    eps = 0.45 * (b - a)
-    while eps >= (b - a) * 1e-5:
-        f = np.clip(c + eps * u, a + 1e-9 * (b - a), b - 1e-9 * (b - a))
-        out = _ratio_and_grad(f, P, px, py, phi, psi)
-        if out is not None and out[0] > best:
-            best, best_f = out[0], f
-        eps *= 0.5
-    return best, best_f
+    U = directions - (directions @ px)[:, None]
+    U /= np.maximum(np.max(np.abs(U), axis=1), 1e-300)[:, None]
+    eps = 0.45 * (b - a) * 0.5 ** np.arange(16)
+    F = 0.5 * (a + b) + eps[None, :, None] * U[:, None, :]
+    F = np.clip(F, a + 1e-9 * (b - a), b - 1e-9 * (b - a)).reshape(-1, U.shape[1])
+    vals, _ = neg_ratio(F)
+    j = int(np.argmin(vals))
+    return float(-vals[j]), F[j]
 
 
 def eta_phi(
@@ -177,56 +223,30 @@ def eta_phi(
     lo = a + 1e-9 * (b - a)
     hi = b - 1e-9 * (b - a)
     rng = np.random.default_rng(opts.seed)
-    n = len(px)
 
     fwit, _, _ = mc_witness(d)
     svd_dir = fwit[sx]
 
-    best_val = 0.0
-    best_f = None
-    converged = False
-    for r in range(opts.restarts):
-        if r == 0:
-            f = np.clip(0.5 * (a + b) + 0.2 * (b - a) * svd_dir, lo, hi)
-        else:
-            f = rng.uniform(lo, hi, size=n)
-        if np.ptp(f) < 1e-8 * (b - a):
-            f = f + rng.normal(0, 1e-3 * (b - a), size=n)
-            f = np.clip(f, lo, hi)
-        step = opts.step_init * (b - a)
-        out = _ratio_and_grad(f, P, px, py, phi, psi)
-        if out is None:
-            continue
-        val, grad = out
-        gnorm = np.inf
-        for _ in range(opts.max_iters):
-            # projected gradient norm for the box constraint
-            proj = np.where((f <= lo) & (grad < 0), 0.0, grad)
-            proj = np.where((f >= hi) & (proj > 0), 0.0, proj)
-            gnorm = float(np.linalg.norm(proj))
-            if gnorm < opts.grad_tol:
-                break
-            improved = False
-            while step > 1e-14 * (b - a):
-                f_new = np.clip(f + step * proj, lo, hi)
-                out_new = _ratio_and_grad(f_new, P, px, py, phi, psi)
-                if out_new is not None and out_new[0] > val + 1e-16:
-                    f, (val, grad) = f_new, out_new
-                    improved = True
-                    step *= 1.5
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        if val > best_val:
-            best_val, best_f = val, f
-            converged = gnorm < opts.grad_tol
+    def neg_ratio(F):
+        ratio, grad = _ratio_and_grad(F, P, px, py, phi, psi)
+        return -ratio, -grad
+
+    # restart 0 follows the quadratic-case witness, the others are uniform
+    starts = np.vstack([
+        np.clip(0.5 * (a + b) + 0.2 * (b - a) * svd_dir, lo, hi),
+        rng.uniform(lo, hi, size=(opts.restarts - 1, len(px))),
+    ])
+    vals, ends, conv = _pgd(neg_ratio, starts, lo, hi, opts)
+    j = int(np.argmin(vals))
+    best_val, best_f, converged = 0.0, None, False
+    if -vals[j] > 0.0:
+        best_val, best_f, converged = float(-vals[j]), ends[j], bool(conv[j])
     # the supremum often sits in the small-amplitude limit around a
     # constant; sweep that regime explicitly along the best directions
-    for direction in (svd_dir, *( [best_f - px @ best_f] if best_f is not None else [] )):
-        sval, sf = _amplitude_sweep(direction, P, px, py, phi, psi)
-        if sf is not None and sval > best_val:
-            best_val, best_f, converged = sval, sf, True
+    directions = [svd_dir] if best_f is None else [svd_dir, best_f - px @ best_f]
+    sval, sf = _amplitude_sweep(np.array(directions), neg_ratio, px, a, b)
+    if sval > best_val:
+        best_val, best_f, converged = sval, sf, True
     if best_f is None:
         best_f = np.clip(0.5 * (a + b) + 0.1 * (b - a) * svd_dir, lo, hi)
         best_val = 0.0

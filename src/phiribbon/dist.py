@@ -145,6 +145,8 @@ def make_joint(sizes: Sequence[int], probs: Sequence[float]) -> JointDist:
         raise ShapeMismatch(
             f"got {flat.size} probabilities for alphabet sizes {sizes}"
         )
+    if not np.all(np.isfinite(flat)):
+        raise BadParameter("probabilities must be finite")
     if np.any(flat < 0):
         raise NegativeProbability("probabilities must be non-negative")
     total = flat.sum()

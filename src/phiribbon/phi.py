@@ -228,16 +228,18 @@ def parse_phi(name: str) -> PhiSpec:
         return square()
     if name == "binent":
         return binent()
-    m = _POWER_RE.match(name)
-    if m:
-        return power_alpha(float(m.group(2))) if m.group(1) == "power" else sym_alpha(
-            float(m.group(2))
-        )
-    m = _XLOGX_RE.match(name)
-    if m:
-        if m.group(1) is None:
-            return xlogx()
-        return xlogx(float(m.group(1)), float(m.group(2)))
+    try:
+        m = _POWER_RE.match(name)
+        if m:
+            alpha = float(m.group(2))
+            return power_alpha(alpha) if m.group(1) == "power" else sym_alpha(alpha)
+        m = _XLOGX_RE.match(name)
+        if m:
+            if m.group(1) is None:
+                return xlogx()
+            return xlogx(float(m.group(1)), float(m.group(2)))
+    except ValueError as e:  # the patterns admit strings like "1.2.3"
+        raise BadParameter(f"malformed phi name {name!r}") from e
     raise BadParameter(f"unknown phi name {name!r}")
 
 
@@ -261,43 +263,52 @@ _GL_S = 0.5 * (_GL_S + 1.0)
 _GL_W = 0.5 * _GL_W
 
 
-def _entropy_of_weighted(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> float:
-    """H_phi of a finite law given atom weights (summing to w) and values.
+def _entropy_rows(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """H_phi of each row of ``values`` under shared atom weights (summing to w).
 
     Evaluated in Bregman form ``E[Phi(f) - Phi(m) - Phi'(m)(f - m)]``; when
     that difference is tiny relative to Phi's scale (catastrophic
-    cancellation regime) each term is recomputed without subtraction as
-    ``(v - m)^2 * integral_0^1 (1 - s) Phi''(m + s(v - m)) ds``.
+    cancellation regime) each term of the row is recomputed without
+    subtraction as ``(v - m)^2 * integral_0^1 (1 - s) Phi''(m + s(v - m)) ds``.
+    A row whose mean sits on the domain edge uses ``E[Phi(f)] - Phi(m)``.
     """
+    values = np.asarray(values, dtype=float)
     keep = weights > 0
-    if not np.all(keep):  # zero-weight atoms carry arbitrary values
+    if not keep.all():  # zero-weight atoms carry arbitrary values
         weights = weights[keep]
-        values = np.asarray(values)[keep]
+        values = values[:, keep]
     w = weights.sum()
     if w <= 0:
-        return 0.0
-    m = float(np.dot(weights, values) / w)
-    pf = phi.safe_eval(values)
-    pm = float(phi.safe_eval(m))
+        return np.zeros(len(values))
+    m = values @ weights / w
+    pfm = phi.safe_eval(np.concatenate([values, m[:, None]], axis=1))
+    pf, pm = pfm[:, :-1], pfm[:, -1]
     a, b = phi.domain
-    interior = (m > a) and (m < b)
-    if phi.d1 is not None and interior:
-        d1m = float(phi.deriv(1, m))
-        out = float(np.dot(weights, pf - pm - d1m * (values - m)) / w)
-    else:
-        out = float(np.dot(weights, pf) / w - pm)
-    scale = float(np.max(np.abs(pf))) + abs(pm)
-    if interior and out < 1e-5 * scale and phi.d2 is not None:
-        dv = np.asarray(values, dtype=float) - m
-        zero = phi.allow_zero & (np.asarray(values) == 0.0)
-        nodes = m + np.outer(dv, _GL_S)  # always inside the hull of {v, m}
-        terms = dv * dv * (phi.deriv(2, nodes) @ ((1.0 - _GL_S) * _GL_W))
-        if np.any(zero):
+    interior = (m > a) & (m < b)
+    dv = values - m[:, None]
+    out = pf @ weights / w - pm
+    if phi.d1 is not None:  # Phi'(m) is only needed, and finite, at interior m
+        d1m = phi.deriv(1, m if interior.all() else np.where(interior, m, 0.5 * (a + b)))
+        out = np.where(interior, (pf - pm[:, None] - d1m[:, None] * dv) @ weights / w, out)
+    scale = np.abs(pf).max(axis=1) + np.abs(pm)
+    tiny = (interior & (out < 1e-5 * scale)).nonzero()[0]
+    if len(tiny) and phi.d2 is not None:
+        dt, mt = dv[tiny], m[tiny]
+        nodes = mt[:, None, None] + dt[:, :, None] * _GL_S  # inside the hull of {v, m}
+        terms = dt * dt * (phi.deriv(2, nodes) @ ((1.0 - _GL_S) * _GL_W))
+        zero = phi.allow_zero & (values[tiny] == 0.0)
+        if zero.any():
             # singular lower end: fall back to the direct formula there
-            direct = phi.safe_eval(values) - pm - float(phi.deriv(1, m)) * dv
+            direct = pf[tiny] - pm[tiny, None] - phi.deriv(1, mt)[:, None] * dt
             terms = np.where(zero, direct, terms)
-        out = float(np.dot(weights, terms) / w)
-    return _clamped(out)
+        out[tiny] = terms @ weights / w
+    out[(-_CLAMP <= out) & (out < 0.0)] = 0.0
+    return out
+
+
+def _entropy_of_weighted(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> float:
+    """H_phi of a finite law given atom weights and values: one row of :func:`_entropy_rows`."""
+    return float(_entropy_rows(phi, weights, np.asarray(values, dtype=float)[None])[0])
 
 
 def phi_entropy(d: JointDist, phi: PhiSpec, f: JointFunction) -> EntropyValue:

@@ -2,7 +2,10 @@
 
 The defining inequality ``H_phi(f) >= sum_i lambda_i H_phi(E[f|X_i])`` has
 no closed form outside the quadratic case, so membership is probed by
-minimizing the gap over function values with multi-start projected descent.
+minimizing the gap over function values: seeds (quadratic-case witness
+sweeps, box corners, random rows) are ranked in one row-stacked gap
+evaluation, and the best are descended together by the batched
+projected-gradient engine ``correlation._pgd``.
 Semantics are one-sided: a negative gap re-evaluated from scratch is a
 proof of non-membership; failure to find one is only evidence.
 """
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import SearchOpts
+from .correlation import SearchOpts, _pgd
 from .dist import (
     Channel,
     JointDist,
@@ -64,67 +67,61 @@ def definition_gap(d: JointDist, phi: PhiSpec, lam, f: JointFunction) -> float:
     Used to certify witnesses independently of the flat evaluator below.
     """
     lam = _check_lambda(lam, d.k)
-    g = phi_entropy(d, phi, f).value
+    total = phi_entropy(d, phi, f).value
+    g = total
     for i in range(d.k):
         if lam[i] == 0:
             continue
-        total = phi_entropy(d, phi, f).value
         cond = cond_phi_entropy(d, phi, f, [i]).value
         g -= lam[i] * (total - cond)  # chain rule: H(E[f|X_i]) = H(f) - H(f|X_i)
     return g
 
 
 class _FlatProblem:
-    """Vectorized gap evaluation over function values on the joint support."""
+    """Row-stacked gap evaluation over function values on the joint support."""
 
     def __init__(self, d: JointDist, phi: PhiSpec, lam):
         self.d = d
         self.phi = phi
-        self.lam = _check_lambda(lam, d.k)
+        lam = _check_lambda(lam, d.k)
         self.sup = np.flatnonzero(d.support_mask.ravel())
         self.p = d.probs.ravel()[self.sup]
         self.n = len(self.sup)
         symbols = np.unravel_index(self.sup, d.alphabet_sizes)
-        self.idx = []  # per coordinate: support-symbol index of each atom
-        self.marg = []
+        # Phi and Phi' are evaluated once per call of rows(), on the stack
+        # [f, E f, E[f|X_i] for each i with lambda_i > 0]; per such i keep
+        # lambda_i, its columns in the stack, the stack column of each
+        # atom's conditional mean, and the marginal on the support
+        self.terms = []
+        tables = []
+        col = self.n + 1
         for i in range(d.k):
+            if lam[i] == 0:
+                continue
             pi = d.marginal_vector(i)
             sup_i = np.flatnonzero(pi > 0)
             remap = np.full(d.alphabet_sizes[i], -1)
             remap[sup_i] = np.arange(len(sup_i))
-            self.idx.append(remap[symbols[i]])
-            self.marg.append(pi[sup_i])
+            idx = remap[symbols[i]]
+            table = np.zeros((self.n, len(sup_i)))  # (F @ table)[r, s] = E[f_r | X_i = s]
+            table[np.arange(self.n), idx] = self.p / pi[sup_i][idx]
+            tables.append(table)
+            self.terms.append((lam[i], slice(col, col + len(sup_i)), col + idx, pi[sup_i]))
+            col += len(sup_i)
+        self.tables = np.hstack(tables) if tables else np.zeros((self.n, 0))
 
-    def cond_means(self, f: np.ndarray, i: int) -> np.ndarray:
-        num = np.bincount(self.idx[i], weights=self.p * f, minlength=len(self.marg[i]))
-        return num / self.marg[i]
-
-    def gap(self, f: np.ndarray) -> float:
-        phi = self.phi
-        m = float(self.p @ f)
-        g = float(self.p @ phi.safe_eval(f)) - float(phi.safe_eval(m))
-        for i in range(self.d.k):
-            if self.lam[i] == 0:
-                continue
-            gi = self.cond_means(f, i)
-            hi = float(self.marg[i] @ phi.safe_eval(gi)) - float(phi.safe_eval(m))
-            g -= self.lam[i] * hi
-        return g
-
-    def gap_grad(self, f: np.ndarray) -> tuple[float, np.ndarray]:
-        phi = self.phi
-        m = float(self.p @ f)
-        d1m = float(phi.deriv(1, m))
-        g = float(self.p @ phi.safe_eval(f)) - float(phi.safe_eval(m))
-        grad = self.p * (phi.deriv(1, f) - d1m)
-        for i in range(self.d.k):
-            if self.lam[i] == 0:
-                continue
-            gi = self.cond_means(f, i)
-            hi = float(self.marg[i] @ phi.safe_eval(gi)) - float(phi.safe_eval(m))
-            g -= self.lam[i] * hi
-            grad -= self.lam[i] * self.p * (phi.deriv(1, gi)[self.idx[i]] - d1m)
-        return g, grad
+    def rows(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gap ``H(f) - sum_i lambda_i H(E[f|X_i])`` and its gradient, per row of F."""
+        phi, p, n = self.phi, self.p, self.n
+        X = np.hstack([F, (F @ p)[:, None], F @ self.tables])
+        PX, DX = phi.safe_eval(X), phi.deriv(1, X)
+        pm, d1m = PX[:, n], DX[:, n : n + 1]
+        gap = PX[:, :n] @ p - pm
+        grad = p * (DX[:, :n] - d1m)
+        for lam, cols, atom_cols, marg in self.terms:
+            gap -= lam * (PX[:, cols] @ marg - pm)
+            grad -= lam * p * (DX[:, atom_cols] - d1m)
+        return gap, grad
 
     def to_joint(self, f: np.ndarray) -> JointFunction:
         vals = np.zeros(math.prod(self.d.alphabet_sizes))
@@ -148,53 +145,23 @@ def _mc_direction(d: JointDist, lam) -> np.ndarray | None:
 
 
 def _seeds(prob: _FlatProblem, d: JointDist, lam, rng, restarts: int):
-    """Start points: quadratic-case witness sweeps, box corners, random."""
+    """Start rows: quadratic-case witness sweeps, box corners, random."""
     a, b = prob.phi.domain
     lo = a + 1e-9 * (b - a)
     hi = b - 1e-9 * (b - a)
     c = 0.5 * (a + b)
-    out = []
+    out = [np.empty((0, prob.n))]
     u = _mc_direction(d, lam)
     if u is not None and np.max(np.abs(u)) > 0:
-        u = u / np.max(np.abs(u))
-        for eps in (0.45, 0.2, 0.05, 0.01, 1e-3):
-            out.append(np.clip(c + eps * (b - a) * u, lo, hi))
-    if prob.n <= 10:
-        for bits in range(2**prob.n):
-            s = np.array([1.0 if bits >> j & 1 else -1.0 for j in range(prob.n)])
-            out.append(np.clip(c + 0.5 * (b - a) * s, lo, hi))
-            out.append(np.clip(c + 0.2 * (b - a) * s, lo, hi))
-    while len(out) < restarts:
-        out.append(rng.uniform(lo, hi, size=prob.n))
-    return out, lo, hi
-
-
-def _descend(prob, f, lo, hi, opts: SearchOpts, project=None):
-    if project is not None:
-        f = project(f)
-    val, grad = prob.gap_grad(f)
-    step = opts.step_init * (hi - lo)
-    for _ in range(opts.max_iters):
-        moved = False
-        while step > 1e-14 * (hi - lo):
-            f_new = np.clip(f - step * grad, lo, hi)
-            if project is not None:
-                f_new = project(f_new)
-            v_new = prob.gap(f_new)
-            if v_new < val - 1e-18:
-                f = f_new
-                val, grad = prob.gap_grad(f)
-                moved = True
-                step *= 1.5
-                break
-            step *= 0.5
-        if not moved:
-            break
-        proj_grad = np.where((f <= lo) & (grad > 0), 0.0, grad)
-        proj_grad = np.where((f >= hi) & (proj_grad < 0), 0.0, proj_grad)
-        if np.linalg.norm(proj_grad) < opts.grad_tol:
-            break
-    return val, f
+        eps = np.array([0.45, 0.2, 0.05, 0.01, 1e-3])
+        out.append(c + eps[:, None] * (b - a) * (u / np.max(np.abs(u))))
+    if prob.n <= 10:  # every corner of the box, at two sizes
+        bits = np.arange(2**prob.n)[:, None] >> np.arange(prob.n) & 1
+        size = np.tile([0.5, 0.2], 2**prob.n)[:, None]
+        out.append(c + size * (b - a) * np.repeat(2.0 * bits - 1.0, 2, axis=0))
+    out = np.clip(np.vstack(out), lo, hi)
+    more = rng.uniform(lo, hi, size=(max(restarts - len(out), 0), prob.n))
+    return np.vstack([out, more]), lo, hi
 
 
 def _search(d, phi, lam, opts, project=None) -> RibbonVerdict:
@@ -212,24 +179,20 @@ def _search(d, phi, lam, opts, project=None) -> RibbonVerdict:
     rng = np.random.default_rng(opts.seed)
     seeds, lo, hi = _seeds(prob, d, lam, rng, opts.restarts)
     if project is not None:
-        seeds = [project(f) for f in seeds]
+        seeds = project(seeds)
     # rank candidate starts by their raw gap; descend from the best ones
-    init_vals = np.array([prob.gap(f) for f in seeds])
-    order = np.argsort(init_vals)
-    starts = [seeds[j] for j in order[: opts.restarts]]
-    best_val, best_f = np.inf, None
-    for f0 in starts:
-        val, f = _descend(prob, f0, lo, hi, opts, project)
-        if val < best_val:
-            best_val, best_f = val, f
-        if best_val < -10 * opts.violation_tol:
-            break  # a certified violation needs no better witness
-    if best_f is not None and best_val < -opts.violation_tol:
-        witness = prob.to_joint(best_f)
+    order = np.argsort(prob.rows(seeds)[0])
+    vals, ends, _ = _pgd(
+        prob.rows, seeds[order[: opts.restarts]], lo, hi, opts, project,
+        stop_below=-10 * opts.violation_tol,  # a certified violation needs no better witness
+    )
+    j = int(np.argmin(vals))
+    if vals[j] < -opts.violation_tol:
+        witness = prob.to_joint(ends[j])
         certified = definition_gap(d, phi, lam, witness)
         if certified <= -opts.violation_tol:
             return RibbonVerdict("violated", float(certified), witness)
-    return RibbonVerdict("holds_up_to_search", float(best_val))
+    return RibbonVerdict("holds_up_to_search", float(vals[j]))
 
 
 def phi_ribbon_membership(
@@ -240,35 +203,39 @@ def phi_ribbon_membership(
     return _search(d, phi, lam, opts)
 
 
+def _project_density(V: np.ndarray, p: np.ndarray, floor: float, top: float) -> np.ndarray:
+    """Shift-and-clip each row of V onto ``{floor <= f <= top, p @ f = 1}``.
+
+    ``s(mu) = p @ clip(v - mu, floor, top)`` is non-increasing and piecewise
+    linear in mu with kinks at ``v - top`` and ``v - floor``, so the root of
+    ``s(mu) = 1`` lies on the segment between the last kink where ``s >= 1``
+    and the next one, and is solved for exactly there.  A row that cannot
+    reach mean 1 even with every entry at ``top`` becomes all ``top``.
+    """
+    kinks = np.sort(np.concatenate([V - top, V - floor], axis=1), axis=1)
+    s = np.clip(V[:, None, :] - kinks[:, :, None], floor, top) @ p
+    k = np.clip(np.count_nonzero(s >= 1.0, axis=1) - 1, 0, kinks.shape[1] - 2)[:, None]
+    b0, b1 = np.take_along_axis(kinks, k, 1)[:, 0], np.take_along_axis(kinks, k + 1, 1)[:, 0]
+    s0, s1 = np.take_along_axis(s, k, 1)[:, 0], np.take_along_axis(s, k + 1, 1)[:, 0]
+    reach = s0 >= 1.0  # then s1 < 1, so s0 - s1 > 0
+    mu = np.where(reach, b0 + (s0 - 1.0) * (b1 - b0) / np.where(reach, s0 - s1, 1.0), kinks[:, 0])
+    return np.clip(V - mu[:, None], floor, top)
+
+
 def normalized_phi_ribbon_membership(
     d: JointDist, phi: PhiSpec, lam, opts: SearchOpts | None = None
 ) -> RibbonVerdict:
     """Same search restricted to f >= 0 with E[f] = 1 (density-like f)."""
     opts = opts or SearchOpts(restarts=64)
-    prob = _FlatProblem(d, phi, lam)
-    a, b = phi.domain
-    top = b - 1e-9 * (b - a)
-
-    floor = 1e-12  # keep Phi' finite for the descent; 0 itself adds nothing
-
-    def project(v: np.ndarray) -> np.ndarray:
-        # shift-and-clip projection onto {f in [floor, top], E[f] = 1}
-        lo_mu, hi_mu = np.min(v) - top, np.max(v)
-        for _ in range(100):
-            mu = 0.5 * (lo_mu + hi_mu)
-            f = np.clip(v - mu, floor, top)
-            s = float(prob.p @ f)
-            if s > 1.0:
-                lo_mu = mu
-            else:
-                hi_mu = mu
-        return np.clip(v - 0.5 * (lo_mu + hi_mu), floor, top)
-
     if not phi.allow_zero and phi.domain[0] > 1e-12:
         raise BadShape(
             f"{phi.name} does not admit non-negative functions reaching 0"
         )
-    return _search(d, phi, lam, opts, project=project)
+    a, b = phi.domain
+    top = b - 1e-9 * (b - a)
+    floor = 1e-12  # keep Phi' finite for the descent; 0 itself adds nothing
+    p = d.probs.ravel()[d.support_mask.ravel()]
+    return _search(d, phi, lam, opts, project=lambda V: _project_density(V, p, floor, top))
 
 
 def _joint_with_u(d: JointDist, channel: Channel) -> JointDist:

@@ -40,14 +40,24 @@ def test_rho_missing_file_is_input_error(capsys):
 
 def test_bad_distribution_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text('{"alphabet_sizes": [2, 2], "probs": [0.9, 0.9, 0.9, 0.9]}')
-    code, _ = run_cli(capsys, "rho", "--dist", str(path))
-    assert code == 2
+    for probs in ("[0.9, 0.9, 0.9, 0.9]", "[NaN, 0.5, 0.25, 0.25]"):
+        path.write_text('{"alphabet_sizes": [2, 2], "probs": %s}' % probs)
+        code, _ = run_cli(capsys, "rho", "--dist", str(path))
+        assert code == 2, probs
 
 
 def test_unknown_flag_is_input_error(dsbs05, capsys):
     code, _ = run_cli(capsys, "rho", "--dist", dsbs05, "--bogus", "1")
     assert code == 2
+    # malformed flag values: phi names and search options
+    for argv in (
+        ["--phi", "power:1.2.3"],
+        ["--phi", "xlogx:e,e"],
+        ["--phi", "square", "--seed", "-1"],
+    ):
+        code, out = run_cli(capsys, "eta", "--dist", dsbs05, *argv)
+        assert code == 2, argv
+        assert out == ""
 
 
 def test_eta_output_schema(dsbs05, capsys):

@@ -20,6 +20,21 @@ def test_search_opts_validation():
         SearchOpts(restarts=0)
     with pytest.raises(BadParameter):
         SearchOpts(grad_tol=0.0)
+    for bad in (
+        {"max_iters": -1},
+        {"max_iters": 10.0},
+        {"restarts": 2.5},
+        {"restarts": True},
+        {"seed": -1},
+        {"step_init": float("nan")},
+        {"step_init": -1.0},
+        {"step_init": 0.0},
+        {"grad_tol": float("nan")},
+        {"violation_tol": float("inf")},
+    ):
+        with pytest.raises(BadParameter):
+            SearchOpts(**bad)
+    SearchOpts(max_iters=0, seed=np.int64(3))
 
 
 def test_maximal_correlation_needs_bipartite():

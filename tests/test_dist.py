@@ -39,6 +39,9 @@ def test_make_joint_validates_shape():
 def test_make_joint_rejects_negative():
     with pytest.raises(NegativeProbability):
         make_joint([2], [1.5, -0.5])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(BadParameter):
+            make_joint([2, 2], [bad, 0.5, 0.25, 0.25])
 
 
 def test_make_joint_rejects_unnormalized():

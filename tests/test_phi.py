@@ -9,6 +9,8 @@ from phiribbon.dist import JointFunction, canonical, cond_expectation, make_join
 from phiribbon.errors import BadParameter, DomainViolation, NotIndependent
 from phiribbon.phi import (
     PhiSpec,
+    _entropy_of_weighted,
+    _entropy_rows,
     binent,
     check_class_F,
     cond_phi_entropy,
@@ -35,8 +37,9 @@ def test_parse_phi_names():
     assert parse_phi("sym:2.0").name == "sym:2.0"
     assert parse_phi("xlogx").domain[1] == 64.0
     assert parse_phi("xlogx:0.5,8").domain == (0.5, 8.0)
-    with pytest.raises(BadParameter):
-        parse_phi("cube")
+    for bad in ("cube", "power:1.2.3", "sym:1..5", "xlogx:e,e"):
+        with pytest.raises(BadParameter):
+            parse_phi(bad)
 
 
 def test_power_alpha_range_check():
@@ -137,6 +140,34 @@ def test_phi_entropy_small_amplitude_no_cancellation():
     # H ~ Phi''(1)/2 * eps^2 * Var = eps^2 / 2 (unit variance of the sign)
     got = phi_entropy(d, phi, f).value
     assert got == pytest.approx(0.5 * eps * eps, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "name", ["square", "power:1.5", "sym:1.5", "binent", "xlogx", "xlogx:0.05,4", "xlogx:0,4"]
+)
+def test_entropy_rows_match_one_row_calls(name):
+    phi = parse_phi(name)
+    a, b = phi.domain
+    rng = np.random.default_rng(8)
+    w = np.r_[rng.dirichlet(np.ones(6)), 0.0]  # a zero-weight atom is ignored
+    c = 0.5 * (a + b)
+    V = np.vstack([
+        rng.uniform(a, b, size=(5, 7)),
+        c + 1e-6 * (b - a) * rng.uniform(-1, 1, size=(5, 7)),  # quadrature regime
+        np.full((1, 7), a),  # mean on the domain edge
+        np.full((1, 7), c),  # constant
+    ])
+    if phi.allow_zero:
+        V[::2, :3] = 0.0
+    rng.shuffle(V)
+    got = _entropy_rows(phi, w, V)
+    want = [_entropy_of_weighted(phi, w, v) for v in V]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert np.all(got >= 0)
+    if name == "square":  # H is the weighted variance
+        m = V @ w
+        var = ((V - m[:, None]) ** 2) @ w
+        np.testing.assert_allclose(got, var, rtol=1e-9, atol=1e-15)
 
 
 def test_marginal_phi_entropy_matches_lift():

@@ -15,8 +15,10 @@ from phiribbon.dist import (
     pair_product,
 )
 from phiribbon.errors import PhiNotClassF
-from phiribbon.phi import PhiSpec, binent, square, xlogx
+from phiribbon.phi import PhiSpec, binent, parse_phi, square, xlogx
 from phiribbon.ribbon_phi import (
+    _FlatProblem,
+    _project_density,
     alpha_equivalent_membership,
     definition_gap,
     eta_from_ribbon,
@@ -90,6 +92,102 @@ def test_normalized_variant_holds_for_independent():
     d = make_joint([2, 2], np.outer([0.4, 0.6], [0.3, 0.7]).ravel())
     res = normalized_phi_ribbon_membership(d, xlogx(0.0, 8.0), [1.0, 1.0], OPTS)
     assert not res.violated
+
+
+def test_searches_are_deterministic_given_seed():
+    copies = canonical("equal_copies", k=2, base=[0.5, 0.5])
+    # 12 atoms and no quadratic-case seed: every start is a random draw
+    indep = make_joint([3, 4], np.outer([0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4]).ravel())
+    opts = SearchOpts(restarts=8, seed=3)
+    for search, d, phi, lam in (
+        (phi_ribbon_membership, copies, binent(), [0.9, 0.9]),
+        (normalized_phi_ribbon_membership, copies, xlogx(0.0, 8.0), [0.9, 0.9]),
+        (phi_ribbon_membership, indep, binent(), [1.0, 1.0]),
+        (normalized_phi_ribbon_membership, indep, xlogx(0.0, 8.0), [1.0, 1.0]),
+    ):
+        a = search(d, phi, lam, opts)
+        b = search(d, phi, lam, opts)
+        assert a.violated == (d is copies)
+        assert (a.verdict, a.gap) == (b.verdict, b.gap)
+        if a.violated:
+            assert np.array_equal(a.witness.values, b.witness.values)
+
+
+def _bisect_projection(v, p, floor, top):
+    """The 100-step bisection the breakpoint solve replaced, kept as its reference."""
+    lo_mu, hi_mu = np.min(v) - top, np.max(v)
+    for _ in range(100):
+        mu = 0.5 * (lo_mu + hi_mu)
+        if float(p @ np.clip(v - mu, floor, top)) > 1.0:
+            lo_mu = mu
+        else:
+            hi_mu = mu
+    return np.clip(v - 0.5 * (lo_mu + hi_mu), floor, top)
+
+
+def test_density_projection_matches_bisection():
+    rng = np.random.default_rng(23)
+    floor = 1e-12
+    for n in (1, 2, 4, 9, 27):
+        p = rng.dirichlet(np.ones(n))
+        u = rng.normal(size=(4, n))
+        u -= (u @ p)[:, None]
+        V = np.vstack([
+            rng.uniform(-3.0, 11.0, size=(16, n)),
+            1.0 + 0.05 * u,  # already feasible
+            50.0 * rng.normal(size=(4, n)),  # nearly every entry clipped
+        ])
+        for top in (8.0 - 8e-9, 1.0 + 1e-3, 0.9):
+            got = _project_density(V, p, floor, top)
+            want = np.array([_bisect_projection(v, p, floor, top) for v in V])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert np.all((floor <= got) & (got <= top))
+            if top > 1.0:
+                np.testing.assert_allclose(got @ p, 1.0, rtol=0, atol=1e-12)
+                inside = np.all(V[16:20] <= top, axis=1)  # feasible rows stay put
+                np.testing.assert_allclose(got[16:20][inside], V[16:20][inside], rtol=0, atol=1e-12)
+            else:  # mean 1 is out of reach: every entry clipped at top
+                np.testing.assert_allclose(got, top, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name", ["square", "power:1.5", "sym:1.5", "binent", "xlogx", "xlogx:0.05,4", "xlogx:0,4"]
+)
+def test_flat_rows_match_definition_gap(name):
+    phi = parse_phi(name)
+    a, b = phi.domain
+    rng = np.random.default_rng(29)
+    laws = [
+        make_joint([2, 3], rng.dirichlet(np.ones(6))),
+        make_joint([2, 2, 2], np.r_[0.0, rng.dirichlet(np.ones(7))]),  # one empty atom
+    ]
+    for d, lam in zip(laws, ([0.7, 0.0], [0.4, 0.9, 0.6])):
+        prob = _FlatProblem(d, phi, lam)
+        c = 0.5 * (a + b)
+        F = np.vstack([
+            rng.uniform(a + 1e-3 * (b - a), b - 1e-3 * (b - a), size=(6, prob.n)),
+            c + 1e-6 * (b - a) * rng.uniform(-1, 1, size=(6, prob.n)),  # quadrature regime
+        ])
+        if phi.allow_zero:
+            F[::3, : prob.n // 2] = 0.0  # exact zeros take the 0 log 0 = 0 convention
+        rng.shuffle(F)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gaps, _ = prob.rows(F)
+        want = [definition_gap(d, phi, lam, prob.to_joint(f)) for f in F]
+        np.testing.assert_allclose(gaps, want, rtol=0, atol=1e-12)
+
+
+def test_flat_rows_gradient_matches_differences():
+    d = make_joint([2, 3], np.random.default_rng(5).dirichlet(np.ones(6)))
+    prob = _FlatProblem(d, binent(), [0.8, 0.5])
+    F = np.random.default_rng(6).uniform(-0.8, 0.8, size=(3, prob.n))
+    _, grad = prob.rows(F)
+    h = 1e-6
+    for j in range(prob.n):
+        e = np.zeros(prob.n)
+        e[j] = h
+        diff = (prob.rows(F + e)[0] - prob.rows(F - e)[0]) / (2 * h)
+        np.testing.assert_allclose(grad[:, j], diff, rtol=1e-6, atol=1e-9)
 
 
 def test_i_phi_channel_test_xor_identity_on_pair():

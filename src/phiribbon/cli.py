@@ -43,7 +43,28 @@ def _round12(x):
 # Every echo names its stream: with none, click caches a wrapper per stream
 # object and never frees a redirected StringIO, so in-process runs leak.
 def _emit_json(obj):
-    click.echo(json.dumps(_round12(obj)), file=sys.stdout)
+    click.echo(json.dumps(_round12(obj), allow_nan=False), file=sys.stdout)
+
+
+def _show_help(ctx, param, value):
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color, file=sys.stdout)
+        ctx.exit()
+
+
+class _Command(click.Command):
+    """A command whose --help echo names its stream (click's own does not)."""
+
+    def get_help_option(self, ctx):
+        opt = super().get_help_option(ctx)
+        if opt is not None:
+            opt.callback = _show_help
+        return opt
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+    group_class = type  # subgroups are _Group too
 
 
 def _load_dist(path: str) -> JointDist:
@@ -87,7 +108,7 @@ def _write_rows(rows, header, out):
         click.echo(buf.getvalue(), nl=False, file=sys.stdout)
 
 
-@click.group()
+@click.group(cls=_Group)
 def cli():
     """Correlation measures and entropy-inequality regions for discrete
     multivariate distributions."""
@@ -148,6 +169,8 @@ def ribbon():
 @click.option("--lambda", "lam_text", required=True)
 @click.option("--kind", type=click.Choice(ribbon_mc.KINDS), default="mc")
 def ribbon_check(dist_path, lam_text, kind):
+    """Exact membership test.  ``min_eigenvalue`` is null when the test
+    matrix is empty (no coordinate varies): the point is a member."""
     d = _load_dist(dist_path)
     lam = _parse_lambda(lam_text, d.k)
     fn = {
@@ -160,7 +183,7 @@ def ribbon_check(dist_path, lam_text, kind):
         "kind": kind,
         "lambda": lam,
         "member": res.verdict,
-        "min_eigenvalue": res.min_eigenvalue,
+        "min_eigenvalue": res.min_eigenvalue if math.isfinite(res.min_eigenvalue) else None,
     }
     if not res.verdict:
         out["witness"] = [list(f.values) for f in res.witness]

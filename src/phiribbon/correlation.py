@@ -19,7 +19,7 @@ import numpy as np
 
 from .dist import JointDist, MarginalFunction
 from .errors import BadParameter, NotBipartite
-from .phi import PhiSpec, _entropy_rows
+from .phi import PhiSpec, _entropy_from_values
 
 _VAR_FLOOR = 1e-12  # H_phi(f) at or below this leaves the ratio undefined
 _ACCEPT = 1e-18  # decrease a trial move must exceed to be taken
@@ -112,19 +112,30 @@ def eta_lower_bound_rho2(d: JointDist) -> float:
 def _ratio_and_grad(F, P, px, py, phi: PhiSpec, psi: PhiSpec):
     """Row-wise objective H_psi(E[f|Y]) / H_phi(f) and its gradient in f.
 
+    ``E[E[f|Y]] = E f``, so both entropies share the mean m: Phi and Phi' are
+    each evaluated once, on the stack ``[f, E[f|Y], m]`` (once per function
+    when psi is not phi), and feed both entropies and the gradient.
     Rows with ``H_phi(f) <= _VAR_FLOOR`` have no ratio; they report -inf.
     """
-    mean = F @ px
+    tx, ty = px.sum(), py.sum()
+    mean = F @ px / tx
     gy = (F @ P) / py
-    num = _entropy_rows(psi, py, gy)
-    den = _entropy_rows(phi, px, F)
+    if psi is phi:
+        S = np.hstack([F, gy, mean[:, None]])
+        vx, dx = vy, dy = phi.safe_eval(S), phi.deriv(1, S)
+        xs, ys = slice(0, F.shape[1]), slice(F.shape[1], -1)
+    else:
+        Sx, Sy = np.hstack([F, mean[:, None]]), np.hstack([gy, mean[:, None]])
+        vx, dx = phi.safe_eval(Sx), phi.deriv(1, Sx)
+        vy, dy = psi.safe_eval(Sy), psi.deriv(1, Sy)
+        xs = ys = slice(0, -1)
+    den = _entropy_from_values(phi, px, tx, F, mean, vx[:, xs], vx[:, -1], dx[:, -1])
+    num = _entropy_from_values(psi, py, ty, gy, mean, vy[:, ys], vy[:, -1], dy[:, -1])
     ok = den > _VAR_FLOOR
     den = np.where(ok, den, 1.0)
-    # dN/df_x = sum_y p(x,y) Psi'(g_y) - p(x) Psi'(E f); one call per function
-    dpsi = psi.deriv(1, np.hstack([gy, mean[:, None]]))
-    dphi = phi.deriv(1, np.hstack([F, mean[:, None]]))
-    grad_num = dpsi[:, :-1] @ P.T - px * dpsi[:, -1:]
-    grad_den = px * (dphi[:, :-1] - dphi[:, -1:])
+    # dN/df_x = sum_y p(x,y) Psi'(g_y) - p(x) Psi'(E f)
+    grad_num = dy[:, ys] @ P.T - px * dy[:, -1:]
+    grad_den = px * (dx[:, xs] - dx[:, -1:])
     ratio = num / den
     grad = (grad_num - ratio[:, None] * grad_den) / den[:, None]
     return np.where(ok, ratio, -np.inf), np.where(ok[:, None], grad, 0.0)

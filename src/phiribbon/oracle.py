@@ -2,12 +2,13 @@
 
 These share no code with the search or spectral implementations: entropies
 are re-derived from their definitions and minima come from exhaustive grids,
-so an agreement between the two is meaningful evidence.
+so an agreement between the two is meaningful evidence.  A grid ``pts^n`` is
+walked in ``itertools.product`` order, in blocks of rows decoded from the
+row index by mixed-radix arithmetic, so ties resolve to the first grid row.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,19 @@ class GridSpec:
         if not np.any(pts == mid):
             pts = np.sort(np.append(pts, mid))
         return pts
+
+
+def _grid_blocks(pts: np.ndarray, n: int):
+    """Every row of ``pts^n`` in lexicographic order, a block of rows at a time."""
+    r = len(pts)
+    total = r**n
+    if total > _CAP:
+        raise GridTooLarge(f"{r}^{n} = {total} grid points exceeds cap {_CAP}")
+    chunk = max(1, _CAP // (50 * max(n, 1)))
+    place = r ** np.arange(n - 1, -1, -1)  # the digit of column j is idx // r^(n-1-j) % r
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        yield pts[idx[:, None] // place % r]
 
 
 def _objective_batch(
@@ -85,20 +99,9 @@ def brute_min_objective(
     sup, p, cond_tables, marg = _tables(d)
     n = len(sup)
     lo, hi = grid.domain or phi.domain
-    pts = grid.points(lo, hi)
-    r = len(pts)
-    total = r**n
-    if total > _CAP:
-        raise GridTooLarge(f"{r}^{n} = {total} grid points exceeds cap {_CAP}")
     best = math.inf
     best_row = None
-    chunk = max(1, _CAP // (50 * max(n, 1)))
-    it = itertools.product(range(r), repeat=n)
-    while True:
-        rows = list(itertools.islice(it, chunk))
-        if not rows:
-            break
-        F = pts[np.array(rows)]
+    for F in _grid_blocks(grid.points(lo, hi), n):
         G = _objective_batch(p, cond_tables, marg, phi, lam, F)
         j = int(np.argmin(G))
         if G[j] < best:
@@ -123,20 +126,8 @@ def brute_maximal_correlation(d: JointDist, grid: GridSpec) -> float:
     sy = np.flatnonzero(py > 0)
     P = d.probs[np.ix_(sx, sy)]
     pxs, pys = px[sx], py[sy]
-    n = len(sy)
-    pts = grid.points(-1.0, 1.0)
-    r = len(pts)
-    total = r**n
-    if total > _CAP:
-        raise GridTooLarge(f"{r}^{n} = {total} grid points exceeds cap {_CAP}")
     best = 0.0
-    chunk = max(1, _CAP // (50 * n))
-    it = itertools.product(range(r), repeat=n)
-    while True:
-        rows = list(itertools.islice(it, chunk))
-        if not rows:
-            break
-        Gv = pts[np.array(rows)]  # batch x |Y| values of g
+    for Gv in _grid_blocks(grid.points(-1.0, 1.0), len(sy)):  # batch x |Y| values of g
         mg = Gv @ pys
         g0 = Gv - mg[:, None]
         var_g = (g0 * g0) @ pys

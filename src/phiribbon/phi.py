@@ -263,33 +263,56 @@ _GL_S = 0.5 * (_GL_S + 1.0)
 _GL_W = 0.5 * _GL_W
 
 
-def _entropy_rows(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """H_phi of each row of ``values`` under shared atom weights (summing to w).
+def _wmean(x: np.ndarray, weights: np.ndarray, total) -> np.ndarray:
+    """Row-wise weighted means: one weight vector for all rows, or one row per row."""
+    return (x @ weights if weights.ndim == 1 else (x * weights).sum(axis=1)) / total
 
-    Evaluated in Bregman form ``E[Phi(f) - Phi(m) - Phi'(m)(f - m)]``; when
-    that difference is tiny relative to Phi's scale (catastrophic
-    cancellation regime) each term of the row is recomputed without
-    subtraction as ``(v - m)^2 * integral_0^1 (1 - s) Phi''(m + s(v - m)) ds``.
-    A row whose mean sits on the domain edge uses ``E[Phi(f)] - Phi(m)``.
+
+def _entropy_rows(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """H_phi of each row of ``values`` under atom weights: one vector for all
+    rows, or one row of weights per row, each with a positive total.
+
+    Zero-weight atoms carry arbitrary values and never reach Phi.  Phi and
+    Phi' are evaluated once each; :func:`_entropy_from_values` does the rest.
     """
     values = np.asarray(values, dtype=float)
-    keep = weights > 0
-    if not keep.all():  # zero-weight atoms carry arbitrary values
-        weights = weights[keep]
-        values = values[:, keep]
-    w = weights.sum()
-    if w <= 0:
-        return np.zeros(len(values))
-    m = values @ weights / w
+    on = weights > 0
+    if not on.all():  # zero-weight atoms take the value of their row's heaviest atom
+        j = weights.argmax(axis=-1)
+        heavy = values[:, j] if weights.ndim == 1 else values[np.arange(len(values)), j]
+        values = np.where(on, values, heavy[:, None])
+    total = weights.sum(axis=-1)
+    # m = c + E[f - c], c an atom's value: exact on a constant row, where a
+    # rounded E f can step off a domain edge into the quadrature path
+    c = values[:, 0]
+    m = c + _wmean(values - c[:, None], weights, total)
     pfm = phi.safe_eval(np.concatenate([values, m[:, None]], axis=1))
-    pf, pm = pfm[:, :-1], pfm[:, -1]
+    d1m = None
+    if phi.d1 is not None:  # Phi'(m) is only needed, and finite, at interior m
+        a, b = phi.domain
+        interior = (m > a) & (m < b)
+        d1m = phi.deriv(1, m if interior.all() else np.where(interior, m, 0.5 * (a + b)))
+    return _entropy_from_values(phi, weights, total, values, m, pfm[:, :-1], pfm[:, -1], d1m)
+
+
+def _entropy_from_values(phi, weights, total, values, m, pf, pm, d1m) -> np.ndarray:
+    """H_phi per row from ``pf = Phi(values)``, ``pm = Phi(m)`` at the row
+    means m and ``d1m = Phi'(m)`` (unused without an analytic Phi'), under
+    ``weights`` with their ``total`` as in :func:`_wmean`.
+
+    Bregman form ``E[Phi(f) - Phi(m) - Phi'(m)(f - m)]``; where that is tiny
+    relative to Phi's scale (catastrophic cancellation) each term is
+    recomputed without subtraction as
+    ``(v - m)^2 * integral_0^1 (1 - s) Phi''(m + s(v - m)) ds``.  A mean on
+    the domain edge, or a Phi without ``d1``, uses ``E[Phi(f) - Phi(m)]``.
+    """
     a, b = phi.domain
     interior = (m > a) & (m < b)
     dv = values - m[:, None]
-    out = pf @ weights / w - pm
-    if phi.d1 is not None:  # Phi'(m) is only needed, and finite, at interior m
-        d1m = phi.deriv(1, m if interior.all() else np.where(interior, m, 0.5 * (a + b)))
-        out = np.where(interior, (pf - pm[:, None] - d1m[:, None] * dv) @ weights / w, out)
+    diff = pf - pm[:, None]  # exact zeros on a constant row
+    out = _wmean(diff, weights, total)
+    if phi.d1 is not None:
+        out = np.where(interior, _wmean(diff - d1m[:, None] * dv, weights, total), out)
     scale = np.abs(pf).max(axis=1) + np.abs(pm)
     tiny = (interior & (out < 1e-5 * scale)).nonzero()[0]
     if len(tiny) and phi.d2 is not None:
@@ -301,7 +324,8 @@ def _entropy_rows(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> np.n
             # singular lower end: fall back to the direct formula there
             direct = pf[tiny] - pm[tiny, None] - phi.deriv(1, mt)[:, None] * dt
             terms = np.where(zero, direct, terms)
-        out[tiny] = terms @ weights / w
+        rows = (weights, total) if weights.ndim == 1 else (weights[tiny], total[tiny])
+        out[tiny] = _wmean(terms, *rows)
     out[(-_CLAMP <= out) & (out < 0.0)] = 0.0
     return out
 
@@ -341,17 +365,11 @@ def cond_phi_entropy(
         math.prod(d.alphabet_sizes[c] for c in coords), -1
     )
     vals = np.transpose(f.values, order).reshape(probs.shape)
-    terms = []
-    total = 0.0
-    for row_p, row_v in zip(probs, vals):
-        ps = row_p.sum()
-        if ps <= 0:
-            terms.append(0.0)
-            continue
-        h = _entropy_of_weighted(phi, row_p, row_v)
-        terms.append(ps * h)
-        total += ps * h
-    return EntropyValue(_clamped(total), tuple(terms))
+    ps = probs.sum(axis=1)
+    cells = ps > 0  # empty cells contribute 0
+    terms = np.zeros(len(ps))
+    terms[cells] = ps[cells] * _entropy_rows(phi, probs[cells], vals[cells])
+    return EntropyValue(_clamped(float(terms.sum())), tuple(terms.tolist()))
 
 
 def phi_mutual_information(d: JointDist, phi: PhiSpec) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from phiribbon.cli import main
-from phiribbon.dist import canonical, dist_to_json
+from phiribbon.dist import canonical, dist_to_json, make_joint
 
 
 @pytest.fixture
@@ -151,23 +151,44 @@ def test_ribbon_trace_rows_match_check(dsbs05, capsys, kind):
             "--kind", kind,
         )
         obj = json.loads(checked)
-        if abs(obj["min_eigenvalue"]) > 1e-9:
+        ev = obj["min_eigenvalue"]  # null: empty test matrix (lambda = 0)
+        if ev is None or abs(ev) > 1e-9:
             assert int(member) == int(obj["member"]), (kind, lam)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+@pytest.mark.parametrize("kind", ["mc", "sprime", "tilde"])
+def test_ribbon_check_output_is_strict_json(tmp_path, capsys, kind):
+    # every coordinate constant: no test matrix, min eigenvalue +inf
+    path = tmp_path / "point.json"
+    path.write_text(dist_to_json(make_joint([2, 2], [1, 0, 0, 0])))
+    code, out = run_cli(
+        capsys, "ribbon", "check", "--dist", str(path), "--lambda", "0.5,0.5",
+        "--kind", kind,
+    )
+    assert code == 0
+    obj = json.loads(out, parse_constant=_reject_constant)
+    assert obj["member"] is True and obj["min_eigenvalue"] is None
 
 
 @pytest.mark.parametrize(
     "argv, redirect",
     [
-        (["ribbon", "check", "--lambda", "0.5,0.5"], contextlib.redirect_stdout),
-        (["ribbon", "trace", "--grid", "4"], contextlib.redirect_stdout),
-        (["ribbon", "check", "--lambda", "0.5"], contextlib.redirect_stderr),
+        (["ribbon", "check", "--lambda", "0.5,0.5", "--dist", "{}"], contextlib.redirect_stdout),
+        (["ribbon", "trace", "--grid", "4", "--dist", "{}"], contextlib.redirect_stdout),
+        (["ribbon", "check", "--lambda", "0.5", "--dist", "{}"], contextlib.redirect_stderr),
+        (["--help"], contextlib.redirect_stdout),
+        (["ribbon", "--help"], contextlib.redirect_stdout),
     ],
-    ids=["check-stdout", "trace-stdout", "error-stderr"],
+    ids=["check-stdout", "trace-stdout", "error-stderr", "help", "group-help"],
 )
 def test_main_frees_redirected_stream(dsbs05, argv, redirect):
     buf = io.StringIO()
     with redirect(buf):
-        main([*argv, "--dist", dsbs05])
+        main([a.format(dsbs05) for a in argv])
     assert buf.getvalue()
     ref = weakref.ref(buf)
     del buf

@@ -5,6 +5,8 @@ import pytest
 
 from phiribbon.correlation import (
     SearchOpts,
+    _bipartite_matrices,
+    _ratio_and_grad,
     eta_lower_bound_rho2,
     eta_phi,
     maximal_correlation,
@@ -12,7 +14,7 @@ from phiribbon.correlation import (
 )
 from phiribbon.dist import JointFunction, canonical, cond_expectation, make_joint
 from phiribbon.errors import BadParameter, NotBipartite
-from phiribbon.phi import binent, square, xlogx
+from phiribbon.phi import PhiSpec, _entropy_rows, binent, parse_phi, square, xlogx
 
 
 def test_search_opts_validation():
@@ -133,3 +135,56 @@ def test_eta_phi_deterministic_given_seed():
     b = eta_phi(d, binent(), opts=SearchOpts(restarts=6, seed=5))
     assert a.value == b.value
     assert np.array_equal(a.witness.values, b.witness.values)
+
+
+def _ratio_and_grad_reference(F, P, px, py, phi, psi):
+    """The ratio from two independent entropy evaluations, and its gradient."""
+    mean = F @ px
+    gy = (F @ P) / py
+    num = _entropy_rows(psi, py, gy)
+    den = _entropy_rows(phi, px, F)
+    ok = den > 1e-12
+    den = np.where(ok, den, 1.0)
+    dpsi = psi.deriv(1, np.hstack([gy, mean[:, None]]))
+    dphi = phi.deriv(1, np.hstack([F, mean[:, None]]))
+    grad_num = dpsi[:, :-1] @ P.T - px * dpsi[:, -1:]
+    grad_den = px * (dphi[:, :-1] - dphi[:, -1:])
+    ratio = num / den
+    grad = (grad_num - ratio[:, None] * grad_den) / den[:, None]
+    # size of the terms the gradient cancels, per entry
+    size = (
+        np.abs(dpsi[:, :-1]) @ P.T
+        + px * np.abs(dpsi[:, -1:])
+        + np.abs(ratio)[:, None] * px * (np.abs(dphi[:, :-1]) + np.abs(dphi[:, -1:]))
+    ) / den[:, None]
+    return np.where(ok, ratio, -np.inf), np.where(ok[:, None], grad, 0.0), size
+
+
+@pytest.mark.parametrize(
+    "phi_name, psi_name",
+    [(n, n) for n in ("square", "power:1.5", "sym:1.5", "binent", "xlogx", "xlogx:0.05,4",
+                      "xlogx:0,4")]
+    + [("sym:1.5", "binent"), ("power:1.5", "xlogx:0,4"), ("exp", "exp"), ("exp", "square")],
+)
+def test_ratio_and_grad_match_two_entropy_evaluations(phi_name, psi_name):
+    # "exp" has no analytic Phi': direct-form entropies and a stencil gradient.
+    # Its Phi'' gives them the quadrature where they cancel; without it neither
+    # version has digits to agree on at small amplitude.
+    exp = PhiSpec("exp", (-1.0, 1.0), eval=np.exp, d2=np.exp)
+    phi = exp if phi_name == "exp" else parse_phi(phi_name)
+    psi = phi if psi_name == phi_name else parse_phi(psi_name)
+    rng = np.random.default_rng(12)
+    P, px, py, _, _ = _bipartite_matrices(make_joint([3, 4], rng.dirichlet(np.ones(12))))
+    a, b = phi.domain
+    lo, hi = a + 1e-9 * (b - a), b - 1e-9 * (b - a)
+    amps = 10.0 ** -np.arange(8)  # 1 down to 1e-7
+    U = rng.uniform(-1, 1, size=(len(amps), 6, 3))
+    c = rng.uniform(lo, hi, size=(1, 6, 1))
+    F = np.clip(c + 0.5 * (hi - lo) * amps[:, None, None] * U, lo, hi).reshape(-1, 3)
+    ratio, grad = _ratio_and_grad(F, P, px, py, phi, psi)
+    want, want_grad, size = _ratio_and_grad_reference(F, P, px, py, phi, psi)
+    ok = np.isfinite(want)
+    assert np.array_equal(np.isfinite(ratio), ok)
+    assert ok.sum() >= 20
+    np.testing.assert_allclose(ratio[ok], want[ok], rtol=1e-9, atol=0)
+    assert np.all(np.abs(grad - want_grad)[ok] <= 1e-10 * size[ok])

@@ -127,7 +127,7 @@ def rho(dist_path):
 @click.option("--phi", "phi_name", required=True)
 @click.option("--psi", "psi_name", default=None)
 @click.option("--restarts", default=32, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def eta(dist_path, phi_name, psi_name, restarts, seed):
     """Lower-bound estimate of the SDPI constant."""
     d = _load_dist(dist_path)
@@ -220,7 +220,7 @@ def phi_ribbon():
 @click.option("--lambda", "lam_text", required=True)
 @click.option("--normalized", is_flag=True)
 @click.option("--restarts", default=64, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def phi_ribbon_check(dist_path, phi_name, lam_text, normalized, restarts, seed):
     d = _load_dist(dist_path)
     phi = parse_phi(phi_name)
@@ -241,8 +241,10 @@ def phi_ribbon_check(dist_path, phi_name, lam_text, normalized, restarts, seed):
 @phi_ribbon.command("trace")
 @click.option("--dist", "dist_path", required=True)
 @click.option("--phi", "phi_name", required=True)
-@click.option("--directions", default=32, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option(
+    "--directions", type=click.IntRange(min=1), default=32, show_default=True
+)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_path", default=None)
 def phi_ribbon_trace(dist_path, phi_name, directions, seed, out_path):
     d = _load_dist(dist_path)
@@ -286,8 +288,10 @@ def gaussian_check(r_path, lam_text):
         with open(r_path) as fh:
             obj = json.load(fh)
         R = np.asarray(obj["matrix"], dtype=float)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise click.UsageError(f"cannot read correlation matrix {r_path}: {e}")
+    if R.ndim != 2:
+        raise click.UsageError(f"correlation matrix in {r_path} must be 2-D")
     lam = _parse_lambda(lam_text, R.shape[0])
     member = ribbon_mc.gaussian_mc_membership(R, lam)
     _emit_json({"lambda": lam, "member": member})
@@ -402,7 +406,7 @@ def _suite_rows(name: str, seed: int):
 
 @cli.command()
 @click.argument("name")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def suite(name, seed):
     """Run a named reproduction bundle and print a pass/fail table."""
     rows = _suite_rows(name, seed)

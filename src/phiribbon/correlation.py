@@ -23,28 +23,24 @@ from .phi import PhiSpec, _entropy_from_values
 
 _VAR_FLOOR = 1e-12  # H_phi(f) at or below this leaves the ratio undefined
 _ACCEPT = 1e-18  # decrease a trial move must exceed to be taken
+_GRAD_TOL = 1e-9  # a row whose box-projected gradient norm is below this has converged
+_STEP_INIT = 0.1  # first step, as a fraction of the box width: large enough to leave a corner
 
 
 @dataclass(frozen=True)
 class SearchOpts:
-    """Knobs for the multi-start ascent/descent searches."""
+    """Multi-start search budget: restarts (rows moved together), accepted
+    moves per row, and the seed of the random starts."""
 
     restarts: int = 32
     max_iters: int = 500
-    grad_tol: float = 1e-9
-    violation_tol: float = 1e-9
     seed: int = 0
-    step_init: float = 0.1
 
     def __post_init__(self):
         for name, least in (("restarts", 1), ("max_iters", 0), ("seed", 0)):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
                 raise BadParameter(f"{name} must be an integer >= {least}, got {v!r}")
-        for name in ("grad_tol", "violation_tol", "step_init"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float, np.number)) and np.isfinite(v) and v > 0):
-                raise BadParameter(f"{name} must be finite and positive, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +48,6 @@ class EtaEstimate:
     value: float
     witness: MarginalFunction
     lower_bound_rho2: float
-    restarts_used: int
     converged: bool
 
 
@@ -150,9 +145,10 @@ def _pgd(objective, F, lo, hi, opts: SearchOpts, project=None, stop_below=None):
     ``project`` if given; a move that lowers the value by more than
     ``_ACCEPT`` is taken (step * 1.5), else the step halves.  A row stops
     after ``opts.max_iters`` moves, at step ``1e-14 (hi - lo)``, or when
-    |g| < ``opts.grad_tol`` (tested before each move).  With ``stop_below``
-    the batch ends once a stopped row is below it; rows still moving then
-    report +inf, so the best row is always a finished one.
+    |g| < ``_GRAD_TOL`` (tested before each move); the first step is
+    ``_STEP_INIT (hi - lo)``.  With ``stop_below`` the batch ends once a
+    stopped row is below it; rows still moving then report +inf, so the
+    best row is always a finished one.
 
     Returns final values, final rows, and which rows met the gradient test.
     """
@@ -165,8 +161,8 @@ def _pgd(objective, F, lo, hi, opts: SearchOpts, project=None, stop_below=None):
         return np.where(((F <= lo) & (G > 0)) | ((F >= hi) & (G < 0)), 0.0, G)
 
     D = box_projected(G, F)
-    converged = np.isfinite(vals) & (np.linalg.norm(D, axis=1) < opts.grad_tol)
-    step = opts.step_init * (hi - lo)
+    converged = np.isfinite(vals) & (np.linalg.norm(D, axis=1) < _GRAD_TOL)
+    step = _STEP_INIT * (hi - lo)
     # the running rows, kept compact: indices into F, rows, values,
     # directions, steps and accepted moves; vals reads +inf until they stop
     live = np.isfinite(vals) & ~converged & (step > step_floor) & (opts.max_iters > 0)
@@ -185,7 +181,7 @@ def _pgd(objective, F, lo, hi, opts: SearchOpts, project=None, stop_below=None):
         Dr = np.where(ok[:, None], box_projected(g, trial), Dr)
         moves += ok
         step *= np.where(ok, 1.5, 0.5)
-        conv = np.linalg.norm(Dr, axis=1) < opts.grad_tol
+        conv = np.linalg.norm(Dr, axis=1) < _GRAD_TOL
         done = conv | (moves >= opts.max_iters) | (step <= step_floor)
         if done.any():
             F[run[done]], vals[run[done]], converged[run[done]] = Fr[done], vr[done], conv[done]
@@ -268,6 +264,5 @@ def eta_phi(
         value=float(min(best_val, 1.0) if psi is phi else best_val),
         witness=witness,
         lower_bound_rho2=rho2,
-        restarts_used=opts.restarts,
         converged=converged,
     )

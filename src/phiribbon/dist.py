@@ -127,6 +127,8 @@ class Channel:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise ShapeMismatch("channel matrix must be 2-D")
+        if not np.all(np.isfinite(m)):
+            raise BadParameter("channel entries must be finite")
         if np.any(m < 0):
             raise NegativeProbability("channel entries must be non-negative")
         rows = m.sum(axis=1)
@@ -323,15 +325,13 @@ def dist_to_json(d: JointDist) -> str:
 
 def dist_from_json_dict(obj: dict) -> JointDist:
     try:
-        sizes = obj["alphabet_sizes"]
-        probs = obj["probs"]
-    except (KeyError, TypeError) as e:
-        raise ShapeMismatch(f"distribution JSON missing field: {e}") from e
-    return make_joint(sizes, probs)
+        return make_joint(obj["alphabet_sizes"], obj["probs"])
+    except (KeyError, TypeError, ValueError) as e:  # missing fields, ragged or non-numeric
+        raise ShapeMismatch(f"malformed distribution JSON: {e!r}") from e
 
 
 def channel_from_json_dict(obj: dict) -> Channel:
     try:
         return Channel(int(obj["coord"]), np.asarray(obj["matrix"], dtype=float))
-    except (KeyError, TypeError) as e:
-        raise ShapeMismatch(f"channel JSON missing field: {e}") from e
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ShapeMismatch(f"malformed channel JSON: {e!r}") from e

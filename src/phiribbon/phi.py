@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,14 +21,12 @@ from .errors import BadParameter, DomainViolation, NotIndependent
 _CLAMP = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhiSpec:
     """A convex function on a compact interval with derivatives up to order 4.
 
-    ``is_class_F`` is a tri-state: None until :func:`check_class_F` runs,
-    then True/False.  ``allow_zero`` admits the single extra point 0 with
-    the convention ``Phi(0) = lim_{t->0+} Phi(t)`` (used by ``xlogx`` where
-    ``0 log 0 := 0``).
+    ``allow_zero`` admits the single extra point 0 with the convention
+    ``Phi(0) = lim_{t->0+} Phi(t)`` (used by ``xlogx`` where ``0 log 0 := 0``).
     """
 
     name: str
@@ -42,23 +40,23 @@ class PhiSpec:
     # where the defining formula makes sense at all (ratio arguments of the
     # mutual information may leave the compact working interval)
     nat_domain: tuple[float, float] | None = None
-    is_class_F: bool | None = field(default=None, compare=False)
 
     def __post_init__(self):
         a, b = self.domain
         if not (math.isfinite(a) and math.isfinite(b) and b > a):
             raise BadParameter("domain must be a non-degenerate compact interval")
 
-    # -- derivative access -------------------------------------------------
+    @property
+    def is_class_F(self) -> bool:
+        """Whether :func:`check_class_F` verifies the class conditions (run on each read)."""
+        return check_class_F(self)["verified"]
 
-    def _h(self) -> float:
-        a, b = self.domain
-        return (b - a) * 1e-4
+    # -- derivative access -------------------------------------------------
 
     def _fd(self, order: int, t: np.ndarray) -> np.ndarray:
         """5-point centered stencil, shifted one-sided near the edges."""
         a, b = self.domain
-        h = self._h()
+        h = (b - a) * 1e-4
         t = np.asarray(t, dtype=float)
         # shift evaluation points so the whole stencil stays in-domain
         center = np.clip(t, a + 2 * h, b - 2 * h)
@@ -104,11 +102,8 @@ class PhiSpec:
         if self.allow_zero:
             a, _ = self.domain
             out = self.eval(np.where(t == 0.0, a, t))
-            return np.where(t == 0.0, self._zero_limit(), out)
+            return np.where(t == 0.0, 0.0, out)
         return self.eval(t)
-
-    def _zero_limit(self) -> float:
-        return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +244,10 @@ def parse_phi(name: str) -> PhiSpec:
 
 @dataclass(frozen=True)
 class EntropyValue:
+    """An entropy value; callers read ``.value`` (the bench checks and the
+    acceptance criteria among them)."""
+
     value: float
-    decomposition: tuple[float, ...] | None = None
 
 
 def _clamped(v: float) -> float:
@@ -287,35 +284,33 @@ def _entropy_rows(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> np.n
     c = values[:, 0]
     m = c + _wmean(values - c[:, None], weights, total)
     pfm = phi.safe_eval(np.concatenate([values, m[:, None]], axis=1))
-    d1m = None
-    if phi.d1 is not None:  # Phi'(m) is only needed, and finite, at interior m
-        a, b = phi.domain
-        interior = (m > a) & (m < b)
-        d1m = phi.deriv(1, m if interior.all() else np.where(interior, m, 0.5 * (a + b)))
+    a, b = phi.domain
+    interior = (m > a) & (m < b)  # Phi'(m) is only needed, and finite, at interior m
+    d1m = phi.deriv(1, m if interior.all() else np.where(interior, m, 0.5 * (a + b)))
     return _entropy_from_values(phi, weights, total, values, m, pfm[:, :-1], pfm[:, -1], d1m)
 
 
 def _entropy_from_values(phi, weights, total, values, m, pf, pm, d1m) -> np.ndarray:
     """H_phi per row from ``pf = Phi(values)``, ``pm = Phi(m)`` at the row
-    means m and ``d1m = Phi'(m)`` (unused without an analytic Phi'), under
-    ``weights`` with their ``total`` as in :func:`_wmean`.
+    means m and ``d1m = Phi'(m)``, under ``weights`` with their ``total`` as
+    in :func:`_wmean`.
 
     Bregman form ``E[Phi(f) - Phi(m) - Phi'(m)(f - m)]``; where that is tiny
     relative to Phi's scale (catastrophic cancellation) each term is
     recomputed without subtraction as
     ``(v - m)^2 * integral_0^1 (1 - s) Phi''(m + s(v - m)) ds``.  A mean on
-    the domain edge, or a Phi without ``d1``, uses ``E[Phi(f) - Phi(m)]``.
+    the domain edge uses ``E[Phi(f) - Phi(m)]``.  Derivatives a spec lacks
+    come from the stencil of :meth:`PhiSpec.deriv`.
     """
     a, b = phi.domain
     interior = (m > a) & (m < b)
     dv = values - m[:, None]
     diff = pf - pm[:, None]  # exact zeros on a constant row
     out = _wmean(diff, weights, total)
-    if phi.d1 is not None:
-        out = np.where(interior, _wmean(diff - d1m[:, None] * dv, weights, total), out)
+    out = np.where(interior, _wmean(diff - d1m[:, None] * dv, weights, total), out)
     scale = np.abs(pf).max(axis=1) + np.abs(pm)
     tiny = (interior & (out < 1e-5 * scale)).nonzero()[0]
-    if len(tiny) and phi.d2 is not None:
+    if len(tiny):
         dt, mt = dv[tiny], m[tiny]
         nodes = mt[:, None, None] + dt[:, :, None] * _GL_S  # inside the hull of {v, m}
         terms = dt * dt * (phi.deriv(2, nodes) @ ((1.0 - _GL_S) * _GL_W))
@@ -369,7 +364,7 @@ def cond_phi_entropy(
     cells = ps > 0  # empty cells contribute 0
     terms = np.zeros(len(ps))
     terms[cells] = ps[cells] * _entropy_rows(phi, probs[cells], vals[cells])
-    return EntropyValue(_clamped(float(terms.sum())), tuple(terms.tolist()))
+    return EntropyValue(_clamped(float(terms.sum())))
 
 
 def phi_mutual_information(d: JointDist, phi: PhiSpec) -> float:
@@ -398,18 +393,19 @@ def phi_mutual_information(d: JointDist, phi: PhiSpec) -> float:
     return _clamped(out)
 
 
-def check_class_F(phi: PhiSpec, grid_points: int = 256) -> dict:
+_CLASS_F_GRID = 256  # interior points at which check_class_F tests the conditions
+
+
+def check_class_F(phi: PhiSpec) -> dict:
     """Numerically test the subadditivity conditions on an interior grid.
 
     Checks ``Phi'''' Phi'' >= 2 Phi'''^2`` pointwise and spot-checks
     concavity of ``1/Phi''`` via second differences; also confirms
-    convexity and non-affineness.  Sets ``phi.is_class_F``.
+    convexity and non-affineness.  Returns the report and changes nothing.
     """
-    if grid_points < 16:
-        raise BadParameter("grid_points must be >= 16")
     a, b = phi.domain
     pad = (b - a) * 1e-3
-    t = np.linspace(a + pad, b - pad, grid_points)
+    t = np.linspace(a + pad, b - pad, _CLASS_F_GRID)
     d2 = phi.deriv(2, t)
     d3 = phi.deriv(3, t)
     d4 = phi.deriv(4, t)
@@ -426,7 +422,6 @@ def check_class_F(phi: PhiSpec, grid_points: int = 256) -> dict:
     sec = inv[:-2] - 2 * inv[1:-1] + inv[2:]
     v_ok = bool(np.all(sec[np.isfinite(sec)] <= 1e-8 * (1 + np.abs(inv[1:-1][np.isfinite(sec)]))))
     verdict = convex_ok and not affine and vi_ok and v_ok
-    phi.is_class_F = verdict
     return {
         "verified": verdict,
         "convex": convex_ok,

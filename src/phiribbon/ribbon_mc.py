@@ -31,6 +31,7 @@ from .errors import (
 )
 
 PSD_TOL = 1e-9
+_LAMBDA_FLOOR = 1e-300  # below it 1/lambda overflows; lambda_i moves no test past PSD_TOL
 _common_tol = 1e-8
 KINDS = ("mc", "sprime", "tilde")
 _STACK_ROWS = 4096  # lambda rows per stacked eigenvalue solve: bounds its memory
@@ -115,7 +116,7 @@ def _check_lambda(lam, k: int, ndim: int = 1) -> np.ndarray:
     # NaN fails both comparisons, so it is rejected along with inf
     if not np.all((lam >= 0) & (lam <= 1)):
         raise BadLambda("lambda entries must lie in [0, 1]")
-    return lam
+    return np.where(lam < _LAMBDA_FLOOR, 0.0, lam)
 
 
 def _test_matrices(kind: str, g: GramMatrix, lams: np.ndarray):
@@ -342,6 +343,8 @@ def gaussian_mc_membership(R: np.ndarray, lam) -> bool:
     k = R.shape[0]
     if R.shape != (k, k) or not np.allclose(R, R.T, atol=1e-9):
         raise NotCorrelationMatrix("R must be symmetric")
+    if not np.all(np.isfinite(R)):
+        raise NotCorrelationMatrix("R must be finite")
     if not np.allclose(np.diag(R), 1.0, atol=1e-9):
         raise NotCorrelationMatrix("R must have unit diagonal")
     if np.linalg.eigvalsh(R)[0] < -PSD_TOL:

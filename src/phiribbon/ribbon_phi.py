@@ -35,6 +35,8 @@ from .phi import (
 )
 from .ribbon_mc import _check_lambda, gram_matrix, mc_membership
 
+_VIOLATION_TOL = 1e-9  # a certified gap must be below -this to prove a violation, not noise
+
 __all__ = [
     "SearchOpts",
     "RibbonVerdict",
@@ -165,11 +167,7 @@ def _seeds(prob: _FlatProblem, d: JointDist, lam, rng, restarts: int):
 
 
 def _search(d, phi, lam, opts, project=None) -> RibbonVerdict:
-    if phi.is_class_F is None:
-        from .phi import check_class_F
-
-        check_class_F(phi)
-    if phi.is_class_F is False:
+    if not phi.is_class_F:
         warnings.warn(
             f"{phi.name} failed the class conditions; tensorization "
             "guarantees do not apply",
@@ -184,13 +182,13 @@ def _search(d, phi, lam, opts, project=None) -> RibbonVerdict:
     order = np.argsort(prob.rows(seeds)[0])
     vals, ends, _ = _pgd(
         prob.rows, seeds[order[: opts.restarts]], lo, hi, opts, project,
-        stop_below=-10 * opts.violation_tol,  # a certified violation needs no better witness
+        stop_below=-10 * _VIOLATION_TOL,  # a certified violation needs no better witness
     )
     j = int(np.argmin(vals))
-    if vals[j] < -opts.violation_tol:
+    if vals[j] < -_VIOLATION_TOL:
         witness = prob.to_joint(ends[j])
         certified = definition_gap(d, phi, lam, witness)
-        if certified <= -opts.violation_tol:
+        if certified <= -_VIOLATION_TOL:
             return RibbonVerdict("violated", float(certified), witness)
     return RibbonVerdict("holds_up_to_search", float(vals[j]))
 

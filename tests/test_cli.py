@@ -5,10 +5,13 @@ import csv
 import gc
 import io
 import json
+import math
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phiribbon.cli import main
 from phiribbon.dist import canonical, dist_to_json, make_joint
@@ -56,6 +59,17 @@ def test_unknown_flag_is_input_error(dsbs05, capsys):
         ["--phi", "square", "--seed", "-1"],
     ):
         code, out = run_cli(capsys, "eta", "--dist", dsbs05, *argv)
+        assert code == 2, argv
+        assert out == ""
+    for argv in (
+        ["suite", "tilde", "--seed", "-1"],
+        ["phi-ribbon", "check", "--dist", dsbs05, "--phi", "square", "--lambda", "0.5,0.5",
+         "--seed", "-1"],
+        ["phi-ribbon", "trace", "--dist", dsbs05, "--phi", "square", "--directions", "0"],
+        ["phi-ribbon", "trace", "--dist", dsbs05, "--phi", "square", "--directions", "-3"],
+        ["phi-ribbon", "trace", "--dist", dsbs05, "--phi", "square", "--seed", "-1"],
+    ):
+        code, out = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
 
@@ -161,7 +175,7 @@ def _reject_constant(name):
 
 
 @pytest.mark.parametrize("kind", ["mc", "sprime", "tilde"])
-def test_ribbon_check_output_is_strict_json(tmp_path, capsys, kind):
+def test_ribbon_check_output_is_strict_json(tmp_path, dsbs05, capsys, kind):
     # every coordinate constant: no test matrix, min eigenvalue +inf
     path = tmp_path / "point.json"
     path.write_text(dist_to_json(make_joint([2, 2], [1, 0, 0, 0])))
@@ -172,6 +186,12 @@ def test_ribbon_check_output_is_strict_json(tmp_path, capsys, kind):
     assert code == 0
     obj = json.loads(out, parse_constant=_reject_constant)
     assert obj["member"] is True and obj["min_eigenvalue"] is None
+    # a subnormal lambda entry, whose reciprocal overflows, reads as 0
+    code, out = run_cli(
+        capsys, "ribbon", "check", "--dist", dsbs05, "--lambda", "5e-324,0.5", "--kind", kind
+    )
+    assert code == 0
+    assert json.loads(out, parse_constant=_reject_constant)["member"] is True
 
 
 @pytest.mark.parametrize(
@@ -237,6 +257,23 @@ def test_gaussian_check(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["member"] is True
+    path.write_text('{"matrix": [[1, Infinity], [Infinity, 1]]}')
+    code, out = run_cli(
+        capsys, "gaussian", "check", "--R", str(path), "--lambda", "0.6,0.6"
+    )
+    assert code == 2 and out == ""
+
+
+def test_phi_ribbon_trace_rows(dsbs05, capsys):
+    code, out = run_cli(
+        capsys, "phi-ribbon", "trace", "--dist", dsbs05, "--phi", "square",
+        "--directions", "3",
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["direction_index", "lambda_1", "lambda_2", "verdict"]
+    assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
+    assert {r[3] for r in rows[1:]} <= {"holds_up_to_search", "violated"}
 
 
 def test_oracle_min_gap(dsbs05, capsys):
@@ -266,3 +303,122 @@ def test_suite_xor_passes(tmp_path, capsys):
 def test_suite_unknown_name(capsys):
     code, _ = run_cli(capsys, "suite", "nope")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# property: any argv and file contents give exit 0 with strict JSON, or exit 2
+
+
+def _json_text(obj):
+    return json.dumps(obj, allow_nan=True)  # NaN and Infinity literals stay in
+
+
+_numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, 0.5, 1.0, -1.0, 1e308]),
+    st.integers(-3, 3),
+)
+_GARBAGE = ["", "{", "null", "7", '"x"', "[]", "{}"]
+
+
+def _sometimes(draw, good, bad):
+    """``good`` three times in four, else a draw from ``bad``."""
+    return good if draw(st.integers(0, 3)) else draw(bad)
+
+
+def _stochastic(draw, rows, cols):
+    """Rows of non-negative weights summing to 1, some of them exact zeros."""
+    w = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0]),
+                               min_size=rows * cols, max_size=rows * cols)))
+    w = w.reshape(rows, cols)
+    w[w.sum(axis=1) == 0, 0] = 1.0
+    return (w / w.sum(axis=1, keepdims=True)).tolist()
+
+
+def _malformed(draw, valid):
+    """A mangled copy of ``valid``: a non-finite or negative entry, a wrong shape,
+    a wrong type, or text that is not the expected JSON."""
+    flat = np.array(valid, dtype=float).ravel().tolist()
+    how = draw(st.sampled_from(["entry", "drop", "ragged", "flat", "scalar", "text"]))
+    if how == "entry" and flat:
+        flat[draw(st.integers(0, len(flat) - 1))] = draw(_numbers)
+        return np.reshape(flat, np.shape(valid)).tolist()
+    if how == "drop":
+        return flat[1:]
+    if how == "ragged":
+        return [flat, flat[:1]]
+    if how == "flat":
+        return flat
+    return draw(_numbers) if how == "scalar" else draw(st.text(max_size=3))
+
+
+@st.composite
+def _cli_case(draw):
+    command = draw(st.sampled_from(["rho", "gram", "ribbon", "gaussian", "channel-test"]))
+    k = 2 if command == "rho" else draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    n = math.prod(sizes)
+    probs = _stochastic(draw, 1, n)[0]
+    dist = _sometimes(draw, {"alphabet_sizes": sizes, "probs": probs}, st.sampled_from([
+        {"alphabet_sizes": sizes, "probs": _malformed(draw, probs)},
+        {"alphabet_sizes": _malformed(draw, sizes), "probs": probs},
+        {"probs": probs},
+        [sizes, probs],
+    ]))
+    files = {"dist": _sometimes(draw, _json_text(dist), st.sampled_from(_GARBAGE))}
+    lam = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    lam = _sometimes(draw, lam, st.lists(_numbers, max_size=4))
+    lam_text = _sometimes(draw, ",".join(map(str, lam)), st.sampled_from(["", ",", "a"]))
+    if command in ("rho", "gram"):
+        argv = [command, "--dist", "{dist}"]
+    elif command == "ribbon":
+        kind = draw(st.sampled_from(["mc", "sprime", "tilde"]))
+        argv = ["ribbon", "check", "--dist", "{dist}", "--lambda", lam_text, "--kind", kind]
+    elif command == "gaussian":
+        # the Gram matrix of unit vectors is a correlation matrix
+        v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=k * k, max_size=k * k)))
+        v = v.reshape(k, k) + 2.0 * np.eye(k)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        R = v @ v.T
+        np.fill_diagonal(R, 1.0)
+        R = _sometimes(draw, R.tolist(), st.just(_malformed(draw, R.tolist())))
+        files["R"] = _sometimes(draw, _json_text({"matrix": R}), st.sampled_from(_GARBAGE))
+        argv = ["gaussian", "check", "--R", "{R}", "--lambda", lam_text]
+    else:
+        W = _stochastic(draw, n, draw(st.integers(1, 3)))
+        coord = _sometimes(draw, 0, _numbers)
+        W = _sometimes(draw, W, st.just(_malformed(draw, W)))
+        channel = {"coord": coord, "matrix": W}
+        files["channel"] = _sometimes(draw, _json_text(channel), st.sampled_from(_GARBAGE))
+        phi = draw(st.sampled_from(
+            ["xlogx:0,64", "xlogx", "power:1.5", "square", "binent", "power:3", "power:1.2.3",
+             "xlogx:e,e", "xlogx:-1,2", "nope"]
+        ))
+        argv = ["phi-ribbon", "channel-test", "--dist", "{dist}", "--phi", phi,
+                "--channel", "{channel}", "--lambda", lam_text]
+    argv += _sometimes(draw, [], st.sampled_from([["--bogus"], ["--seed", "-1"], ["--kind", "x"]]))
+    return files, argv
+
+
+@pytest.fixture(scope="module")
+def case_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli_cases")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cli_case())
+def test_cli_exits_0_with_strict_json_or_2(case_dir, case):
+    files, argv = case
+    paths = {}
+    for name, text in files.items():
+        paths[name] = case_dir / f"{name}.json"
+        paths[name].write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([a.format(**paths) for a in argv])
+    assert code in (0, 2), (argv, files, err.getvalue())
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == "", argv

@@ -20,19 +20,12 @@ from phiribbon.phi import PhiSpec, _entropy_rows, binent, parse_phi, square, xlo
 def test_search_opts_validation():
     with pytest.raises(BadParameter):
         SearchOpts(restarts=0)
-    with pytest.raises(BadParameter):
-        SearchOpts(grad_tol=0.0)
     for bad in (
         {"max_iters": -1},
         {"max_iters": 10.0},
         {"restarts": 2.5},
         {"restarts": True},
         {"seed": -1},
-        {"step_init": float("nan")},
-        {"step_init": -1.0},
-        {"step_init": 0.0},
-        {"grad_tol": float("nan")},
-        {"violation_tol": float("inf")},
     ):
         with pytest.raises(BadParameter):
             SearchOpts(**bad)
@@ -167,9 +160,7 @@ def _ratio_and_grad_reference(F, P, px, py, phi, psi):
     + [("sym:1.5", "binent"), ("power:1.5", "xlogx:0,4"), ("exp", "exp"), ("exp", "square")],
 )
 def test_ratio_and_grad_match_two_entropy_evaluations(phi_name, psi_name):
-    # "exp" has no analytic Phi': direct-form entropies and a stencil gradient.
-    # Its Phi'' gives them the quadrature where they cancel; without it neither
-    # version has digits to agree on at small amplitude.
+    # "exp" has no analytic Phi': its entropies and gradient use the stencil Phi'.
     exp = PhiSpec("exp", (-1.0, 1.0), eval=np.exp, d2=np.exp)
     phi = exp if phi_name == "exp" else parse_phi(phi_name)
     psi = phi if psi_name == phi_name else parse_phi(psi_name)

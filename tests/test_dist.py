@@ -137,6 +137,9 @@ def test_bsc_channel_on_dsbs_shrinks_correlation():
 def test_channel_rejects_bad_rows():
     with pytest.raises(NotNormalized):
         Channel(0, np.array([[0.5, 0.4], [0.5, 0.5]]))
+    for bad in (np.nan, np.inf):  # NaN slips past both the sign and the row-sum test
+        with pytest.raises(BadParameter):
+            Channel(0, np.array([[bad, 1.0], [0.5, 0.5]]))
 
 
 def test_canonical_dsbs_flip_probability():

@@ -1,5 +1,6 @@
 """Unit tests for the convex-function catalog and entropies."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -84,9 +85,19 @@ def test_xlogx_allow_zero_convention():
 
 def test_check_class_F_verifies_builtins():
     for phi in (square(), xlogx(0.01, 8.0), binent(), power_alpha(1.5), sym_alpha(1.5)):
+        before = dict(vars(phi))
         report = check_class_F(phi)
         assert report["verified"], (phi.name, report)
+        assert vars(phi) == before  # the check writes nothing into the spec
         assert phi.is_class_F is True
+
+
+def test_phi_spec_is_frozen():
+    phi = square()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phi.domain = (0.0, 1.0)
+    with pytest.raises(AttributeError):
+        phi.is_class_F = False
 
 
 def test_check_class_F_refutes_quartic():
@@ -149,6 +160,21 @@ def test_phi_entropy_small_amplitude_no_cancellation():
     # H ~ Phi''(1)/2 * eps^2 * Var = eps^2 / 2 (unit variance of the sign)
     got = phi_entropy(d, phi, f).value
     assert got == pytest.approx(0.5 * eps * eps, rel=1e-6)
+
+
+def test_phi_entropy_without_analytic_derivatives():
+    # a spec with Phi alone takes Phi' and Phi'' from the stencil, so it keeps
+    # the Bregman form and the quadrature fallback at small amplitude
+    rng = np.random.default_rng(3)
+    d = make_joint([3, 4], rng.dirichlet(np.ones(12)))
+    bare = PhiSpec("exp", (-1.0, 1.0), eval=np.exp)
+    full = PhiSpec("exp", (-1.0, 1.0), eval=np.exp, d1=np.exp, d2=np.exp, d3=np.exp, d4=np.exp)
+    u = rng.uniform(-1.0, 1.0, size=(3, 4))
+    for c in (-0.5, 0.2, 0.9):
+        for amp in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            f = JointFunction(c + amp * u)
+            want = phi_entropy(d, full, f).value
+            assert phi_entropy(d, bare, f).value == pytest.approx(want, rel=1e-7, abs=0), (c, amp)
 
 
 @pytest.mark.parametrize(

@@ -73,6 +73,17 @@ def test_lambda_validation():
             mc_membership(d, bad)
 
 
+def test_subnormal_lambda_reads_as_zero():
+    # 1/lambda overflows for a subnormal entry: it must give the lambda_i = 0
+    # answers, not a NaN eigenvalue and a non-member verdict
+    d = canonical("dsbs", lam=0.5)
+    for fn in (mc_membership, mc_membership_sprime, tilde_membership):
+        got, want = fn(d, [5e-324, 0.5]), fn(d, [0.0, 0.5])
+        assert got.verdict == want.verdict and got.min_eigenvalue == want.min_eigenvalue
+    R = pearson_matrix(d)
+    assert gaussian_mc_membership(R, [5e-324, 0.5]) == gaussian_mc_membership(R, [0.0, 0.5])
+
+
 def test_mc_membership_dsbs_boundary_point():
     d = canonical("dsbs", lam=0.5)
     res = mc_membership(d, [2.0 / 3.0, 2.0 / 3.0])
@@ -188,6 +199,9 @@ def test_gaussian_mc_membership_validation():
         gaussian_mc_membership(np.array([[1.0, 0.5], [0.4, 1.0]]), [0.5, 0.5])
     with pytest.raises(NotCorrelationMatrix):
         gaussian_mc_membership(np.array([[2.0, 0.0], [0.0, 1.0]]), [0.5, 0.5])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NotCorrelationMatrix):
+            gaussian_mc_membership(np.array([[1.0, bad], [bad, 1.0]]), [0.5, 0.5])
 
 
 def test_gaussian_mc_membership_bipartite_curve():

@@ -27,6 +27,7 @@ from phiribbon.ribbon_phi import (
     lift_witness_to_product,
     normalized_phi_ribbon_membership,
     phi_ribbon_membership,
+    ribbon_boundary_trace,
 )
 from phiribbon.ribbon_mc import mc_membership
 
@@ -214,6 +215,20 @@ def test_eta_from_ribbon_dsbs_square():
     d = canonical("dsbs", lam=0.5)
     got = eta_from_ribbon(d, square(), SearchOpts(restarts=8, max_iters=150))
     assert got == pytest.approx(0.25, abs=5e-3)
+
+
+def test_ribbon_boundary_trace_square_matches_quadratic_region():
+    # for Phi = t^2 the region is exactly the quadratic one, so each traced
+    # point is a member and the point 2e-3 further along its ray is not
+    d = canonical("dsbs", lam=0.5)
+    trace = ribbon_boundary_trace(d, square(), 4, SearchOpts(restarts=4, max_iters=100))
+    assert len(trace) == 4
+    for lam, verdict in trace:
+        assert verdict == "violated"
+        v = lam / np.max(lam)
+        t = np.max(lam)
+        assert mc_membership(d, lam).verdict, lam
+        assert not mc_membership(d, (t + 2e-3) * v).verdict, lam
 
 
 def test_alpha_equivalent_membership_agrees():

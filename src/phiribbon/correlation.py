@@ -136,25 +136,26 @@ def _ratio_and_grad(F, P, px, py, phi: PhiSpec, psi: PhiSpec):
     return np.where(ok, ratio, -np.inf), np.where(ok[:, None], grad, 0.0)
 
 
-def _pgd(objective, F, lo, hi, opts: SearchOpts, project=None, stop_below=None):
+def _pgd(objective, F, lo, hi, opts: SearchOpts, project=None, stop_below=-np.inf, groups=None):
     """Projected gradient descent from every row of ``F`` at once.
 
-    ``objective`` maps an (R, n) matrix to a value and a gradient row per
-    row, +inf where undefined.  Each pass tries one move per running row,
-    ``clip(f - step * g, lo, hi)`` with the box-projected gradient g, then
-    ``project`` if given; a move that lowers the value by more than
-    ``_ACCEPT`` is taken (step * 1.5), else the step halves.  A row stops
-    after ``opts.max_iters`` moves, at step ``1e-14 (hi - lo)``, or when
-    |g| < ``_GRAD_TOL`` (tested before each move); the first step is
-    ``_STEP_INIT (hi - lo)``.  With ``stop_below`` the batch ends once a
-    stopped row is below it; rows still moving then report +inf, so the
-    best row is always a finished one.
+    ``objective`` maps an (R, n) matrix and the indices of its rows in ``F``
+    to a value and a gradient row per row, +inf where undefined.  Each pass
+    tries one move per running row, ``clip(f - step * g, lo, hi)`` with the
+    box-projected gradient g, then ``project`` if given; a move that lowers
+    the value by more than ``_ACCEPT`` is taken (step * 1.5), else the step
+    halves.  A row stops after ``opts.max_iters`` moves, at step
+    ``1e-14 (hi - lo)``, or when |g| < ``_GRAD_TOL`` (tested before each
+    move); the first step is ``_STEP_INIT (hi - lo)``.  Rows sharing a
+    ``groups`` label (from 0; one group by default) stop once one of them
+    stops below ``stop_below``, reporting +inf if still moving.
 
     Returns final values, final rows, and which rows met the gradient test.
     """
     F = np.array(F, dtype=float)
-    vals, G = objective(F)
+    vals, G = objective(F, np.arange(len(F)))
     vals = np.where(np.isnan(vals), np.inf, vals)
+    groups = np.zeros(len(F), dtype=int) if groups is None else groups
     step_floor = 1e-14 * (hi - lo)
 
     def box_projected(G, F):
@@ -166,15 +167,17 @@ def _pgd(objective, F, lo, hi, opts: SearchOpts, project=None, stop_below=None):
     # the running rows, kept compact: indices into F, rows, values,
     # directions, steps and accepted moves; vals reads +inf until they stop
     live = np.isfinite(vals) & ~converged & (step > step_floor) & (opts.max_iters > 0)
-    run = np.flatnonzero(live)
+    exits = np.zeros(groups.max() + 1, dtype=bool)  # groups with a row stopped below stop_below
+    exits[groups[~live & (vals < stop_below)]] = True
+    run = np.flatnonzero(live & ~exits[groups])
     Fr, vr, Dr = F[run], vals[run], D[run]
     step, moves = np.full(len(run), step), np.zeros(len(run), dtype=int)
-    vals[run] = np.inf
-    while len(run) and (stop_below is None or vals.min() >= stop_below):
+    vals[live] = np.inf
+    while len(run):
         trial = np.clip(Fr - step[:, None] * Dr, lo, hi)
         if project is not None:
             trial = project(trial)
-        v, g = objective(trial)
+        v, g = objective(trial, run)
         ok = v < vr - _ACCEPT
         Fr = np.where(ok[:, None], trial, Fr)
         vr = np.where(ok, v, vr)
@@ -185,7 +188,8 @@ def _pgd(objective, F, lo, hi, opts: SearchOpts, project=None, stop_below=None):
         done = conv | (moves >= opts.max_iters) | (step <= step_floor)
         if done.any():
             F[run[done]], vals[run[done]], converged[run[done]] = Fr[done], vr[done], conv[done]
-            keep = ~done
+            exits[groups[run[done & (vr < stop_below)]]] = True
+            keep = ~done & ~exits[groups[run]]
             run, Fr, vr, Dr, step, moves = (
                 run[keep], Fr[keep], vr[keep], Dr[keep], step[keep], moves[keep]
             )
@@ -234,7 +238,7 @@ def eta_phi(
     fwit, _, _ = mc_witness(d)
     svd_dir = fwit[sx]
 
-    def neg_ratio(F):
+    def neg_ratio(F, rows=None):
         ratio, grad = _ratio_and_grad(F, P, px, py, phi, psi)
         return -ratio, -grad
 

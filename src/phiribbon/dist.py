@@ -332,6 +332,8 @@ def dist_from_json_dict(obj: dict) -> JointDist:
 
 def channel_from_json_dict(obj: dict) -> Channel:
     try:
-        return Channel(int(obj["coord"]), np.asarray(obj["matrix"], dtype=float))
+        if type(obj["coord"]) is not int:  # a float or a bool names no coordinate
+            raise TypeError(f"coord must be an integer, got {obj['coord']!r}")
+        return Channel(obj["coord"], np.asarray(obj["matrix"], dtype=float))
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ShapeMismatch(f"malformed channel JSON: {e!r}") from e

@@ -5,7 +5,10 @@ no closed form outside the quadratic case, so membership is probed by
 minimizing the gap over function values: seeds (quadratic-case witness
 sweeps, box corners, random rows) are ranked in one row-stacked gap
 evaluation, and the best are descended together by the batched
-projected-gradient engine ``correlation._pgd``.
+projected-gradient engine ``correlation._pgd``.  The gap is linear in
+lambda, so each row carries its own lambda point: a search takes a stack of
+points and makes one ``_pgd`` call per law, Phi and stack, and a one-point
+query is the one-row case.
 Semantics are one-sided: a negative gap re-evaluated from scratch is a
 proof of non-membership; failure to find one is only evidence.
 """
@@ -26,14 +29,14 @@ from .dist import (
     cond_expectation,
     make_joint,
 )
-from .errors import BadCoordinate, BadShape, PhiNotClassF
+from .errors import BadCoordinate, BadParameter, BadShape, PhiNotClassF
 from .phi import (
     PhiSpec,
     cond_phi_entropy,
     phi_entropy,
     phi_mutual_information,
 )
-from .ribbon_mc import _check_lambda, gram_matrix, mc_membership
+from .ribbon_mc import GramMatrix, _check_lambda, gram_matrix, mc_membership
 
 _VIOLATION_TOL = 1e-9  # a certified gap must be below -this to prove a violation, not noise
 
@@ -80,49 +83,46 @@ def definition_gap(d: JointDist, phi: PhiSpec, lam, f: JointFunction) -> float:
 
 
 class _FlatProblem:
-    """Row-stacked gap evaluation over function values on the joint support."""
+    """Row-stacked gap evaluation over function values on the joint support,
+    with a lambda point per row."""
 
-    def __init__(self, d: JointDist, phi: PhiSpec, lam):
+    def __init__(self, d: JointDist, phi: PhiSpec):
         self.d = d
         self.phi = phi
-        lam = _check_lambda(lam, d.k)
         self.sup = np.flatnonzero(d.support_mask.ravel())
         self.p = d.probs.ravel()[self.sup]
-        self.n = len(self.sup)
+        self.n = n = len(self.sup)
         symbols = np.unravel_index(self.sup, d.alphabet_sizes)
         # Phi and Phi' are evaluated once per call of rows(), on the stack
-        # [f, E f, E[f|X_i] for each i with lambda_i > 0]; per such i keep
-        # lambda_i, its columns in the stack, the stack column of each
-        # atom's conditional mean, and the marginal on the support
-        self.terms = []
-        tables = []
-        col = self.n + 1
+        # X = F @ A = [f, E f, E[f|X_i] for each i]; owner marks the columns
+        # of f (-2), of E f (-1) and of E[f|X_i] (i)
+        blocks, owner = [np.eye(n), self.p[:, None]], [-2] * n + [-1]
         for i in range(d.k):
-            if lam[i] == 0:
-                continue
             pi = d.marginal_vector(i)
             sup_i = np.flatnonzero(pi > 0)
             remap = np.full(d.alphabet_sizes[i], -1)
             remap[sup_i] = np.arange(len(sup_i))
             idx = remap[symbols[i]]
-            table = np.zeros((self.n, len(sup_i)))  # (F @ table)[r, s] = E[f_r | X_i = s]
-            table[np.arange(self.n), idx] = self.p / pi[sup_i][idx]
-            tables.append(table)
-            self.terms.append((lam[i], slice(col, col + len(sup_i)), col + idx, pi[sup_i]))
-            col += len(sup_i)
-        self.tables = np.hstack(tables) if tables else np.zeros((self.n, 0))
+            table = np.zeros((n, len(sup_i)))  # (F @ table)[r, s] = E[f_r | X_i = s]
+            table[np.arange(n), idx] = self.p / pi[sup_i][idx]
+            blocks.append(table)
+            owner += [i] * len(sup_i)
+        self.A = np.hstack(blocks)
+        self.T = (self.A > 0).T * 1.0  # column c of X averages atom a iff T[c, a] = 1
+        self.w = self.T @ self.p  # the probability of each column's cell
+        owner = np.array(owner)
+        # each column's coefficient is V0 + lambda @ V: 1 on f, sum(lambda) - 1
+        # on E f, and -lambda_i on E[f|X_i]
+        self.V0 = 1.0 * (owner == -2) - (owner == -1)
+        self.V = 1.0 * (owner == -1) - (owner == np.arange(d.k)[:, None])
 
-    def rows(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gap ``H(f) - sum_i lambda_i H(E[f|X_i])`` and its gradient, per row of F."""
-        phi, p, n = self.phi, self.p, self.n
-        X = np.hstack([F, (F @ p)[:, None], F @ self.tables])
-        PX, DX = phi.safe_eval(X), phi.deriv(1, X)
-        pm, d1m = PX[:, n], DX[:, n : n + 1]
-        gap = PX[:, :n] @ p - pm
-        grad = p * (DX[:, :n] - d1m)
-        for lam, cols, atom_cols, marg in self.terms:
-            gap -= lam * (PX[:, cols] @ marg - pm)
-            grad -= lam * p * (DX[:, atom_cols] - d1m)
+    def rows(self, F: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gap ``H(f) - sum_i lambda_i H(E[f|X_i])`` and its gradient, per row
+        of F with the lambda point in the same row of L."""
+        X = F @ self.A
+        C = self.V0 + L @ self.V
+        gap = (self.phi.safe_eval(X) * C) @ self.w
+        grad = self.p * ((self.phi.deriv(1, X) * C) @ self.T)
         return gap, grad
 
     def to_joint(self, f: np.ndarray) -> JointFunction:
@@ -131,14 +131,14 @@ class _FlatProblem:
         return JointFunction(vals.reshape(self.d.alphabet_sizes))
 
 
-def _mc_direction(d: JointDist, lam) -> np.ndarray | None:
+def _mc_direction(d: JointDist, lam, g: GramMatrix) -> np.ndarray | None:
     """Quadratic-case violating direction, as values on the joint support.
 
     Near a constant, the gap behaves like the quadratic-case gap scaled by
     ``Phi''(c)/2``, so the eigen-witness of the quadratic test is the right
     small-amplitude seed for every Phi.
     """
-    res = mc_membership(d, np.asarray(lam, float).clip(0, 1))
+    res = mc_membership(d, lam, g)
     if res.verdict or res.witness is None:
         return None
     u = sum(f.lift(d).values for f in res.witness)
@@ -146,14 +146,14 @@ def _mc_direction(d: JointDist, lam) -> np.ndarray | None:
     return u.ravel()[sup]
 
 
-def _seeds(prob: _FlatProblem, d: JointDist, lam, rng, restarts: int):
+def _seeds(prob: _FlatProblem, d: JointDist, lam, rng, restarts: int, g: GramMatrix):
     """Start rows: quadratic-case witness sweeps, box corners, random."""
     a, b = prob.phi.domain
     lo = a + 1e-9 * (b - a)
     hi = b - 1e-9 * (b - a)
     c = 0.5 * (a + b)
     out = [np.empty((0, prob.n))]
-    u = _mc_direction(d, lam)
+    u = _mc_direction(d, lam, g)
     if u is not None and np.max(np.abs(u)) > 0:
         eps = np.array([0.45, 0.2, 0.05, 0.01, 1e-3])
         out.append(c + eps[:, None] * (b - a) * (u / np.max(np.abs(u))))
@@ -166,31 +166,42 @@ def _seeds(prob: _FlatProblem, d: JointDist, lam, rng, restarts: int):
     return np.vstack([out, more]), lo, hi
 
 
-def _search(d, phi, lam, opts, project=None) -> RibbonVerdict:
+def _search(d, phi, lams, opts, project=None) -> list[RibbonVerdict]:
+    """One verdict per row of ``lams``; the restarts of every point descend
+    as the rows of one ``_pgd`` call, each point's rows a group."""
     if not phi.is_class_F:
         warnings.warn(
             f"{phi.name} failed the class conditions; tensorization "
             "guarantees do not apply",
             PhiNotClassF,
         )
-    prob = _FlatProblem(d, phi, lam)
-    rng = np.random.default_rng(opts.seed)
-    seeds, lo, hi = _seeds(prob, d, lam, rng, opts.restarts)
-    if project is not None:
-        seeds = project(seeds)
-    # rank candidate starts by their raw gap; descend from the best ones
-    order = np.argsort(prob.rows(seeds)[0])
+    lams, R = _check_lambda(lams, d.k, ndim=2), opts.restarts
+    if not len(lams):
+        return []
+    prob, g, starts = _FlatProblem(d, phi), gram_matrix(d), []
+    for lam in lams:  # each point draws its seeds from its own generator, as a lone search would
+        seeds, lo, hi = _seeds(prob, d, lam, np.random.default_rng(opts.seed), R, g)
+        if project is not None:
+            seeds = project(seeds)
+        # rank candidate starts by their raw gap; descend from the best ones
+        starts.append(seeds[np.argsort(prob.rows(seeds, np.tile(lam, (len(seeds), 1)))[0])[:R]])
+    L = np.repeat(lams, R, axis=0)
     vals, ends, _ = _pgd(
-        prob.rows, seeds[order[: opts.restarts]], lo, hi, opts, project,
+        lambda F, rows: prob.rows(F, L[rows]), np.vstack(starts), lo, hi, opts, project,
         stop_below=-10 * _VIOLATION_TOL,  # a certified violation needs no better witness
+        groups=np.arange(len(L)) // R,
     )
-    j = int(np.argmin(vals))
-    if vals[j] < -_VIOLATION_TOL:
-        witness = prob.to_joint(ends[j])
-        certified = definition_gap(d, phi, lam, witness)
-        if certified <= -_VIOLATION_TOL:
-            return RibbonVerdict("violated", float(certified), witness)
-    return RibbonVerdict("holds_up_to_search", float(vals[j]))
+    out = []
+    for lam, v, E in zip(lams, vals.reshape(-1, R), ends.reshape(len(lams), R, -1)):
+        j = int(np.argmin(v))
+        if v[j] < -_VIOLATION_TOL:
+            witness = prob.to_joint(E[j])
+            certified = definition_gap(d, phi, lam, witness)
+            if certified <= -_VIOLATION_TOL:
+                out.append(RibbonVerdict("violated", float(certified), witness))
+                continue
+        out.append(RibbonVerdict("holds_up_to_search", float(v[j])))
+    return out
 
 
 def phi_ribbon_membership(
@@ -198,7 +209,7 @@ def phi_ribbon_membership(
 ) -> RibbonVerdict:
     """Probe ``H_phi(f) >= sum lambda_i H_phi(E[f|X_i])`` over box-valued f."""
     opts = opts or SearchOpts(restarts=64)
-    return _search(d, phi, lam, opts)
+    return _search(d, phi, [lam], opts)[0]
 
 
 def _project_density(V: np.ndarray, p: np.ndarray, floor: float, top: float) -> np.ndarray:
@@ -233,7 +244,7 @@ def normalized_phi_ribbon_membership(
     top = b - 1e-9 * (b - a)
     floor = 1e-12  # keep Phi' finite for the descent; 0 itself adds nothing
     p = d.probs.ravel()[d.support_mask.ravel()]
-    return _search(d, phi, lam, opts, project=lambda V: _project_density(V, p, floor, top))
+    return _search(d, phi, [lam], opts, lambda V: _project_density(V, p, floor, top))[0]
 
 
 def _joint_with_u(d: JointDist, channel: Channel) -> JointDist:
@@ -279,20 +290,16 @@ def eta_from_ribbon(
 
     Along the ray ``(l1, l2) = (1 - t mu, t)`` the objective is constantly
     ``mu``, so the infimum is the smallest mu whose ray meets the region;
-    found by bisection with a short scan over t per mu.
+    found by bisection, with one stacked search over five t values per mu.
     """
     if d.k != 2:
         raise BadShape("eta_from_ribbon needs a bipartite distribution")
     opts = opts or SearchOpts(restarts=12, max_iters=200)
+    ts = np.array([0.25, 0.1, 0.02, 0.005, 0.001])
 
     def feasible(mu: float) -> bool:
-        for t in (0.25, 0.1, 0.02, 0.005, 0.001):
-            lam = (1.0 - t * mu, t)
-            if not (0 <= lam[0] <= 1):
-                continue
-            if not phi_ribbon_membership(d, phi, lam, opts).violated:
-                return True
-        return False
+        lams = np.column_stack([1.0 - ts * mu, ts])
+        return not all(r.violated for r in _search(d, phi, lams, opts))
 
     lo, hi = 0.0, 1.0
     if feasible(0.0):
@@ -312,44 +319,46 @@ def ribbon_boundary_trace(
     """Bisect membership along rays from the origin of the lambda cube.
 
     The region is down-closed toward the origin (the inequality is linear
-    in lambda with non-negative coefficients), so ray bisection is sound.
-    Returns one (lambda, verdict-at-full-ray) entry per direction.
+    in lambda with non-negative coefficients), so ray bisection is sound;
+    all rays bisect in lockstep, one stacked search per step.  For k = 3
+    the rays are the m(m+1)/2 points of a simplex lattice with
+    ``m = max(2, ceil(sqrt(directions)))``: 32 directions give 21 rays.
+    Returns one (lambda, verdict-at-full-ray) entry per ray.
     """
     if d.k not in (2, 3):
         raise BadCoordinate("tracing supports k = 2 or 3")
+    if type(directions) is bool or not isinstance(directions, (int, np.integer)) or directions < 1:
+        raise BadParameter(f"directions must be an integer >= 1, got {directions!r}")
     opts = opts or SearchOpts(restarts=12, max_iters=200)
-    dirs = []
     if d.k == 2:
-        for j in range(directions):
-            theta = (j + 0.5) / directions * (np.pi / 2)
-            v = np.array([np.cos(theta), np.sin(theta)])
-            dirs.append(v / np.max(v))
+        theta = (np.arange(directions) + 0.5) / directions * (np.pi / 2)
+        v = np.column_stack([np.cos(theta), np.sin(theta)])
     else:
-        m = max(2, int(np.ceil(np.sqrt(directions))))
-        for aidx in range(m):
-            for bidx in range(m - aidx):
-                w = np.array([aidx + 0.5, bidx + 0.5, m - aidx - bidx - 0.5])
-                v = w / np.sum(w)
-                dirs.append(v / np.max(v))
-    out = []
-    for v in dirs:
-        if not phi_ribbon_membership(d, phi, v, opts).violated:
-            out.append((v, "holds_up_to_search"))
-            continue
-        lo, hi = 0.0, 1.0
-        while hi - lo > 1e-3:
-            mid = 0.5 * (lo + hi)
-            if phi_ribbon_membership(d, phi, mid * v, opts).violated:
-                hi = mid
-            else:
-                lo = mid
-        out.append((lo * v, "violated"))
-    return out
+        m = max(2, math.ceil(math.sqrt(directions)))
+        a, b = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) < m)
+        v = np.column_stack([a + 0.5, b + 0.5, m - a - b - 0.5])
+        v /= v.sum(axis=1, keepdims=True)
+    v /= v.max(axis=1, keepdims=True)
+
+    def violated(lams):
+        return np.array([r.violated for r in _search(d, phi, lams, opts)])
+
+    bad = violated(v)
+    t, width = np.where(bad, 0.0, 1.0), 1.0  # bisect [t, t + width] on every violated ray
+    while width > 1e-3:
+        width /= 2
+        t[bad] += np.where(violated((t[bad] + width)[:, None] * v[bad]), 0.0, width)
+    return [(s * u, "violated" if b else "holds_up_to_search") for s, u, b in zip(t, v, bad)]
 
 
-def alpha_equivalent_membership(
-    d: JointDist, alpha: float, lam, opts: SearchOpts | None = None
-) -> tuple[RibbonVerdict, RibbonVerdict]:
+def _transported(d: JointDist, phi: PhiSpec, lam, cands, tol: float) -> RibbonVerdict | None:
+    """The candidate with the lowest certified gap, as a violation if below ``-tol``."""
+    gaps = [definition_gap(d, phi, lam, JointFunction(c)) for c in cands]
+    j = int(np.argmin(np.nan_to_num(gaps, nan=np.inf)))
+    return RibbonVerdict("violated", gaps[j], JointFunction(cands[j])) if gaps[j] < -tol else None
+
+
+def alpha_equivalent_membership(d: JointDist, alpha: float, lam, opts: SearchOpts | None = None):
     """Run the ``t^alpha`` and symmetrized-``alpha`` searches and reconcile.
 
     The two regions coincide: ``Phi_alpha(t)`` is an affine combination of
@@ -357,34 +366,28 @@ def alpha_equivalent_membership(
     symmetric-side witness to the power side exactly; in the reverse
     direction ``f -> eps f - 1`` shrinks the violation like ``eps^alpha``,
     so transported gaps are certified at whatever (tiny) magnitude they
-    reach rather than at the absolute search tolerance.
+    reach rather than at the absolute search tolerance.  ``lam`` is one
+    point, giving one (power, symmetric) verdict pair, or a stack of points
+    as rows, giving a list of pairs from one search per side.
     """
     from .phi import power_alpha, sym_alpha
 
     opts = opts or SearchOpts(restarts=16)
+    stacked = np.ndim(lam) == 2
+    lams = lam if stacked else [lam]
     pw, sm = power_alpha(alpha), sym_alpha(alpha)
-    rp = phi_ribbon_membership(d, pw, lam, opts)
-    rs = phi_ribbon_membership(d, sm, lam, opts)
-    if rs.violated and not rp.violated:
-        f = rs.witness.values
-        best = None
-        for cand in ((1.0 + f) / 2.0, (1.0 - f) / 2.0):
-            gap = definition_gap(d, pw, lam, JointFunction(cand))
-            if gap < -1e-15 and (best is None or gap < best[0]):
-                best = (gap, cand)
-        if best is not None:
-            rp = RibbonVerdict("violated", best[0], JointFunction(best[1]))
-    elif rp.violated and not rs.violated:
-        g = np.clip(rp.witness.values, 0.0, 1.0)
-        best = None
-        for eps in (0.5, 0.1, 1e-2, 1e-3, 1e-4):
-            for cand in (eps * g - 1.0, 1.0 - eps * g):
-                gap = definition_gap(d, sm, lam, JointFunction(cand))
-                if gap < -1e-13 and (best is None or gap < best[0]):
-                    best = (gap, cand)
-        if best is not None:
-            rs = RibbonVerdict("violated", best[0], JointFunction(best[1]))
-    return rp, rs
+    pairs = []
+    for point, rp, rs in zip(lams, _search(d, pw, lams, opts), _search(d, sm, lams, opts)):
+        if rs.violated and not rp.violated:
+            f = rs.witness.values
+            rp = _transported(d, pw, point, [(1.0 + f) / 2.0, (1.0 - f) / 2.0], 1e-15) or rp
+        elif rp.violated and not rs.violated:
+            g = np.clip(rp.witness.values, 0.0, 1.0)
+            eps = (0.5, 0.1, 1e-2, 1e-3, 1e-4)
+            cands = [c for e in eps for c in (e * g - 1.0, 1.0 - e * g)]
+            rs = _transported(d, sm, point, cands, 1e-13) or rs
+        pairs.append((rp, rs))
+    return pairs if stacked else pairs[0]
 
 
 def lift_witness_to_product(

@@ -185,13 +185,9 @@ def test_criterion_10_alpha_equivalence_power_vs_sym():
     disagreements = 0
     for _ in range(10):
         d = _random_dist(rng, [2, 2])
-        for l1 in grid:
-            for l2 in grid:
-                rp, rs = alpha_equivalent_membership(
-                    d, 1.5, [l1, l2], SearchOpts(restarts=6, seed=0)
-                )
-                if rp.violated != rs.violated:
-                    disagreements += 1
+        lams = np.stack(np.meshgrid(grid, grid, indexing="ij"), -1).reshape(-1, 2)
+        pairs = alpha_equivalent_membership(d, 1.5, lams, SearchOpts(restarts=6, seed=0))
+        disagreements += sum(rp.violated != rs.violated for rp, rs in pairs)
     assert disagreements == 0
 
 

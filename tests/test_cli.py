@@ -249,6 +249,19 @@ def test_phi_ribbon_channel_test(tmp_path, capsys):
     assert obj["gap"] == pytest.approx(-np.log(2), abs=1e-9)
 
 
+def test_phi_ribbon_channel_test_rejects_a_fractional_coord(tmp_path, capsys):
+    path = tmp_path / "dsbs.json"
+    path.write_text(dist_to_json(canonical("dsbs", lam=0.5)))
+    chan = tmp_path / "chan.json"
+    chan.write_text(json.dumps({"coord": 0.7, "matrix": np.eye(4).tolist()}))
+    code, out = run_cli(
+        capsys, "phi-ribbon", "channel-test", "--dist", str(path),
+        "--phi", "xlogx:0,64", "--channel", str(chan), "--lambda", "1,1",
+    )
+    assert code == 2
+    assert out == ""
+
+
 def test_gaussian_check(tmp_path, capsys):
     path = tmp_path / "R.json"
     path.write_text(json.dumps({"matrix": [[1.0, 0.5], [0.5, 1.0]]}))
@@ -353,10 +366,24 @@ def _malformed(draw, valid):
     return draw(_numbers) if how == "scalar" else draw(st.text(max_size=3))
 
 
+_GOOD_PHIS = ["xlogx:0,64", "xlogx", "power:1.5", "square", "binent", "power:3"]
+_BAD_PHIS = ["power:1.2.3", "xlogx:e,e", "xlogx:-1,2", "nope"]
+
+
+def _search_args(draw, flag, good):
+    """Arguments shared by the search commands: the Phi and a small budget."""
+    return ["--dist", "{dist}", "--phi",
+            _sometimes(draw, draw(st.sampled_from(_GOOD_PHIS)), st.sampled_from(_BAD_PHIS)),
+            flag, _sometimes(draw, draw(st.sampled_from(good)), st.sampled_from(["0", "x"]))]
+
+
 @st.composite
 def _cli_case(draw):
-    command = draw(st.sampled_from(["rho", "gram", "ribbon", "gaussian", "channel-test"]))
-    k = 2 if command == "rho" else draw(st.integers(1, 3))
+    command = draw(st.sampled_from(
+        ["rho", "gram", "ribbon", "gaussian", "channel-test", "eta", "phi-check", "phi-trace",
+         "oracle"]
+    ))
+    k = 2 if command in ("rho", "eta") else draw(st.integers(1, 3))
     sizes = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
     n = math.prod(sizes)
     probs = _stochastic(draw, 1, n)[0]
@@ -385,16 +412,24 @@ def _cli_case(draw):
         R = _sometimes(draw, R.tolist(), st.just(_malformed(draw, R.tolist())))
         files["R"] = _sometimes(draw, _json_text({"matrix": R}), st.sampled_from(_GARBAGE))
         argv = ["gaussian", "check", "--R", "{R}", "--lambda", lam_text]
+    elif command == "eta":
+        argv = ["eta", *_search_args(draw, "--restarts", ["1", "2", "3"])]
+    elif command == "phi-check":
+        argv = ["phi-ribbon", "check", *_search_args(draw, "--restarts", ["1", "2", "3"]),
+                "--lambda", lam_text]
+        argv += _sometimes(draw, [], st.just(["--normalized"]))
+    elif command == "phi-trace":
+        argv = ["phi-ribbon", "trace", *_search_args(draw, "--directions", ["1", "2"])]
+    elif command == "oracle":
+        argv = ["oracle", "min-gap", *_search_args(draw, "--resolution", ["3"]),
+                "--lambda", lam_text]
     else:
         W = _stochastic(draw, n, draw(st.integers(1, 3)))
         coord = _sometimes(draw, 0, _numbers)
         W = _sometimes(draw, W, st.just(_malformed(draw, W)))
         channel = {"coord": coord, "matrix": W}
         files["channel"] = _sometimes(draw, _json_text(channel), st.sampled_from(_GARBAGE))
-        phi = draw(st.sampled_from(
-            ["xlogx:0,64", "xlogx", "power:1.5", "square", "binent", "power:3", "power:1.2.3",
-             "xlogx:e,e", "xlogx:-1,2", "nope"]
-        ))
+        phi = draw(st.sampled_from(_GOOD_PHIS + _BAD_PHIS))
         argv = ["phi-ribbon", "channel-test", "--dist", "{dist}", "--phi", phi,
                 "--channel", "{channel}", "--lambda", lam_text]
     argv += _sometimes(draw, [], st.sampled_from([["--bogus"], ["--seed", "-1"], ["--kind", "x"]]))
@@ -418,7 +453,13 @@ def test_cli_exits_0_with_strict_json_or_2(case_dir, case):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([a.format(**paths) for a in argv])
     assert code in (0, 2), (argv, files, err.getvalue())
-    if code == 0:
+    if code == 0 and argv[:2] == ["phi-ribbon", "trace"]:  # CSV, not JSON
+        header, *rows = csv.reader(io.StringIO(out.getvalue()))
+        assert header[0] == "direction_index" and rows
+        for row in rows:
+            assert all(math.isfinite(float(v)) for v in row[1:-1])
+            assert row[-1] in ("violated", "holds_up_to_search")
+    elif code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert out.getvalue() == "", argv

@@ -6,6 +6,7 @@ import pytest
 from phiribbon.correlation import (
     SearchOpts,
     _bipartite_matrices,
+    _pgd,
     _ratio_and_grad,
     eta_lower_bound_rho2,
     eta_phi,
@@ -179,3 +180,38 @@ def test_ratio_and_grad_match_two_entropy_evaluations(phi_name, psi_name):
     assert ok.sum() >= 20
     np.testing.assert_allclose(ratio[ok], want[ok], rtol=1e-9, atol=0)
     assert np.all(np.abs(grad - want_grad)[ok] <= 1e-10 * size[ok])
+
+
+def test_pgd_groups_run_as_their_own_one_group_runs():
+    # row-wise quadratics sum((f - C_r)^2) + off_r on the box [-1, 1]^3: group 0
+    # has rows that reach -1 < stop_below and ends early, group 1 never goes
+    # below stop_below and runs every row out, and group 2 starts with a row
+    # already at its minimum
+    rng = np.random.default_rng(4)
+    C = rng.uniform(-0.5, 0.5, size=(12, 3))
+    off = np.repeat([-1.0, 1.0, -1.0], 4)
+    F = C + rng.uniform(-0.5, 0.5, size=(12, 3)) * np.linspace(0.01, 1.0, 12)[:, None]
+    F[8] = C[8]
+    groups = np.repeat([0, 1, 2], 4)
+
+    def run(rows):
+        def objective(X, idx):
+            Y = X - C[rows][idx]
+            return (Y * Y).sum(axis=1) + off[rows][idx], 2.0 * Y
+
+        return _pgd(
+            objective, F[rows], -1.0, 1.0, SearchOpts(restarts=1), stop_below=-0.5,
+            groups=groups[rows] - groups[rows][0],
+        )
+
+    vals, ends, conv = run(np.arange(12))
+    for g in range(3):
+        rows = np.flatnonzero(groups == g)
+        one = run(rows)
+        assert np.array_equal(vals[rows], one[0])
+        assert np.array_equal(ends[rows], one[1])
+        assert np.array_equal(conv[rows], one[2])
+    # groups 0 and 2 stopped early: some rows report +inf, the best is below -0.5
+    for g in (0, 2):
+        assert np.isinf(vals[groups == g]).any() and vals[groups == g].min() < -0.5
+    np.testing.assert_allclose(vals[groups == 1], 1.0, rtol=0, atol=1e-12)

@@ -12,6 +12,7 @@ from phiribbon.dist import (
     apply_channels,
     bsc_channel,
     canonical,
+    channel_from_json_dict,
     cond_expectation,
     dist_from_json_dict,
     dist_to_json,
@@ -218,6 +219,14 @@ def test_json_round_trip():
 def test_dist_from_json_missing_field():
     with pytest.raises(ShapeMismatch):
         dist_from_json_dict({"probs": [1.0]})
+
+
+@pytest.mark.parametrize("coord", [0.7, 1.0, True, "0", None, [0]])
+def test_channel_from_json_rejects_a_coord_that_is_not_an_integer(coord):
+    matrix = [[1.0, 0.0], [0.0, 1.0]]
+    assert channel_from_json_dict({"coord": 1, "matrix": matrix}).coord == 1
+    with pytest.raises(ShapeMismatch):
+        channel_from_json_dict({"coord": coord, "matrix": matrix})
 
 
 def test_variance_of_indicator():

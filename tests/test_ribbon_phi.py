@@ -14,11 +14,12 @@ from phiribbon.dist import (
     make_joint,
     pair_product,
 )
-from phiribbon.errors import PhiNotClassF
+from phiribbon.errors import BadParameter, PhiNotClassF
 from phiribbon.phi import PhiSpec, binent, parse_phi, square, xlogx
 from phiribbon.ribbon_phi import (
     _FlatProblem,
     _project_density,
+    _search,
     alpha_equivalent_membership,
     definition_gap,
     eta_from_ribbon,
@@ -114,6 +115,39 @@ def test_searches_are_deterministic_given_seed():
             assert np.array_equal(a.witness.values, b.witness.values)
 
 
+def test_stacked_search_equals_per_point_calls():
+    # few moves per row, so each search ends near its own random starts
+    opts = SearchOpts(restarts=6, max_iters=20, seed=1)
+    dsbs = canonical("dsbs", lam=0.5)
+    axis = np.array([0.0, 0.4, 1.0])
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    copies = canonical("equal_copies", k=2, base=[0.5, 0.5])
+    phi_n = xlogx(0.0, 8.0)
+    top = phi_n.domain[1] - 1e-9 * (phi_n.domain[1] - phi_n.domain[0])
+    p = copies.probs.ravel()[copies.support_mask.ravel()]
+    cases = [
+        (dsbs, binent(), grid, None),  # lambda_i = 0 rows included
+        # 12 atoms leave no box corners: the starts include each point's random draws
+        (make_joint([2, 2, 3], np.random.default_rng(8).dirichlet(np.ones(12))), binent(),
+         [[1, 1, 1], [0.5, 0, 1], [0.2, 0.2, 0.2]], None),
+        (make_joint([3, 4], np.outer([0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4]).ravel()), binent(),
+         [[1, 1], [0.5, 0.5]], None),  # independent: every start is a random draw
+        (copies, phi_n, [[0.9, 0.9], [0.3, 0.3], [0.0, 0.9]],
+         lambda V: _project_density(V, p, 1e-12, top)),
+    ]
+    seen = set()
+    for d, phi, lams, project in cases:
+        # the public one-point searches are the one-row case
+        single = phi_ribbon_membership if project is None else normalized_phi_ribbon_membership
+        for lam, got in zip(lams, _search(d, phi, lams, opts, project)):
+            want = single(d, phi, lam, opts)
+            assert got.verdict == want.verdict, (d.alphabet_sizes, lam)
+            assert got.gap == pytest.approx(want.gap, rel=0, abs=1e-12)
+            seen.add(got.verdict)
+    assert seen == {"violated", "holds_up_to_search"}
+    assert _search(dsbs, binent(), np.zeros((0, 2)), opts) == []
+
+
 def _bisect_projection(v, p, floor, top):
     """The 100-step bisection the breakpoint solve replaced, kept as its reference."""
     lo_mu, hi_mu = np.min(v) - top, np.max(v)
@@ -163,7 +197,7 @@ def test_flat_rows_match_definition_gap(name):
         make_joint([2, 2, 2], np.r_[0.0, rng.dirichlet(np.ones(7))]),  # one empty atom
     ]
     for d, lam in zip(laws, ([0.7, 0.0], [0.4, 0.9, 0.6])):
-        prob = _FlatProblem(d, phi, lam)
+        prob = _FlatProblem(d, phi)
         c = 0.5 * (a + b)
         F = np.vstack([
             rng.uniform(a + 1e-3 * (b - a), b - 1e-3 * (b - a), size=(6, prob.n)),
@@ -172,22 +206,26 @@ def test_flat_rows_match_definition_gap(name):
         if phi.allow_zero:
             F[::3, : prob.n // 2] = 0.0  # exact zeros take the 0 log 0 = 0 convention
         rng.shuffle(F)
+        # half the rows carry lam, half a random point with some zero entries
+        drawn = rng.uniform(size=(6, d.k)) * (rng.uniform(size=(6, d.k)) > 0.3)
+        L = np.vstack([np.tile(lam, (6, 1)), drawn])
         with np.errstate(divide="ignore", invalid="ignore"):
-            gaps, _ = prob.rows(F)
-        want = [definition_gap(d, phi, lam, prob.to_joint(f)) for f in F]
+            gaps, _ = prob.rows(F, L)
+        want = [definition_gap(d, phi, l, prob.to_joint(f)) for f, l in zip(F, L)]
         np.testing.assert_allclose(gaps, want, rtol=0, atol=1e-12)
 
 
 def test_flat_rows_gradient_matches_differences():
     d = make_joint([2, 3], np.random.default_rng(5).dirichlet(np.ones(6)))
-    prob = _FlatProblem(d, binent(), [0.8, 0.5])
+    prob = _FlatProblem(d, binent())
     F = np.random.default_rng(6).uniform(-0.8, 0.8, size=(3, prob.n))
-    _, grad = prob.rows(F)
+    L = np.array([[0.8, 0.5], [0.0, 0.5], [1.0, 0.2]])  # one lambda point per row
+    _, grad = prob.rows(F, L)
     h = 1e-6
     for j in range(prob.n):
         e = np.zeros(prob.n)
         e[j] = h
-        diff = (prob.rows(F + e)[0] - prob.rows(F - e)[0]) / (2 * h)
+        diff = (prob.rows(F + e, L)[0] - prob.rows(F - e, L)[0]) / (2 * h)
         np.testing.assert_allclose(grad[:, j], diff, rtol=1e-6, atol=1e-9)
 
 
@@ -229,6 +267,14 @@ def test_ribbon_boundary_trace_square_matches_quadratic_region():
         t = np.max(lam)
         assert mc_membership(d, lam).verdict, lam
         assert not mc_membership(d, (t + 2e-3) * v).verdict, lam
+
+
+@pytest.mark.parametrize("directions", [0, -3, 2.5, True, "4"])
+@pytest.mark.parametrize("law", ["dsbs", "xor_triple"])
+def test_ribbon_boundary_trace_rejects_bad_directions(law, directions):
+    d = canonical(law, lam=0.5) if law == "dsbs" else canonical(law)
+    with pytest.raises(BadParameter):
+        ribbon_boundary_trace(d, square(), directions, SearchOpts(restarts=2, max_iters=5))
 
 
 def test_alpha_equivalent_membership_agrees():

@@ -23,6 +23,7 @@ import numpy as np
 
 from .dist import JointDist, JointFunction, MarginalFunction, marginal
 from .errors import (
+    BadCoordinate,
     BadLambda,
     BadParameter,
     BadShape,
@@ -383,25 +384,38 @@ def detect_structure(d: JointDist, g: GramMatrix | None = None) -> dict:
     return report
 
 
+def _rays(k: int, directions) -> np.ndarray:
+    """Rays of a boundary trace, scaled to exit the lambda cube at t = 1: for
+    k = 2, ``directions`` angles over the quarter circle; for k = 3, the
+    m(m+1)/2 points of a simplex lattice, ``m = max(2, ceil(sqrt(directions)))``."""
+    if k not in (2, 3):
+        raise BadCoordinate("tracing supports k = 2 or 3")
+    if type(directions) is bool or not isinstance(directions, (int, np.integer)) or directions < 1:
+        raise BadParameter(f"directions must be an integer >= 1, got {directions!r}")
+    if k == 2:
+        theta = (np.arange(directions) + 0.5) / directions * (np.pi / 2)
+        v = np.column_stack([np.cos(theta), np.sin(theta)])
+    else:
+        m = max(2, int(np.ceil(np.sqrt(directions))))
+        a, b = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) < m)
+        v = np.column_stack([a + 0.5, b + 0.5, m - a - b - 0.5])
+    return v / v.max(axis=1, keepdims=True)
+
+
 def mc_boundary_trace(
     d: JointDist, directions: int = 64, g: GramMatrix | None = None
 ) -> list[tuple[np.ndarray, bool]]:
-    """Exit points of rays from the origin of the lambda cube, in closed form.
+    """Exit points of the ``_rays`` from the origin, in closed form.
 
     Along ``t v``, ``Lambda^{-1} - M >= 0`` reads ``I/t - S M S >= 0`` with
-    ``S = diag(sqrt(v))`` expanded over blocks (zero entries of v give zero
-    rows), so the ray exits at ``t* = 1/lambda_max(S M S)``.  M has identity
-    diagonal blocks and ``max v = 1``, so ``lambda_max >= 1`` and ``t* <= 1``
-    (the floor at 1 covers constant coordinates, whose blocks are empty).
-    Returns the last member point on each ray together with membership of
-    the full-length point.
+    ``S = diag(sqrt(v))`` expanded over blocks, so the ray exits at
+    ``t* = 1/lambda_max(S M S)``.  M has identity diagonal blocks and
+    ``max v = 1``, so ``t* <= 1`` (the floor at 1 covers constant
+    coordinates, whose blocks are empty).  Returns the last member point on
+    each ray together with membership of the full-length point.
     """
-    if d.k != 2:
-        raise BadShape("mc_boundary_trace currently supports k = 2")
+    v = _rays(d.k, directions)
     g = g or gram_matrix(d)
-    theta = (np.arange(directions) + 0.5) / directions * (np.pi / 2)
-    v = np.column_stack([np.cos(theta), np.sin(theta)])
-    v /= v.max(axis=1, keepdims=True)  # each ray exits the cube at t = 1
     s = np.sqrt(np.repeat(v, g.block_dims, axis=1))
     top = np.linalg.eigvalsh(s[:, :, None] * g.M * s[:, None, :]).max(axis=1, initial=1)
     return [(u, True) if t <= 1 + PSD_TOL else (u / t, False) for u, t in zip(v, top)]

@@ -2,13 +2,14 @@
 
 The defining inequality ``H_phi(f) >= sum_i lambda_i H_phi(E[f|X_i])`` has
 no closed form outside the quadratic case, so membership is probed by
-minimizing the gap over function values: seeds (quadratic-case witness
-sweeps, box corners, random rows) are ranked in one row-stacked gap
-evaluation, and the best are descended together by the batched
-projected-gradient engine ``correlation._pgd``.  The gap is linear in
-lambda, so each row carries its own lambda point: a search takes a stack of
-points and makes one ``_pgd`` call per law, Phi and stack, and a one-point
-query is the one-row case.
+minimizing the gap over function values: ranked start rows descend together
+in the batched projected-gradient engine ``correlation._pgd``.  The gap is
+linear in lambda, so each row carries its own lambda point, and a search
+makes one ``_pgd`` call per law, Phi and stack of points.
+The quadratic case is the second-order term of every Phi: near a constant
+c, ``gap(c + eps u) = Phi''(c)/2 eps^2 u Q u + O(eps^3)``, with ``u Q u`` the
+quadratic gap ``Var u - sum_i lambda_i Var E[u|X_i]``.  So where the
+quadratic test rejects a point, Q's least eigenvector seeds every Phi.
 Semantics are one-sided: a negative gap re-evaluated from scratch is a
 proof of non-membership; failure to find one is only evidence.
 """
@@ -22,21 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import SearchOpts, _pgd
-from .dist import (
-    Channel,
-    JointDist,
-    JointFunction,
-    cond_expectation,
-    make_joint,
-)
-from .errors import BadCoordinate, BadParameter, BadShape, PhiNotClassF
+from .dist import Channel, JointDist, JointFunction, make_joint
+from .errors import BadShape, PhiNotClassF
 from .phi import (
     PhiSpec,
     cond_phi_entropy,
     phi_entropy,
     phi_mutual_information,
 )
-from .ribbon_mc import GramMatrix, _check_lambda, gram_matrix, mc_membership
+from .ribbon_mc import PSD_TOL, _check_lambda, _rays
 
 _VIOLATION_TOL = 1e-9  # a certified gap must be below -this to prove a violation, not noise
 
@@ -98,18 +93,14 @@ class _FlatProblem:
         # of f (-2), of E f (-1) and of E[f|X_i] (i)
         blocks, owner = [np.eye(n), self.p[:, None]], [-2] * n + [-1]
         for i in range(d.k):
-            pi = d.marginal_vector(i)
-            sup_i = np.flatnonzero(pi > 0)
-            remap = np.full(d.alphabet_sizes[i], -1)
-            remap[sup_i] = np.arange(len(sup_i))
-            idx = remap[symbols[i]]
-            table = np.zeros((n, len(sup_i)))  # (F @ table)[r, s] = E[f_r | X_i = s]
-            table[np.arange(n), idx] = self.p / pi[sup_i][idx]
-            blocks.append(table)
-            owner += [i] * len(sup_i)
+            _, cell = np.unique(symbols[i], return_inverse=True)  # each atom's cell of X_i
+            onehot = np.eye(cell.max() + 1)[cell]
+            blocks.append(onehot * self.p[:, None] / (self.p @ onehot))  # F @ block = E[f|X_i]
+            owner += [i] * onehot.shape[1]
         self.A = np.hstack(blocks)
-        self.T = (self.A > 0).T * 1.0  # column c of X averages atom a iff T[c, a] = 1
-        self.w = self.T @ self.p  # the probability of each column's cell
+        # averaged column c covers atom a iff T[c, a] = 1; the f columns are the identity
+        self.T = (self.A[:, n:] > 0).T * 1.0
+        self.w = np.concatenate([self.p, self.T @ self.p])  # the probability of each column's cell
         owner = np.array(owner)
         # each column's coefficient is V0 + lambda @ V: 1 on f, sum(lambda) - 1
         # on E f, and -lambda_i on E[f|X_i]
@@ -122,8 +113,23 @@ class _FlatProblem:
         X = F @ self.A
         C = self.V0 + L @ self.V
         gap = (self.phi.safe_eval(X) * C) @ self.w
-        grad = self.p * ((self.phi.deriv(1, X) * C) @ self.T)
-        return gap, grad
+        D = self.phi.deriv(1, X) * C  # an f column feeds only its own atom
+        return gap, self.p * (D[:, : self.n] + D[:, self.n :] @ self.T)
+
+    def gap_terms(self, F: np.ndarray) -> np.ndarray:
+        """Per row of F, the terms G of its gap: ``gap(f, lambda) = G @ [1, lambda]``."""
+        return (self.phi.safe_eval(F @ self.A) * self.w) @ np.vstack([self.V0, self.V]).T
+
+    def directions(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of L, the minimiser of the Phi = t^2 gap ``u Q u`` per unit
+        ``Var u``, with ``Q = A diag(w (V0 + lambda V)) A^T``, and whether that
+        gap is negative (the quadratic test rejects).  Q kills constants, so
+        this is the least eigenvector of ``D^-1/2 Q D^-1/2``, ``D = diag(p)``,
+        times ``D^-1/2``: one stacked solve for all rows."""
+        S = self.A / np.sqrt(self.p)[:, None]
+        C = self.w * (self.V0 + L @ self.V)
+        ev, U = np.linalg.eigh((S * C[:, None, :]) @ S.T)
+        return U[:, :, 0] / np.sqrt(self.p), ev[:, 0] < -PSD_TOL
 
     def to_joint(self, f: np.ndarray) -> JointFunction:
         vals = np.zeros(math.prod(self.d.alphabet_sizes))
@@ -131,39 +137,35 @@ class _FlatProblem:
         return JointFunction(vals.reshape(self.d.alphabet_sizes))
 
 
-def _mc_direction(d: JointDist, lam, g: GramMatrix) -> np.ndarray | None:
-    """Quadratic-case violating direction, as values on the joint support.
-
-    Near a constant, the gap behaves like the quadratic-case gap scaled by
-    ``Phi''(c)/2``, so the eigen-witness of the quadratic test is the right
-    small-amplitude seed for every Phi.
-    """
-    res = mc_membership(d, lam, g)
-    if res.verdict or res.witness is None:
-        return None
-    u = sum(f.lift(d).values for f in res.witness)
-    sup = np.flatnonzero(d.support_mask.ravel())
-    return u.ravel()[sup]
-
-
-def _seeds(prob: _FlatProblem, d: JointDist, lam, rng, restarts: int, g: GramMatrix):
-    """Start rows: quadratic-case witness sweeps, box corners, random."""
+def _seeds(prob: _FlatProblem, lams: np.ndarray, rng, restarts: int, project=None):
+    """``restarts`` start rows per lambda row, point by point, ranked by raw gap:
+    a sweep along the quadratic-case direction where the quadratic test
+    rejects, box corners (n <= 10), then the first of ``restarts`` uniform
+    rows drawn once for all points, as a lone search would draw them.  The
+    gap is linear in lambda, so one evaluation of the pool ranks every point."""
     a, b = prob.phi.domain
-    lo = a + 1e-9 * (b - a)
-    hi = b - 1e-9 * (b - a)
-    c = 0.5 * (a + b)
-    out = [np.empty((0, prob.n))]
-    u = _mc_direction(d, lam, g)
-    if u is not None and np.max(np.abs(u)) > 0:
-        eps = np.array([0.45, 0.2, 0.05, 0.01, 1e-3])
-        out.append(c + eps[:, None] * (b - a) * (u / np.max(np.abs(u))))
-    if prob.n <= 10:  # every corner of the box, at two sizes
-        bits = np.arange(2**prob.n)[:, None] >> np.arange(prob.n) & 1
-        size = np.tile([0.5, 0.2], 2**prob.n)[:, None]
-        out.append(c + size * (b - a) * np.repeat(2.0 * bits - 1.0, 2, axis=0))
-    out = np.clip(np.vstack(out), lo, hi)
-    more = rng.uniform(lo, hi, size=(max(restarts - len(out), 0), prob.n))
-    return np.vstack([out, more]), lo, hi
+    lo, hi, c = a + 1e-9 * (b - a), b - 1e-9 * (b - a), 0.5 * (a + b)
+    eps = np.array([0.45, 0.2, 0.05, 0.01, 1e-3])  # amplitudes along the quadratic-case direction
+    P, n, m = len(lams), prob.n, len(eps)
+    u, rejected = prob.directions(lams)
+    sweeps = c + (b - a) * eps[:, None] * (u / np.max(np.abs(u), axis=1, keepdims=True))[:, None]
+    bits = np.arange(2**n if n <= 10 else 0)[:, None] >> np.arange(n) & 1
+    signs = np.repeat(2.0 * bits - 1, 2, axis=0)  # every corner of the box, at two sizes
+    corners = c + (b - a) * np.tile([0.5, 0.2], len(bits))[:, None] * signs
+    pool = np.clip(np.vstack([sweeps.reshape(-1, n), corners]), lo, hi)
+    pool = np.vstack([pool, rng.uniform(lo, hi, size=(restarts, n))])
+    if project is not None:
+        pool = project(pool)
+    # gap(f, lambda) = G @ [1, lambda]: each sweep at its own point, the shared rows at all
+    G, L1 = prob.gap_terms(pool), np.column_stack([np.ones(P), lams])
+    own = np.einsum("pjv,pv->pj", G[: m * P].reshape(P, m, -1), L1)
+    gaps = np.hstack([own, L1 @ G[m * P :].T])
+    fill = restarts - m * rejected - len(corners)  # the random rows each point takes
+    valid = np.hstack([np.repeat(rejected[:, None], m, axis=1), np.ones((P, len(corners)), bool),
+                       np.arange(restarts) < fill[:, None]])
+    best = np.lexsort((gaps, ~valid))[:, :restarts]  # valid rows first, by gap, NaN last
+    rows = np.where(best < m, m * np.arange(P)[:, None] + best, m * (P - 1) + best)  # into pool
+    return pool[rows.ravel()], lo, hi
 
 
 def _search(d, phi, lams, opts, project=None) -> list[RibbonVerdict]:
@@ -178,16 +180,11 @@ def _search(d, phi, lams, opts, project=None) -> list[RibbonVerdict]:
     lams, R = _check_lambda(lams, d.k, ndim=2), opts.restarts
     if not len(lams):
         return []
-    prob, g, starts = _FlatProblem(d, phi), gram_matrix(d), []
-    for lam in lams:  # each point draws its seeds from its own generator, as a lone search would
-        seeds, lo, hi = _seeds(prob, d, lam, np.random.default_rng(opts.seed), R, g)
-        if project is not None:
-            seeds = project(seeds)
-        # rank candidate starts by their raw gap; descend from the best ones
-        starts.append(seeds[np.argsort(prob.rows(seeds, np.tile(lam, (len(seeds), 1)))[0])[:R]])
+    prob = _FlatProblem(d, phi)
+    starts, lo, hi = _seeds(prob, lams, np.random.default_rng(opts.seed), R, project)
     L = np.repeat(lams, R, axis=0)
     vals, ends, _ = _pgd(
-        lambda F, rows: prob.rows(F, L[rows]), np.vstack(starts), lo, hi, opts, project,
+        lambda F, rows: prob.rows(F, L[rows]), starts, lo, hi, opts, project,
         stop_below=-10 * _VIOLATION_TOL,  # a certified violation needs no better witness
         groups=np.arange(len(L)) // R,
     )
@@ -320,25 +317,12 @@ def ribbon_boundary_trace(
 
     The region is down-closed toward the origin (the inequality is linear
     in lambda with non-negative coefficients), so ray bisection is sound;
-    all rays bisect in lockstep, one stacked search per step.  For k = 3
-    the rays are the m(m+1)/2 points of a simplex lattice with
-    ``m = max(2, ceil(sqrt(directions)))``: 32 directions give 21 rays.
-    Returns one (lambda, verdict-at-full-ray) entry per ray.
+    all rays bisect in lockstep, one stacked search per step.  The rays (k = 2
+    or 3) are ``mc_boundary_trace``'s.  Returns one (lambda, verdict-at-full-ray)
+    entry per ray.
     """
-    if d.k not in (2, 3):
-        raise BadCoordinate("tracing supports k = 2 or 3")
-    if type(directions) is bool or not isinstance(directions, (int, np.integer)) or directions < 1:
-        raise BadParameter(f"directions must be an integer >= 1, got {directions!r}")
+    v = _rays(d.k, directions)
     opts = opts or SearchOpts(restarts=12, max_iters=200)
-    if d.k == 2:
-        theta = (np.arange(directions) + 0.5) / directions * (np.pi / 2)
-        v = np.column_stack([np.cos(theta), np.sin(theta)])
-    else:
-        m = max(2, math.ceil(math.sqrt(directions)))
-        a, b = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) < m)
-        v = np.column_stack([a + 0.5, b + 0.5, m - a - b - 0.5])
-        v /= v.sum(axis=1, keepdims=True)
-    v /= v.max(axis=1, keepdims=True)
 
     def violated(lams):
         return np.array([r.violated for r in _search(d, phi, lams, opts)])

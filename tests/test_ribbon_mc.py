@@ -294,6 +294,32 @@ def test_mc_boundary_trace_matches_bisection(name):
         assert np.max(np.abs(lam - ref_lam)) <= 1e-8
 
 
+@pytest.mark.parametrize("directions", [0, -3, 2.5, True])
+def test_mc_boundary_trace_rejects_bad_directions(directions):
+    with pytest.raises(BadParameter):
+        mc_boundary_trace(canonical("dsbs", lam=0.5), directions)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (2, 2, 3), (3, 3, 3)])
+def test_mc_boundary_trace_three_coordinates(sizes):
+    # each exit point is a member and the point 2e-3 further along its ray is not
+    d = _random_dist(np.random.default_rng(41), sizes)
+    g = gram_matrix(d)
+    trace = mc_boundary_trace(d, 32, g)
+    rays = ribbon_mc._rays(3, 32)
+    assert len(trace) == len(rays) == 21
+    assert [m for _, m in trace] == membership_verdicts(d, "mc", rays, g).tolist()
+    exits = 0
+    for (lam, member), v in zip(trace, rays):
+        if member:
+            continue
+        exits += 1
+        t = np.max(lam)
+        assert mc_membership(d, lam, g).verdict, lam
+        assert not mc_membership(d, min(t + 2e-3, 1.0) * v, g).verdict, lam
+    assert exits > 0
+
+
 def _grid(k, n):
     axes = [np.linspace(0, 1, n)] * k  # starts at 0: includes the lambda_i = 0 planes
     return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, k)

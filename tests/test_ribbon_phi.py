@@ -30,7 +30,7 @@ from phiribbon.ribbon_phi import (
     phi_ribbon_membership,
     ribbon_boundary_trace,
 )
-from phiribbon.ribbon_mc import mc_membership
+from phiribbon.ribbon_mc import mc_def_gap, mc_membership
 
 OPTS = SearchOpts(restarts=16, seed=0)
 
@@ -132,9 +132,15 @@ def test_stacked_search_equals_per_point_calls():
          [[1, 1, 1], [0.5, 0, 1], [0.2, 0.2, 0.2]], None),
         (make_joint([3, 4], np.outer([0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4]).ravel()), binent(),
          [[1, 1], [0.5, 0.5]], None),  # independent: every start is a random draw
+        # 12 atoms, two points with a quadratic-case direction and two without:
+        # the points take different numbers of rows from the shared random pool
+        (make_joint([3, 4], np.random.default_rng(3).dirichlet(np.ones(12))), binent(),
+         [[1, 1], [0.2, 0.2], [0.9, 0.6], [0, 1]], None),
         (copies, phi_n, [[0.9, 0.9], [0.3, 0.3], [0.0, 0.9]],
          lambda V: _project_density(V, p, 1e-12, top)),
     ]
+    rejected = _FlatProblem(cases[3][0], binent()).directions(np.array(cases[3][2], float))[1]
+    assert rejected.tolist() == [True, False, True, False]
     seen = set()
     for d, phi, lams, project in cases:
         # the public one-point searches are the one-row case
@@ -227,6 +233,45 @@ def test_flat_rows_gradient_matches_differences():
         e[j] = h
         diff = (prob.rows(F + e, L)[0] - prob.rows(F - e, L)[0]) / (2 * h)
         np.testing.assert_allclose(grad[:, j], diff, rtol=1e-6, atol=1e-9)
+
+
+def test_flat_rows_gradient_keeps_a_zero_atom_to_itself():
+    # Phi'(0) = -inf for xlogx: only the zero atom's own entry may be infinite
+    d = make_joint([2, 2], np.random.default_rng(5).dirichlet(np.ones(4)))
+    prob = _FlatProblem(d, parse_phi("xlogx:0,4"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, grad = prob.rows(np.array([[0.0, 1.0, 2.0, 3.0]]), np.array([[0.5, 0.5]]))
+    assert grad[0, 0] == -np.inf
+    assert np.all(np.isfinite(grad[0, 1:]))
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 3), (2, 2, 2), (3, 3, 3)])
+def test_closed_form_direction_is_the_quadratic_witness(sizes):
+    # the direction exists exactly where the Gram-matrix test rejects, and
+    # every Phi's gap is negative along it at small amplitude
+    rng = np.random.default_rng(31)
+    compared = rejected = 0
+    for _ in range(10):
+        d = make_joint(list(sizes), rng.dirichlet(np.ones(math.prod(sizes))))
+        lams = rng.uniform(size=(30, d.k)) * (rng.uniform(size=(30, d.k)) > 0.25)  # some zeros
+        quad = _FlatProblem(d, square())
+        U, found = quad.directions(lams)
+        flats = [_FlatProblem(d, parse_phi(name)) for name in ("binent", "power:1.5", "xlogx:0.05,4")]
+        for lam, u, has in zip(lams, U, found):
+            res = mc_membership(d, lam)
+            if abs(res.min_eigenvalue) < 1e-6:  # where the two tests' tolerances may differ
+                continue
+            compared += 1
+            assert has == (not res.verdict), lam
+            if not has:
+                continue
+            rejected += 1
+            assert mc_def_gap(d, lam, quad.to_joint(u)) < 0, lam
+            for flat in flats:
+                a, b = flat.phi.domain
+                f = 0.5 * (a + b) + 1e-3 * (b - a) * u / np.max(np.abs(u))
+                assert flat.rows(f[None], lam[None])[0][0] < 0, (flat.phi.name, lam)
+    assert compared >= 250 and 0 < rejected < compared
 
 
 def test_i_phi_channel_test_xor_identity_on_pair():

@@ -229,13 +229,12 @@ def eta_phi(
     opts = opts or SearchOpts()
     psi = psi or phi
     P, px, py, sx, _ = _bipartite_matrices(d)
-    rho2 = eta_lower_bound_rho2(d)
     a, b = phi.domain
     lo = a + 1e-9 * (b - a)
     hi = b - 1e-9 * (b - a)
     rng = np.random.default_rng(opts.seed)
 
-    fwit, _, _ = mc_witness(d)
+    fwit, _, rho = mc_witness(d)
     svd_dir = fwit[sx]
 
     def neg_ratio(F, rows=None):
@@ -263,10 +262,9 @@ def eta_phi(
         best_val = 0.0
     full = np.zeros(d.alphabet_sizes[0])
     full[sx] = best_f
-    witness = MarginalFunction(0, full, sx)
     return EtaEstimate(
         value=float(min(best_val, 1.0) if psi is phi else best_val),
-        witness=witness,
-        lower_bound_rho2=rho2,
+        witness=MarginalFunction(0, full),
+        lower_bound_rho2=rho**2,
         converged=converged,
     )

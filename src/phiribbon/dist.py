@@ -91,22 +91,13 @@ class JointFunction:
 
 @dataclass(frozen=True)
 class MarginalFunction:
-    """Real-valued function of a single coordinate.
-
-    ``defined`` flags symbols with positive marginal probability; entries at
-    undefined symbols are zero by convention.
-    """
+    """Real-valued function of a single coordinate."""
 
     coord: int
     values: np.ndarray
-    defined: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(np.asarray(self.values, dtype=float)))
-        if self.defined is None:
-            object.__setattr__(self, "defined", _frozen(np.ones(len(self.values), bool)))
-        else:
-            object.__setattr__(self, "defined", _frozen(np.asarray(self.defined, bool)))
 
     def lift(self, d: JointDist) -> JointFunction:
         """View this function as a function of the full joint outcome."""
@@ -174,8 +165,7 @@ def marginal(d: JointDist, coords: Sequence[int]) -> JointDist:
 def cond_expectation(d: JointDist, f: JointFunction, coord: int) -> MarginalFunction:
     """Conditional expectation ``E[f | X_coord]`` as a function of one symbol.
 
-    Symbols with zero marginal probability get value 0 and are flagged via
-    ``defined``.
+    Symbols with zero marginal probability get value 0.
     """
     if f.values.shape != d.probs.shape:
         raise ShapeMismatch("function shape does not match distribution")
@@ -185,9 +175,8 @@ def cond_expectation(d: JointDist, f: JointFunction, coord: int) -> MarginalFunc
     weighted = np.where(d.support_mask, d.probs * f.values, 0.0)
     num = weighted.sum(axis=axes) if axes else weighted
     den = d.marginal_vector(coord)
-    defined = den > 0
-    vals = np.divide(num, den, out=np.zeros_like(num), where=defined)
-    return MarginalFunction(coord, vals, defined)
+    vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return MarginalFunction(coord, vals)
 
 
 def pair_product(dx: JointDist, dy: JointDist) -> JointDist:
@@ -326,7 +315,7 @@ def dist_to_json(d: JointDist) -> str:
 def dist_from_json_dict(obj: dict) -> JointDist:
     try:
         return make_joint(obj["alphabet_sizes"], obj["probs"])
-    except (KeyError, TypeError, ValueError) as e:  # missing fields, ragged or non-numeric
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # malformed or infinite
         raise ShapeMismatch(f"malformed distribution JSON: {e!r}") from e
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import JointDist, JointFunction
-from .errors import BadParameter, GridTooLarge, NotBipartite
+from .errors import BadLambda, BadParameter, GridTooLarge, NotBipartite
 from .phi import PhiSpec
 
 _CAP = 10_000_000
@@ -96,6 +96,9 @@ def brute_min_objective(
 ) -> tuple[float, JointFunction]:
     """Exhaustive minimum of the ribbon objective over gridded f values."""
     lam = np.asarray(lam, dtype=float)
+    # NaN fails both comparisons, so it is rejected along with inf
+    if lam.shape != (d.k,) or not np.all((lam >= 0) & (lam <= 1)):
+        raise BadLambda(f"lambda must have {d.k} entries in [0, 1]")
     sup, p, cond_tables, marg = _tables(d)
     n = len(sup)
     lo, hi = grid.domain or phi.domain

@@ -11,8 +11,11 @@ diagonal expansion of the queried lambda point:
 * same region, alternate form ("sprime"): member iff ``M - M Lambda M >= 0``;
 * sum-variance region ("tilde"): member iff ``M - Lambda >= 0``.
 
-Non-member verdicts return an eigenvector mapped back to functions that
-violate the defining inequality, re-checkable from scratch.
+One builder makes these matrices for one lambda point, a stack of them, or
+a Gaussian correlation matrix, and every verdict is the least eigenvalue
+from ``np.linalg.eigh``.  Non-member verdicts return an eigenvector mapped
+back to functions that violate the defining inequality, re-checkable from
+scratch.
 """
 
 from __future__ import annotations
@@ -40,15 +43,12 @@ _STACK_ROWS = 4096  # lambda rows per stacked eigenvalue solve: bounds its memor
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Block Gram matrix of per-coordinate orthonormal zero-mean bases."""
+    """Block Gram matrix of per-coordinate orthonormal zero-mean bases;
+    ``basis[i]`` holds coordinate i's basis functions as columns."""
 
     block_dims: tuple[int, ...]
     M: np.ndarray
-    basis: tuple[tuple[MarginalFunction, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return int(sum(self.block_dims))
+    basis: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -85,27 +85,16 @@ def _marginal_basis(p: np.ndarray) -> np.ndarray:
 
 def gram_matrix(d: JointDist) -> GramMatrix:
     """Assemble M with one block per coordinate; diagonal blocks are I."""
-    mats = []
-    for i in range(d.k):
-        mats.append(_marginal_basis(d.marginal_vector(i)))
-    dims = tuple(m.shape[1] for m in mats)
-    size = sum(dims)
-    M = np.eye(size)
-    sl = []
-    start = 0
-    for dim in dims:
-        sl.append(slice(start, start + dim))
-        start += dim
+    basis = tuple(_marginal_basis(d.marginal_vector(i)) for i in range(d.k))
+    dims = tuple(b.shape[1] for b in basis)
+    off = np.cumsum((0, *dims))  # block i of M spans off[i]:off[i + 1]
+    M = np.eye(off[-1])
     for i in range(d.k):
         for j in range(i + 1, d.k):
-            pij = marginal(d, [i, j]).probs
-            block = mats[i].T @ pij @ mats[j]
-            M[sl[i], sl[j]] = block
-            M[sl[j], sl[i]] = block.T
-    basis = tuple(
-        tuple(MarginalFunction(i, mats[i][:, j]) for j in range(dims[i]))
-        for i in range(d.k)
-    )
+            pij = d.probs.sum(axis=tuple(a for a in range(d.k) if a not in (i, j)))
+            block = basis[i].T @ pij @ basis[j]
+            M[off[i] : off[i + 1], off[j] : off[j + 1]] = block
+            M[off[j] : off[j + 1], off[i] : off[i + 1]] = block.T
     return GramMatrix(dims, M, basis)
 
 
@@ -120,16 +109,17 @@ def _check_lambda(lam, k: int, ndim: int = 1) -> np.ndarray:
     return np.where(lam < _LAMBDA_FLOOR, 0.0, lam)
 
 
-def _test_matrices(kind: str, g: GramMatrix, lams: np.ndarray):
+def _test_matrices(kind: str, M: np.ndarray, dims, lams: np.ndarray):
     """Stack of matrices whose PSD-ness decides membership, one per lambda row.
 
-    "mc" deletes the blocks of zero lambda entries, so its rows must share
-    them.  Also returns the index of the rows and columns of M kept.
+    ``M`` has blocks of sizes ``dims``, one per lambda entry.  "mc" deletes
+    the blocks of zero lambda entries, so its rows must share them.  Also
+    returns the index of the rows and columns of M kept.
     """
-    L, M, keep = np.repeat(lams, g.block_dims, axis=1), g.M, slice(None)
+    L, keep = np.repeat(lams, dims, axis=1), slice(None)
     if kind == "mc":
         if not lams[0].all():
-            keep = np.repeat(lams[0] > 0, g.block_dims)
+            keep = np.repeat(lams[0] > 0, dims)
             L, M = L[:, keep], M[np.ix_(keep, keep)]
         return (1.0 / L)[:, :, None] * np.eye(len(M)) - M, keep
     if kind == "sprime":
@@ -137,18 +127,12 @@ def _test_matrices(kind: str, g: GramMatrix, lams: np.ndarray):
     return M - L[:, :, None] * np.eye(len(M)), keep
 
 
-def _witness_functions(
-    d: JointDist, g: GramMatrix, coeffs: np.ndarray
-) -> tuple[MarginalFunction, ...]:
+def _witness_functions(g: GramMatrix, coeffs: np.ndarray) -> tuple[MarginalFunction, ...]:
     """Map a coefficient vector over all of M back to one function per coordinate."""
-    out, pos = [], 0
-    for i, dim in enumerate(g.block_dims):
-        vals = np.zeros(d.alphabet_sizes[i])
-        for cj, fj in zip(coeffs[pos : pos + dim], g.basis[i]):
-            vals += cj * fj.values
-        pos += dim
-        out.append(MarginalFunction(i, vals))
-    return tuple(out)
+    off = np.cumsum((0, *g.block_dims))
+    return tuple(
+        MarginalFunction(i, b @ coeffs[off[i] : off[i + 1]]) for i, b in enumerate(g.basis)
+    )
 
 
 def fc2_gap(d: JointDist, lam, fs) -> float:
@@ -195,15 +179,15 @@ def tilde_gap(d: JointDist, lam, fs) -> float:
 def _membership(kind: str, d: JointDist, lam, g: GramMatrix | None) -> MembershipResult:
     lam = _check_lambda(lam, d.k)
     g = g or gram_matrix(d)
-    A, keep = _test_matrices(kind, g, lam[None])
+    A, keep = _test_matrices(kind, g.M, g.block_dims, lam[None])
     if A.shape[-1] == 0:
         return MembershipResult(True, float("inf"))
     w, V = np.linalg.eigh(A[0])
     if w[0] >= -PSD_TOL:
         return MembershipResult(True, float(w[0]))
-    c = np.zeros(g.size)
+    c = np.zeros(len(g.M))
     c[keep] = V[:, 0]
-    fs = _witness_functions(d, g, c)
+    fs = _witness_functions(g, c)
     if kind == "mc":
         gap = fc2_gap(d, lam, fs)
     elif kind == "sprime":
@@ -235,8 +219,9 @@ def membership_verdicts(
 ) -> np.ndarray:
     """Verdicts of one ``kind`` of membership at each row of ``lams``.
 
-    Stacked solves of the single-point functions' test matrices, with their
-    tolerance but no witnesses; "mc" rows are grouped by zero pattern.
+    Stacked ``eigh`` solves of the single-point functions' test matrices,
+    with their tolerance but no witnesses, so each verdict equals the
+    single-point one; "mc" rows are grouped by zero pattern.
     """
     if kind not in KINDS:
         raise BadParameter(f"kind must be one of {KINDS}")
@@ -248,9 +233,8 @@ def membership_verdicts(
         rows = np.flatnonzero(groups == group)
         for start in range(0, len(rows), _STACK_ROWS):
             chunk = rows[start : start + _STACK_ROWS]
-            A, _ = _test_matrices(kind, g, lams[chunk])
-            if A.shape[-1]:
-                out[chunk] = np.linalg.eigvalsh(A)[:, 0] >= -PSD_TOL
+            A, _ = _test_matrices(kind, g.M, g.block_dims, lams[chunk])
+            out[chunk] = np.linalg.eigh(A)[0].min(axis=1, initial=np.inf) >= -PSD_TOL
     return out
 
 
@@ -279,18 +263,16 @@ def bbt_closed_form(d: JointDist, lam) -> bool:
     g = gram_matrix(d)
     if g.block_dims != (1, 1, 2):
         raise NonGeneric("degenerate supports")
-    g1 = g.basis[0][0].values
-    g2 = g.basis[1][0].values
-    rho12 = float(
-        np.sum(marginal(d, [0, 1]).probs * np.outer(g1, g2))
-    )
+    g1 = g.basis[0][:, 0]
+    g2 = g.basis[1][:, 0]
+    rho12 = float(np.sum(d.probs.sum(axis=2) * np.outer(g1, g2)))
     if rho12 < 0:
         g2 = -g2
         rho12 = -rho12
     p3 = d.marginal_vector(2)
     # conditional expectations of g1, g2 on the ternary coordinate
-    p13 = marginal(d, [0, 2]).probs
-    p23 = marginal(d, [1, 2]).probs
+    p13 = d.probs.sum(axis=1)
+    p23 = d.probs.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         e1 = np.where(p3 > 0, (g1 @ p13) / p3, 0.0)
         e2 = np.where(p3 > 0, (g2 @ p23) / p3, 0.0)
@@ -350,12 +332,8 @@ def gaussian_mc_membership(R: np.ndarray, lam) -> bool:
         raise NotCorrelationMatrix("R must have unit diagonal")
     if np.linalg.eigvalsh(R)[0] < -PSD_TOL:
         raise NotCorrelationMatrix("R must be positive semidefinite")
-    lam = _check_lambda(lam, k)
-    kept = np.flatnonzero(lam > 0)
-    if kept.size == 0:
-        return True
-    A = np.diag(1.0 / lam[kept]) - R[np.ix_(kept, kept)]
-    return bool(np.linalg.eigvalsh(A)[0] >= -PSD_TOL)
+    A, _ = _test_matrices("mc", R, (1,) * k, _check_lambda(lam, k)[None])
+    return bool(np.linalg.eigh(A[0])[0].min(initial=np.inf) >= -PSD_TOL)
 
 
 def detect_structure(d: JointDist, g: GramMatrix | None = None) -> dict:
@@ -370,17 +348,16 @@ def detect_structure(d: JointDist, g: GramMatrix | None = None) -> dict:
     k = d.k
     block = np.repeat(np.arange(k), g.block_dims)
     off = np.where(block[:, None] == block, 0.0, g.M)  # cross blocks only
-    w = np.linalg.eigvalsh(g.M) if g.size else np.array([1.0])
+    w, V = np.linalg.eigh(g.M) if len(g.M) else (np.array([1.0]), None)
     report = {
-        "pairwise_independent": bool(np.max(np.abs(off)) < 1e-10) if g.size else True,
+        "pairwise_independent": bool(np.max(np.abs(off), initial=0.0) < 1e-10),
         "common_part": bool(w[-1] >= k - _common_tol),
         "tilde_degenerate": bool(w[0] <= _common_tol),
         "top_eigenvalue": float(w[-1]),
         "min_eigenvalue": float(w[0]),
     }
-    if report["tilde_degenerate"] and g.size:
-        V = np.linalg.eigh(g.M)[1]
-        report["kernel_witness"] = _witness_functions(d, g, V[:, 0])
+    if report["tilde_degenerate"] and V is not None:
+        report["kernel_witness"] = _witness_functions(g, V[:, 0])
     return report
 
 

@@ -239,6 +239,8 @@ def normalized_phi_ribbon_membership(
         )
     a, b = phi.domain
     top = b - 1e-9 * (b - a)
+    if top <= 1:  # then E f = 1 leaves only constants, or no f at all
+        raise BadShape(f"{phi.name} has no non-constant f <= {top!r} with E f = 1")
     floor = 1e-12  # keep Phi' finite for the descent; 0 itself adds nothing
     p = d.probs.ravel()[d.support_mask.ravel()]
     return _search(d, phi, [lam], opts, lambda V: _project_density(V, p, floor, top))[0]

@@ -164,10 +164,7 @@ def test_ribbon_trace_rows_match_check(dsbs05, capsys, kind):
             capsys, "ribbon", "check", "--dist", dsbs05, "--lambda", ",".join(lam),
             "--kind", kind,
         )
-        obj = json.loads(checked)
-        ev = obj["min_eigenvalue"]  # null: empty test matrix (lambda = 0)
-        if ev is None or abs(ev) > 1e-9:
-            assert int(member) == int(obj["member"]), (kind, lam)
+        assert int(member) == int(json.loads(checked)["member"]), (kind, lam)
 
 
 def _reject_constant(name):
@@ -300,6 +297,28 @@ def test_oracle_min_gap(dsbs05, capsys):
     assert len(obj["argmin"]) == 4
 
 
+def test_oracle_min_gap_bad_lambda(dsbs05, capsys):
+    for text in ("nan,0.5", "inf,0.5", "2,2", "-1,0.5"):
+        code, out = run_cli(
+            capsys, "oracle", "min-gap", "--dist", dsbs05, "--phi", "square",
+            "--lambda", text, "--resolution", "3",
+        )
+        assert code == 2, text
+        assert out == ""
+
+
+@pytest.mark.parametrize("phi", ["square", "binent", "sym:1.5", "power:1.5", "xlogx:0,1"])
+def test_phi_ribbon_check_normalized_needs_room_above_one(tmp_path, capsys, phi):
+    path = tmp_path / "d.json"
+    path.write_text(dist_to_json(make_joint([2, 2], [0.4, 0.1, 0.1, 0.4])))
+    code, out = run_cli(
+        capsys, "phi-ribbon", "check", "--dist", str(path), "--phi", phi,
+        "--lambda", "0.9,0.9", "--normalized",
+    )
+    assert code == 2
+    assert out == ""
+
+
 def test_twelve_significant_digits(dsbs05, capsys):
     _, out = run_cli(capsys, "rho", "--dist", dsbs05)
     # formatting is applied recursively, so a clean value stays short
@@ -395,7 +414,9 @@ def _cli_case(draw):
     ]))
     files = {"dist": _sometimes(draw, _json_text(dist), st.sampled_from(_GARBAGE))}
     lam = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
-    lam = _sometimes(draw, lam, st.lists(_numbers, max_size=4))
+    lam = _sometimes(draw, lam, st.one_of(
+        st.lists(_numbers, max_size=4), st.lists(_numbers, min_size=k, max_size=k)
+    ))
     lam_text = _sometimes(draw, ",".join(map(str, lam)), st.sampled_from(["", ",", "a"]))
     if command in ("rho", "gram"):
         argv = [command, "--dist", "{dist}"]

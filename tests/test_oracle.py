@@ -8,7 +8,7 @@ import pytest
 
 from phiribbon import oracle
 from phiribbon.dist import canonical, make_joint
-from phiribbon.errors import BadParameter, GridTooLarge, NotBipartite
+from phiribbon.errors import BadLambda, BadParameter, GridTooLarge, NotBipartite
 from phiribbon.oracle import GridSpec, brute_maximal_correlation, brute_min_objective
 from phiribbon.phi import parse_phi, square
 from phiribbon.ribbon_mc import mc_def_gap
@@ -59,6 +59,13 @@ def test_brute_min_objective_deterministic():
     b = brute_min_objective(d, square(), [0.9, 0.9], GridSpec(resolution=9))
     assert a[0] == b[0]
     assert np.array_equal(a[1].values, b[1].values)
+
+
+def test_brute_min_objective_rejects_bad_lambda():
+    d = canonical("dsbs", lam=0.5)
+    for bad in ([0.5, 0.5, 0.9], [0.5], [np.nan, 0.5], [2.0, 2.0]):
+        with pytest.raises(BadLambda):
+            brute_min_objective(d, square(), bad, GridSpec(resolution=3))
 
 
 def test_brute_maximal_correlation_dsbs():

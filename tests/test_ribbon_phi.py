@@ -14,7 +14,7 @@ from phiribbon.dist import (
     make_joint,
     pair_product,
 )
-from phiribbon.errors import BadParameter, PhiNotClassF
+from phiribbon.errors import BadParameter, BadShape, PhiNotClassF
 from phiribbon.phi import PhiSpec, binent, parse_phi, square, xlogx
 from phiribbon.ribbon_phi import (
     _FlatProblem,
@@ -94,6 +94,14 @@ def test_normalized_variant_holds_for_independent():
     d = make_joint([2, 2], np.outer([0.4, 0.6], [0.3, 0.7]).ravel())
     res = normalized_phi_ribbon_membership(d, xlogx(0.0, 8.0), [1.0, 1.0], OPTS)
     assert not res.violated
+
+
+@pytest.mark.parametrize("name", ["square", "binent", "sym:1.5", "power:1.5", "xlogx:0,1"])
+def test_normalized_variant_needs_room_above_one(name):
+    # below top = 1, {0 <= f <= top, E f = 1} holds no non-constant f
+    d = make_joint([2, 2], [0.4, 0.1, 0.1, 0.4])
+    with pytest.raises(BadShape):
+        normalized_phi_ribbon_membership(d, parse_phi(name), [0.9, 0.9], OPTS)
 
 
 def test_searches_are_deterministic_given_seed():

@@ -222,6 +222,10 @@ def phi_ribbon():
 @click.option("--restarts", default=64, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def phi_ribbon_check(dist_path, phi_name, lam_text, normalized, restarts, seed):
+    """Search for a witness f with a negative gap.  A "violated" verdict
+    reports the gap of the first witness found below the search's exit
+    threshold, re-checked from scratch, not the deepest gap reachable; a
+    "holds_up_to_search" verdict reports the least gap the search reached."""
     d = _load_dist(dist_path)
     phi = parse_phi(phi_name)
     lam = _parse_lambda(lam_text, d.k)

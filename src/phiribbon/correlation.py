@@ -147,8 +147,10 @@ def _pgd(objective, F, lo, hi, opts: SearchOpts, project=None, stop_below=-np.in
     halves.  A row stops after ``opts.max_iters`` moves, at step
     ``1e-14 (hi - lo)``, or when |g| < ``_GRAD_TOL`` (tested before each
     move); the first step is ``_STEP_INIT (hi - lo)``.  Rows sharing a
-    ``groups`` label (from 0; one group by default) stop once one of them
-    stops below ``stop_below``, reporting +inf if still moving.
+    ``groups`` label (from 0; one group by default) stop together as soon as
+    one of them has a value below ``stop_below``, at its start or after any
+    pass: rows below it keep that first value and point, not the deepest the
+    group could reach, and rows still moving report +inf.
 
     Returns final values, final rows, and which rows met the gradient test.
     """
@@ -167,12 +169,13 @@ def _pgd(objective, F, lo, hi, opts: SearchOpts, project=None, stop_below=-np.in
     # the running rows, kept compact: indices into F, rows, values,
     # directions, steps and accepted moves; vals reads +inf until they stop
     live = np.isfinite(vals) & ~converged & (step > step_floor) & (opts.max_iters > 0)
-    exits = np.zeros(groups.max() + 1, dtype=bool)  # groups with a row stopped below stop_below
-    exits[groups[~live & (vals < stop_below)]] = True
+    below = vals < stop_below
+    exits = np.zeros(groups.max() + 1, dtype=bool)  # groups with a row below stop_below
+    exits[groups[below]] = True
     run = np.flatnonzero(live & ~exits[groups])
     Fr, vr, Dr = F[run], vals[run], D[run]
     step, moves = np.full(len(run), step), np.zeros(len(run), dtype=int)
-    vals[live] = np.inf
+    vals[live & ~below] = np.inf
     while len(run):
         trial = np.clip(Fr - step[:, None] * Dr, lo, hi)
         if project is not None:
@@ -185,10 +188,11 @@ def _pgd(objective, F, lo, hi, opts: SearchOpts, project=None, stop_below=-np.in
         moves += ok
         step *= np.where(ok, 1.5, 0.5)
         conv = np.linalg.norm(Dr, axis=1) < _GRAD_TOL
-        done = conv | (moves >= opts.max_iters) | (step <= step_floor)
+        below = vr < stop_below
+        done = conv | (moves >= opts.max_iters) | (step <= step_floor) | below
         if done.any():
             F[run[done]], vals[run[done]], converged[run[done]] = Fr[done], vr[done], conv[done]
-            exits[groups[run[done & (vr < stop_below)]]] = True
+            exits[groups[run[below]]] = True
             keep = ~done & ~exits[groups[run]]
             run, Fr, vr, Dr, step, moves = (
                 run[keep], Fr[keep], vr[keep], Dr[keep], step[keep], moves[keep]

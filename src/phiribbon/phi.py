@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ class PhiSpec:
 
     ``allow_zero`` admits the single extra point 0 with the convention
     ``Phi(0) = lim_{t->0+} Phi(t)`` (used by ``xlogx`` where ``0 log 0 := 0``).
+    ``is_class_F`` is :func:`check_class_F`'s verdict, taken once at construction.
     """
 
     name: str
@@ -40,16 +42,13 @@ class PhiSpec:
     # where the defining formula makes sense at all (ratio arguments of the
     # mutual information may leave the compact working interval)
     nat_domain: tuple[float, float] | None = None
+    is_class_F: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = self.domain
         if not (math.isfinite(a) and math.isfinite(b) and b > a):
             raise BadParameter("domain must be a non-degenerate compact interval")
-
-    @property
-    def is_class_F(self) -> bool:
-        """Whether :func:`check_class_F` verifies the class conditions (run on each read)."""
-        return check_class_F(self)["verified"]
+        object.__setattr__(self, "is_class_F", check_class_F(self)["verified"])
 
     # -- derivative access -------------------------------------------------
 
@@ -107,9 +106,13 @@ class PhiSpec:
 
 
 # ---------------------------------------------------------------------------
-# built-ins
+# built-ins: specs are immutable, so equal arguments share one spec and its
+# class-F check
+
+_memo = lru_cache(maxsize=64)
 
 
+@_memo
 def square() -> PhiSpec:
     return PhiSpec(
         "square",
@@ -123,6 +126,7 @@ def square() -> PhiSpec:
     )
 
 
+@_memo
 def power_alpha(alpha: float) -> PhiSpec:
     a = float(alpha)
     if not 1.0 < a <= 2.0:
@@ -139,6 +143,7 @@ def power_alpha(alpha: float) -> PhiSpec:
     )
 
 
+@_memo
 def xlogx(delta: float = 1e-6, top: float = 64.0) -> PhiSpec:
     lo = float(delta)
     hi = float(top)
@@ -161,6 +166,7 @@ def xlogx(delta: float = 1e-6, top: float = 64.0) -> PhiSpec:
     )
 
 
+@_memo
 def binent() -> PhiSpec:
     """``Phi_1(t) = 1 - h((1+t)/2)`` with the binary entropy in bits."""
 
@@ -186,6 +192,7 @@ def binent() -> PhiSpec:
     )
 
 
+@_memo
 def sym_alpha(alpha: float) -> PhiSpec:
     a = float(alpha)
     if not 1.0 < a <= 2.0:
@@ -217,6 +224,7 @@ _POWER_RE = re.compile(r"^(power|sym):([0-9.]+)$")
 _XLOGX_RE = re.compile(r"^xlogx(?::([0-9.eE+-]+),([0-9.eE+-]+))?$")
 
 
+@_memo
 def parse_phi(name: str) -> PhiSpec:
     """Resolve a CLI-style name: square, power:A, xlogx[:D,T], binent, sym:A."""
     if name == "square":

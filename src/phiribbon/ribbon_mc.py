@@ -282,17 +282,17 @@ def bbt_closed_form(d: JointDist, lam) -> bool:
     rho13_sq = float(p3 @ (e1 * e1))
     rho23_sq = float(p3 @ (e2 * e2))
     cross = float(p3 @ (e1 * e2))  # = E[ E[g1|X3] E[g2|X3] ]
-    u = np.where(lam > 0, 1.0 / np.maximum(lam, 1e-300) - 1.0, np.inf)
-    u1, u2, u3 = u
-
-    def fin(x):
-        return x if np.isfinite(x) else 1e300
-
-    a = fin(u1) * fin(u3) - rho13_sq
-    b = fin(u2) * fin(u3) - rho23_sq
-    c = fin(u3) * rho12 + cross
-    tol = PSD_TOL * (1 + abs(fin(u3)))
-    return a >= -tol and b >= -tol and a * b >= c * c - tol * (1 + abs(c))
+    # With u_i = 1/lambda_i - 1 the region is a, b >= 0 and a b >= c^2 for
+    # a = u1 u3 - rho13^2, b = u2 u3 - rho23^2, c = u3 rho12 + cross.  Scaled
+    # by the lambdas they divide by (A = l1 l3 a, B = l2 l3 b, C = l3 c, so
+    # a b >= c^2 iff A B >= l1 l2 C^2) they hold no 1/lambda_i, and a zero
+    # entry gives the limiting inequality, e.g. l3 = 0 leaves u1 u2 >= rho12^2.
+    l1, l2, l3 = lam
+    s1, s2, s3 = 1.0 - lam
+    A = s1 * s3 - l1 * l3 * rho13_sq
+    B = s2 * s3 - l2 * l3 * rho23_sq
+    C = s3 * rho12 + l3 * cross
+    return A >= -PSD_TOL and B >= -PSD_TOL and A * B >= l1 * l2 * C * C - PSD_TOL * (1 + abs(C))
 
 
 def pearson_matrix(d: JointDist) -> np.ndarray:

@@ -34,6 +34,10 @@ from .phi import (
 from .ribbon_mc import PSD_TOL, _check_lambda, _rays
 
 _VIOLATION_TOL = 1e-9  # a certified gap must be below -this to prove a violation, not noise
+# a search row whose gap falls below this ends its point's search at once: ten
+# times the certification margin, so the first such witness still clears
+# -_VIOLATION_TOL when definition_gap re-evaluates it in another summation order
+_EXIT_BELOW = -10 * _VIOLATION_TOL
 
 __all__ = [
     "SearchOpts",
@@ -52,6 +56,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RibbonVerdict:
+    """A search verdict.  For "violated", ``gap`` is the gap of ``witness``
+    re-checked through :func:`definition_gap`: the first witness the search
+    found below its exit threshold, not the deepest one it could reach.  For
+    "holds_up_to_search", ``gap`` is the least gap the search reached."""
+
     verdict: str  # "holds_up_to_search" | "violated"
     gap: float
     witness: JointFunction | None = None
@@ -168,9 +177,12 @@ def _seeds(prob: _FlatProblem, lams: np.ndarray, rng, restarts: int, project=Non
     return pool[rows.ravel()], lo, hi
 
 
-def _search(d, phi, lams, opts, project=None) -> list[RibbonVerdict]:
+def _search(d, phi, lams, opts, project=None, exit_below=_EXIT_BELOW) -> list[RibbonVerdict]:
     """One verdict per row of ``lams``; the restarts of every point descend
-    as the rows of one ``_pgd`` call, each point's rows a group."""
+    as the rows of one ``_pgd`` call, each point's rows a group.  A point's
+    search ends as soon as one of its rows has a gap below ``exit_below``, so
+    a violated verdict carries that first witness, certified through
+    :func:`definition_gap`; ``exit_below=-inf`` runs every row out instead."""
     if not phi.is_class_F:
         warnings.warn(
             f"{phi.name} failed the class conditions; tensorization "
@@ -185,8 +197,7 @@ def _search(d, phi, lams, opts, project=None) -> list[RibbonVerdict]:
     L = np.repeat(lams, R, axis=0)
     vals, ends, _ = _pgd(
         lambda F, rows: prob.rows(F, L[rows]), starts, lo, hi, opts, project,
-        stop_below=-10 * _VIOLATION_TOL,  # a certified violation needs no better witness
-        groups=np.arange(len(L)) // R,
+        stop_below=exit_below, groups=np.arange(len(L)) // R,
     )
     out = []
     for lam, v, E in zip(lams, vals.reshape(-1, R), ends.reshape(len(lams), R, -1)):
@@ -352,7 +363,10 @@ def alpha_equivalent_membership(d: JointDist, alpha: float, lam, opts: SearchOpt
     symmetric-side witness to the power side exactly; in the reverse
     direction ``f -> eps f - 1`` shrinks the violation like ``eps^alpha``,
     so transported gaps are certified at whatever (tiny) magnitude they
-    reach rather than at the absolute search tolerance.  ``lam`` is one
+    reach rather than at the absolute search tolerance.  A witness that only
+    just crossed the search's exit threshold is too shallow to survive that,
+    so the points violated on the power side alone are searched again there
+    without the early exit, and that deeper verdict is reported.  ``lam`` is one
     point, giving one (power, symmetric) verdict pair, or a stack of points
     as rows, giving a list of pairs from one search per side.
     """
@@ -362,8 +376,14 @@ def alpha_equivalent_membership(d: JointDist, alpha: float, lam, opts: SearchOpt
     stacked = np.ndim(lam) == 2
     lams = lam if stacked else [lam]
     pw, sm = power_alpha(alpha), sym_alpha(alpha)
+    power, sym = _search(d, pw, lams, opts), _search(d, sm, lams, opts)
+    deep = [j for j, (rp, rs) in enumerate(zip(power, sym)) if rp.violated and not rs.violated]
+    if deep:
+        redone = _search(d, pw, np.asarray(lams, dtype=float)[deep], opts, exit_below=-np.inf)
+        for j, rp in zip(deep, redone):
+            power[j] = rp if rp.violated else power[j]
     pairs = []
-    for point, rp, rs in zip(lams, _search(d, pw, lams, opts), _search(d, sm, lams, opts)):
+    for point, rp, rs in zip(lams, power, sym):
         if rs.violated and not rp.violated:
             f = rs.witness.values
             rp = _transported(d, pw, point, [(1.0 + f) / 2.0, (1.0 - f) / 2.0], 1e-15) or rp

@@ -211,7 +211,62 @@ def test_pgd_groups_run_as_their_own_one_group_runs():
         assert np.array_equal(vals[rows], one[0])
         assert np.array_equal(ends[rows], one[1])
         assert np.array_equal(conv[rows], one[2])
-    # groups 0 and 2 stopped early: some rows report +inf, the best is below -0.5
+    # every start row of groups 0 and 2 is below -0.5, so both stop before
+    # the first pass with each row at its start; group 1 runs every row out
     for g in (0, 2):
-        assert np.isinf(vals[groups == g]).any() and vals[groups == g].min() < -0.5
+        rows = groups == g
+        Y = F[rows] - C[rows]
+        assert np.array_equal(vals[rows], (Y * Y).sum(axis=1) + off[rows])
+        assert np.array_equal(ends[rows], F[rows]) and vals[rows].max() < -0.5
     np.testing.assert_allclose(vals[groups == 1], 1.0, rtol=0, atol=1e-12)
+
+
+def _quadratic_bowl(C, off, calls):
+    """Row-wise ``sum((f - C_r)^2) + off_r``, logging each call's row indices and values."""
+
+    def objective(X, idx):
+        Y = X - C[idx]
+        v = (Y * Y).sum(axis=1) + off[idx]
+        calls.append((idx.copy(), v))
+        return v, 2.0 * Y
+
+    return objective
+
+
+def test_pgd_group_starting_below_stop_below_makes_one_call():
+    rng = np.random.default_rng(6)
+    C = rng.uniform(-0.5, 0.5, size=(4, 3))
+    F = C + 0.5
+    F[2] = C[2] + 0.05  # one row below -0.5 ends the group; none has converged
+    calls = []
+    vals, ends, conv = _pgd(
+        _quadratic_bowl(C, np.full(4, -1.0), calls), F, -1.0, 1.0, SearchOpts(), stop_below=-0.5
+    )
+    assert len(calls) == 1
+    below = calls[0][1] < -0.5
+    assert below.tolist() == [False, False, True, False]
+    assert vals[2] == calls[0][1][2] and np.isinf(vals[~below]).all()
+    assert np.array_equal(ends, F) and not conv.any()
+
+
+def test_pgd_group_ends_at_its_first_pass_below_stop_below():
+    # group 0 starts above -0.5 and crosses it while descending toward -1;
+    # group 1 stays above it and keeps moving after group 0 ends
+    rng = np.random.default_rng(7)
+    C = rng.uniform(-0.5, 0.5, size=(8, 3))
+    F = np.clip(C - 0.9 * np.sign(C), -1.0, 1.0)
+    off = np.repeat([-1.0, 1.0], 4)
+    groups = np.repeat([0, 1], 4)
+    calls = []
+    vals, ends, _ = _pgd(
+        _quadratic_bowl(C, off, calls), F, -1.0, 1.0, SearchOpts(), stop_below=-0.5, groups=groups
+    )
+    assert (calls[0][1][:4] > -0.5).all()
+    first = next(i for i, (idx, v) in enumerate(calls) if (v[idx < 4] < -0.5).any())
+    assert all((idx >= 4).all() for idx, _ in calls[first + 1 :]) and len(calls) > first + 1
+    idx, v = calls[first]
+    crossed = idx[(idx < 4) & (v < -0.5)]
+    assert np.array_equal(vals[crossed], v[(idx < 4) & (v < -0.5)])
+    assert vals[crossed].min() > -0.99  # the first crossing, far from the minimum -1
+    assert np.isinf(np.delete(vals[:4], crossed)).all()
+    np.testing.assert_allclose(vals[4:], 1.0, rtol=0, atol=1e-12)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import phiribbon.phi as phi_module
 from phiribbon.dist import JointFunction, canonical, cond_expectation, make_joint
 from phiribbon.errors import BadParameter, DomainViolation, NotIndependent
 from phiribbon.phi import (
@@ -90,6 +91,19 @@ def test_check_class_F_verifies_builtins():
         assert report["verified"], (phi.name, report)
         assert vars(phi) == before  # the check writes nothing into the spec
         assert phi.is_class_F is True
+
+
+def test_specs_are_built_and_checked_once_per_name(monkeypatch):
+    for make in (parse_phi, power_alpha, sym_alpha, xlogx):
+        make.cache_clear()
+    checked = []
+    monkeypatch.setattr(
+        phi_module, "check_class_F", lambda phi: checked.append(phi.name) or check_class_F(phi)
+    )
+    spec = parse_phi("power:1.75")
+    assert parse_phi("power:1.75") is spec and power_alpha(1.75) is spec and spec.is_class_F
+    assert sym_alpha(1.75) is sym_alpha(1.75) and xlogx(0.5, 3.0) is parse_phi("xlogx:0.5,3")
+    assert checked == ["power:1.75", "sym:1.75", "xlogx:0.5,3.0"]
 
 
 def test_phi_spec_is_frozen():

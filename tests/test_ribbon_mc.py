@@ -1,5 +1,7 @@
 """Unit tests for the exact (quadratic-case) region queries."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,24 @@ def test_bbt_closed_form_matches_psd_test():
                 break
         else:
             checked += 1
+
+
+def test_bbt_closed_form_is_exact_at_zero_lambda_entries():
+    rng = np.random.default_rng(1)
+    d = make_joint([2, 2, 3], rng.dirichlet(np.ones(12)))
+    lams = [[0, 0.5, 0], [0.5, 0, 0], [0, 0, 0], [0, 0, 0.5], [0, 1, 1], [1, 1, 0]]
+    for _ in range(30):
+        lams.extend(np.where(rng.random((20, 3)) < 0.4, 0.0, rng.uniform(0.0, 1.0, (20, 3))))
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the 1e300 stand-in for 1/0 - 1 overflowed
+        for lam in lams:
+            res = mc_membership(d, lam)
+            if abs(res.min_eigenvalue) <= 1e-7:
+                continue
+            assert bbt_closed_form(d, lam) == res.verdict, lam
+            checked += 1
+    assert checked > 500
 
 
 def test_bbt_closed_form_shape_check():

@@ -340,6 +340,19 @@ def test_alpha_equivalent_membership_agrees():
     assert rp.violated == rs.violated
 
 
+def test_alpha_transport_uses_a_deep_power_witness():
+    # criterion 10's second law: at these points the power-side search ends on
+    # a witness just past its exit threshold, whose transport to the symmetric
+    # side stays above -1e-13; the re-search without the early exit moves it
+    rng = np.random.default_rng(10)
+    for _ in range(2):
+        d = make_joint([2, 2], rng.dirichlet(np.ones(4)))
+    grid = np.linspace(1.0 / 15.0, 1.0, 15)
+    lams = np.array([[grid[6], grid[13]], [grid[9], grid[12]]])  # (7, 14) / 15, (10, 13) / 15
+    for rp, rs in alpha_equivalent_membership(d, 1.5, lams, SearchOpts(restarts=6, seed=0)):
+        assert rp.violated and rs.violated
+
+
 def test_alpha_equivalent_membership_clear_cases():
     d = canonical("dsbs", lam=0.5)
     inside = alpha_equivalent_membership(d, 1.5, [0.3, 0.3], SearchOpts(restarts=6))

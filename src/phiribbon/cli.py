@@ -129,7 +129,12 @@ def rho(dist_path):
 @click.option("--restarts", default=32, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def eta(dist_path, phi_name, psi_name, restarts, seed):
-    """Lower-bound estimate of the SDPI constant."""
+    """Lower-bound estimate of the SDPI constant.
+
+    "converged" is true when the ascent ended because its answer stopped
+    improving (gradient test met, best ratio flat to 1e-10 over 10 passes,
+    or the small-amplitude sweep won), false when the restarts stopped on
+    their step floor or move budget first."""
     d = _load_dist(dist_path)
     phi = parse_phi(phi_name)
     psi = parse_phi(psi_name) if psi_name else None

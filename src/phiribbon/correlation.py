@@ -25,12 +25,24 @@ _VAR_FLOOR = 1e-12  # H_phi(f) at or below this leaves the ratio undefined
 _ACCEPT = 1e-18  # decrease a trial move must exceed to be taken
 _GRAD_TOL = 1e-9  # a row whose box-projected gradient norm is below this has converged
 _STEP_INIT = 0.1  # first step, as a fraction of the box width: large enough to leave a corner
+# step multiples every row tries in one pass, as rows of one objective call: a
+# pass costs about the same for 5 trials as for 1, so a row that would have
+# halved its way down, or crept up at x1.5 a pass, reaches a good step at once
+_RUNGS = np.array([16.0, 4.0, 1.0, 0.25, 0.0625])
+_GROW = 1.5  # next step after an accepted rung, as a multiple of that rung's step
+_SHRINK = 0.5  # next step after a pass with no accepted rung, times the smallest rung
+# the stall exit of an ascent: it ends once its best value has improved by at
+# most _STALL_RTOL (relative) over the last _STALL_PASSES passes, so rows that
+# still creep along a flat ridge do not run out their whole move budget
+_STALL_PASSES = 10
+_STALL_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SearchOpts:
     """Multi-start search budget: restarts (rows moved together), accepted
-    moves per row, and the seed of the random starts."""
+    moves per row (``max_iters``; each move is the best step of one
+    ``_pgd`` pass), and the seed of the random starts."""
 
     restarts: int = 32
     max_iters: int = 500
@@ -45,6 +57,16 @@ class SearchOpts:
 
 @dataclass(frozen=True)
 class EtaEstimate:
+    """An ``eta_phi`` answer: a ratio achieved by ``witness``, and rho^2.
+
+    ``converged`` says the ascent ended because its answer stopped
+    improving: the winning restart met the gradient test, the best ratio
+    rose by at most ``_STALL_RTOL`` (relative) over the last
+    ``_STALL_PASSES`` passes (the stall exit), or the small-amplitude sweep
+    gave the answer.  False means none of these held: the restarts stopped
+    on their step floor or their ``max_iters`` budget first.
+    """
+
     value: float
     witness: MarginalFunction
     lower_bound_rho2: float
@@ -136,29 +158,40 @@ def _ratio_and_grad(F, P, px, py, phi: PhiSpec, psi: PhiSpec):
     return np.where(ok, ratio, -np.inf), np.where(ok[:, None], grad, 0.0)
 
 
-def _pgd(objective, F, lo, hi, opts: SearchOpts, project=None, stop_below=-np.inf, groups=None):
+def _pgd(
+    objective, F, lo, hi, opts: SearchOpts, project=None, stop_below=-np.inf, groups=None,
+    stall_exit=False,
+):
     """Projected gradient descent from every row of ``F`` at once.
 
     ``objective`` maps an (R, n) matrix and the indices of its rows in ``F``
     to a value and a gradient row per row, +inf where undefined.  Each pass
-    tries one move per running row, ``clip(f - step * g, lo, hi)`` with the
-    box-projected gradient g, then ``project`` if given; a move that lowers
-    the value by more than ``_ACCEPT`` is taken (step * 1.5), else the step
-    halves.  A row stops after ``opts.max_iters`` moves, at step
-    ``1e-14 (hi - lo)``, or when |g| < ``_GRAD_TOL`` (tested before each
-    move); the first step is ``_STEP_INIT (hi - lo)``.  Rows sharing a
-    ``groups`` label (from 0; one group by default) stop together as soon as
-    one of them has a value below ``stop_below``, at its start or after any
-    pass: rows below it keep that first value and point, not the deepest the
-    group could reach, and rows still moving report +inf.
+    tries every running row at every rung of a step ladder,
+    ``clip(f - step * r * g, lo, hi)`` for r in ``_RUNGS`` with the
+    box-projected gradient g, then ``project`` if given, all as the rows of
+    one objective call.  A row takes its best rung if that lowers its value
+    by more than ``_ACCEPT``, and its next step is that rung's step times
+    ``_GROW``; with no rung accepted the step becomes the smallest rung's
+    times ``_SHRINK``.  A row stops after ``opts.max_iters`` accepted moves
+    (each the best rung of one pass), at step ``1e-14 (hi - lo)``, or when
+    |g| < ``_GRAD_TOL`` (tested before each move); the first step is
+    ``_STEP_INIT (hi - lo)``.  Rows sharing a ``groups`` label (from 0; one
+    group by default) stop together as soon as one of them has a value below
+    ``stop_below``, at its start or after any pass: rows below it keep that
+    first value and point, not the deepest the group could reach, and rows
+    still moving report +inf.  With ``stall_exit`` the whole call ends once
+    its best value has fallen by at most ``_STALL_RTOL`` (relative) over the
+    last ``_STALL_PASSES`` passes, and every row then counts as converged.
 
-    Returns final values, final rows, and which rows met the gradient test.
+    Returns final values, final rows, and which rows met the gradient test
+    (all of them after a stall exit).
     """
     F = np.array(F, dtype=float)
     vals, G = objective(F, np.arange(len(F)))
     vals = np.where(np.isnan(vals), np.inf, vals)
     groups = np.zeros(len(F), dtype=int) if groups is None else groups
     step_floor = 1e-14 * (hi - lo)
+    K = len(_RUNGS)
 
     def box_projected(G, F):
         return np.where(((F <= lo) & (G > 0)) | ((F >= hi) & (G < 0)), 0.0, G)
@@ -175,21 +208,33 @@ def _pgd(objective, F, lo, hi, opts: SearchOpts, project=None, stop_below=-np.in
     run = np.flatnonzero(live & ~exits[groups])
     Fr, vr, Dr = F[run], vals[run], D[run]
     step, moves = np.full(len(run), step), np.zeros(len(run), dtype=int)
+    best, stalled = [np.min(vals)], False  # the best value after each pass, for the stall exit
     vals[live & ~below] = np.inf
     while len(run):
-        trial = np.clip(Fr - step[:, None] * Dr, lo, hi)
+        m, at = len(run), np.arange(len(run))
+        steps = step[:, None] * _RUNGS
+        trial = np.clip(Fr[:, None, :] - steps[:, :, None] * Dr[:, None, :], lo, hi)
+        trial = trial.reshape(m * K, -1)
         if project is not None:
             trial = project(trial)
-        v, g = objective(trial, run)
-        ok = v < vr - _ACCEPT
-        Fr = np.where(ok[:, None], trial, Fr)
-        vr = np.where(ok, v, vr)
-        Dr = np.where(ok[:, None], box_projected(g, trial), Dr)
+        v, g = objective(trial, np.repeat(run, K))
+        v = np.where(np.isnan(v), np.inf, v).reshape(m, K)
+        k = np.argmin(v, axis=1)
+        best_v, pick = v[at, k], at * K + k
+        ok = best_v < vr - _ACCEPT
+        Fr = np.where(ok[:, None], trial[pick], Fr)
+        vr = np.where(ok, best_v, vr)
+        Dr = np.where(ok[:, None], box_projected(g[pick], trial[pick]), Dr)
         moves += ok
-        step *= np.where(ok, 1.5, 0.5)
+        step = np.where(ok, steps[at, k] * _GROW, step * _RUNGS[-1] * _SHRINK)
         conv = np.linalg.norm(Dr, axis=1) < _GRAD_TOL
         below = vr < stop_below
-        done = conv | (moves >= opts.max_iters) | (step <= step_floor) | below
+        if stall_exit:
+            best.append(min(np.min(vals), np.min(vr)))
+            stalled = len(best) > _STALL_PASSES and (
+                best[-1 - _STALL_PASSES] - best[-1] <= _STALL_RTOL * abs(best[-1])
+            )
+        done = conv | stalled | (moves >= opts.max_iters) | (step <= step_floor) | below
         if done.any():
             F[run[done]], vals[run[done]], converged[run[done]] = Fr[done], vr[done], conv[done]
             exits[groups[run[below]]] = True
@@ -197,6 +242,7 @@ def _pgd(objective, F, lo, hi, opts: SearchOpts, project=None, stop_below=-np.in
             run, Fr, vr, Dr, step, moves = (
                 run[keep], Fr[keep], vr[keep], Dr[keep], step[keep], moves[keep]
             )
+    converged |= stalled  # the best value has stopped moving, whichever row holds it
     return vals, F, converged
 
 
@@ -250,7 +296,7 @@ def eta_phi(
         np.clip(0.5 * (a + b) + 0.2 * (b - a) * svd_dir, lo, hi),
         rng.uniform(lo, hi, size=(opts.restarts - 1, len(px))),
     ])
-    vals, ends, conv = _pgd(neg_ratio, starts, lo, hi, opts)
+    vals, ends, conv = _pgd(neg_ratio, starts, lo, hi, opts, stall_exit=True)
     j = int(np.argmin(vals))
     best_val, best_f, converged = 0.0, None, False
     if -vals[j] > 0.0:

@@ -385,6 +385,9 @@ def _malformed(draw, valid):
     return draw(_numbers) if how == "scalar" else draw(st.text(max_size=3))
 
 
+_SUITES = ["dsbs", "sumiid", "xor", "bipartite-boundary", "tilde", "gaussian-binary",
+           "alpha-equivalence"]
+_BAD_SEEDS = ["-1", "-12", "x", "1.5", "", "1e3"]
 _GOOD_PHIS = ["xlogx:0,64", "xlogx", "power:1.5", "square", "binent", "power:3"]
 _BAD_PHIS = ["power:1.2.3", "xlogx:e,e", "xlogx:-1,2", "nope"]
 
@@ -400,7 +403,7 @@ def _search_args(draw, flag, good):
 def _cli_case(draw):
     command = draw(st.sampled_from(
         ["rho", "gram", "ribbon", "gaussian", "channel-test", "eta", "phi-check", "phi-trace",
-         "oracle"]
+         "oracle", "suite"]
     ))
     k = 2 if command in ("rho", "eta") else draw(st.integers(1, 3))
     sizes = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
@@ -444,6 +447,14 @@ def _cli_case(draw):
     elif command == "oracle":
         argv = ["oracle", "min-gap", *_search_args(draw, "--resolution", ["3"]),
                 "--lambda", lam_text]
+    elif command == "suite":
+        # only cases that must be refused: every real bundle is a full
+        # reproduction run, far too slow to repeat across the examples
+        unknown = st.text(max_size=8).filter(lambda t: t not in _SUITES and not t.startswith("-"))
+        name = draw(st.one_of(st.sampled_from(_SUITES), unknown))
+        seeds = st.sampled_from(_BAD_SEEDS)
+        seed = draw(seeds if name in _SUITES else st.one_of(st.sampled_from(["0", "3"]), seeds))
+        argv = ["suite", name, "--seed", seed]
     else:
         W = _stochastic(draw, n, draw(st.integers(1, 3)))
         coord = _sometimes(draw, 0, _numbers)
@@ -474,6 +485,8 @@ def test_cli_exits_0_with_strict_json_or_2(case_dir, case):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([a.format(**paths) for a in argv])
     assert code in (0, 2), (argv, files, err.getvalue())
+    if argv[0] == "suite":
+        assert code == 2, argv
     if code == 0 and argv[:2] == ["phi-ribbon", "trace"]:  # CSV, not JSON
         header, *rows = csv.reader(io.StringIO(out.getvalue()))
         assert header[0] == "direction_index" and rows

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from phiribbon import correlation
 from phiribbon.correlation import (
+    _RUNGS,
+    _STALL_PASSES,
+    _STALL_RTOL,
     SearchOpts,
     _bipartite_matrices,
     _pgd,
@@ -270,3 +274,103 @@ def test_pgd_group_ends_at_its_first_pass_below_stop_below():
     assert vals[crossed].min() > -0.99  # the first crossing, far from the minimum -1
     assert np.isinf(np.delete(vals[:4], crossed)).all()
     np.testing.assert_allclose(vals[4:], 1.0, rtol=0, atol=1e-12)
+
+
+def test_pgd_pass_tries_every_rung_and_takes_the_best():
+    # on the box [-100, 100]^3 the first step, 20, overshoots the bowl at every
+    # rung, so the first pass accepts nothing; the second pass then accepts
+    # several rungs and each row takes the lowest
+    rng = np.random.default_rng(8)
+    C = rng.uniform(-0.5, 0.5, size=(4, 3))
+    F = C + rng.uniform(-1.0, 1.0, size=(4, 3))
+    calls = []
+
+    def objective(X, idx):
+        Y = X - C[idx]
+        v = (Y * Y).sum(axis=1)
+        calls.append((idx.copy(), X.copy(), v))
+        return v, 2.0 * Y
+
+    vals, ends, _ = _pgd(objective, F, -100.0, 100.0, SearchOpts(max_iters=2))
+    K = len(_RUNGS)
+    assert len(calls) == 4 and np.array_equal(calls[0][0], np.arange(4))
+    step, start, at = 20.0, F, np.arange(4)
+    for p, (idx, X, v) in enumerate(calls[1:], 1):
+        # one call per pass, holding every running row at every rung
+        assert np.array_equal(idx, np.repeat(np.arange(4), K))
+        D = 2.0 * (start - C)
+        want = np.clip(start[:, None, :] - step * _RUNGS[:, None] * D[:, None, :], -100, 100)
+        np.testing.assert_allclose(X.reshape(4, K, 3), want, rtol=1e-15, atol=1e-15)
+        v, X = v.reshape(4, K), X.reshape(4, K, 3)
+        before = (D * D).sum(axis=1) / 4.0
+        if p == 1:
+            # nothing accepted, so the next call's rungs, checked against
+            # `want`, start from half this pass's smallest rung
+            assert (v > before[:, None]).all()
+            step *= _RUNGS[-1] * 0.5
+            continue
+        k = np.argmin(v, axis=1)
+        assert ((v < before[:, None]).sum(axis=1) >= 2).all()  # more than one rung accepted
+        start = X[at, k]  # the move taken is the lowest accepted rung
+        assert len(set(k)) == 1
+        step *= _RUNGS[k[0]] * 1.5
+    np.testing.assert_array_equal(ends, start)
+    np.testing.assert_array_equal(vals, ((start - C) ** 2).sum(axis=1))
+
+
+def test_pgd_stall_exit_ends_a_flat_maximization():
+    # the negated objective of one ascent: row 0, a bowl, reaches its best
+    # value -1 in a few passes, and two Rosenbrock rows creep along their
+    # valley far above it; the stall exit ends the call once the best value
+    # stops moving, while the plain run lets the valley rows use their budget
+    def rows(calls):
+        def objective(X, idx):
+            x, y = X[:, 0], X[:, 1]
+            ros = (1 - x) ** 2 + 100 * (y - x * x) ** 2
+            g_ros = np.column_stack([-2 * (1 - x) - 400 * x * (y - x * x), 200 * (y - x * x)])
+            bowl = ((X - 0.3) ** 2).sum(axis=1) - 1.0
+            v = np.where(idx == 0, bowl, ros)
+            calls.append(v)
+            return v, np.where((idx == 0)[:, None], 2 * (X - 0.3), g_ros)
+
+        return objective
+
+    F = np.array([[0.9, -0.5], [-1.2, 1.0], [-1.5, 1.8]])
+    plain, flat = [], []
+    vals, _, conv = _pgd(rows(plain), F, -2.0, 2.0, SearchOpts(max_iters=300))
+    svals, _, sconv = _pgd(rows(flat), F, -2.0, 2.0, SearchOpts(max_iters=300), stall_exit=True)
+    assert len(plain) > 100 and not conv[1:].any()
+    best = np.minimum.accumulate([v.min() for v in flat])
+    stalled = [
+        t for t in range(_STALL_PASSES, len(best))
+        if best[t - _STALL_PASSES] - best[t] <= _STALL_RTOL * abs(best[t])
+    ]
+    assert stalled[0] == len(flat) - 1 < 30  # the first pass the test holds is the last
+    assert svals[0] == pytest.approx(-1.0, abs=1e-12) and svals[0] == vals[0]
+    assert sconv.all() and (svals[1:] > vals[1:]).all()
+
+
+@pytest.mark.parametrize(
+    "law, phi_name, parent",
+    [("dsbs", "xlogx", 99), ("random", "power:1.5", 163)],
+)
+def test_eta_phi_objective_budget(monkeypatch, law, phi_name, parent):
+    # the parent counts come from the plain one-step ascent that ran every row
+    # to max_iters; the ladder and the stall exit must stay well under them
+    calls = []
+    real = correlation._ratio_and_grad
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(correlation, "_ratio_and_grad", counted)
+    if law == "dsbs":
+        d = canonical("dsbs", lam=0.5)
+    else:
+        d = make_joint([3, 3], np.random.default_rng(0).dirichlet(np.ones(9)))
+    est = eta_phi(d, parse_phi(phi_name), opts=SearchOpts(restarts=4, max_iters=100))
+    assert len(calls) <= 0.4 * parent
+    assert est.converged
+    if law == "dsbs":
+        assert est.value == pytest.approx(0.25, abs=2e-3)

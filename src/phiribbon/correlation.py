@@ -19,7 +19,7 @@ import numpy as np
 
 from .dist import JointDist, MarginalFunction
 from .errors import BadParameter, NotBipartite
-from .phi import PhiSpec, _entropy_from_values
+from .phi import _CANCEL, _CLAMP, PhiSpec, _bregman_terms
 
 _VAR_FLOOR = 1e-12  # H_phi(f) at or below this leaves the ratio undefined
 _ACCEPT = 1e-18  # decrease a trial move must exceed to be taken
@@ -60,11 +60,12 @@ class EtaEstimate:
     """An ``eta_phi`` answer: a ratio achieved by ``witness``, and rho^2.
 
     ``converged`` says the ascent ended because its answer stopped
-    improving: the winning restart met the gradient test, the best ratio
-    rose by at most ``_STALL_RTOL`` (relative) over the last
+    improving: the winning restart met the gradient test or reached its step
+    floor (about eight passes in a row with no improving rung), the best
+    ratio rose by at most ``_STALL_RTOL`` (relative) over the last
     ``_STALL_PASSES`` passes (the stall exit), or the small-amplitude sweep
-    gave the answer.  False means none of these held: the restarts stopped
-    on their step floor or their ``max_iters`` budget first.
+    gave the answer.  False means none of these held: the winning restart
+    used up its ``max_iters`` moves, or no restart found a positive ratio.
     """
 
     value: float
@@ -126,36 +127,70 @@ def eta_lower_bound_rho2(d: JointDist) -> float:
     return maximal_correlation(d) ** 2
 
 
-def _ratio_and_grad(F, P, px, py, phi: PhiSpec, psi: PhiSpec):
-    """Row-wise objective H_psi(E[f|Y]) / H_phi(f) and its gradient in f.
+class _EtaProblem:
+    """Row-stacked ratio ``H_psi(E[f|Y]) / H_phi(f)`` over f on the X support.
 
-    ``E[E[f|Y]] = E f``, so both entropies share the mean m: Phi and Phi' are
-    each evaluated once, on the stack ``[f, E[f|Y], m]`` (once per function
-    when psi is not phi), and feed both entropies and the gradient.
-    Rows with ``H_phi(f) <= _VAR_FLOOR`` have no ratio; they report -inf.
+    As in ``ribbon_phi._FlatProblem``, one product ``X = F @ A`` with
+    ``A = [I | P/p_y | p_x]`` stacks ``[f, E[f|Y], E f]`` for every row, and
+    fixed matrices turn ``Phi(X)`` and ``Phi'(X)`` into both entropies and
+    their gradients.  Rows lie in the open box, so ``E f`` is interior.
     """
-    tx, ty = px.sum(), py.sum()
-    mean = F @ px / tx
-    gy = (F @ P) / py
-    if psi is phi:
-        S = np.hstack([F, gy, mean[:, None]])
-        vx, dx = vy, dy = phi.safe_eval(S), phi.deriv(1, S)
-        xs, ys = slice(0, F.shape[1]), slice(F.shape[1], -1)
-    else:
-        Sx, Sy = np.hstack([F, mean[:, None]]), np.hstack([gy, mean[:, None]])
-        vx, dx = phi.safe_eval(Sx), phi.deriv(1, Sx)
-        vy, dy = psi.safe_eval(Sy), psi.deriv(1, Sy)
-        xs = ys = slice(0, -1)
-    den = _entropy_from_values(phi, px, tx, F, mean, vx[:, xs], vx[:, -1], dx[:, -1])
-    num = _entropy_from_values(psi, py, ty, gy, mean, vy[:, ys], vy[:, -1], dy[:, -1])
-    ok = den > _VAR_FLOOR
-    den = np.where(ok, den, 1.0)
-    # dN/df_x = sum_y p(x,y) Psi'(g_y) - p(x) Psi'(E f)
-    grad_num = dy[:, ys] @ P.T - px * dy[:, -1:]
-    grad_den = px * (dx[:, xs] - dx[:, -1:])
-    ratio = num / den
-    grad = (grad_num - ratio[:, None] * grad_den) / den[:, None]
-    return np.where(ok, ratio, -np.inf), np.where(ok[:, None], grad, 0.0)
+
+    def __init__(self, P, px, py, phi: PhiSpec, psi: PhiSpec):
+        n, ny = P.shape
+        wx, wy = px / px.sum(), py / py.sum()
+        self.phi, self.psi, self.n = phi, psi, n
+        self.A = np.hstack([np.eye(n), P / py, wx[:, None]])
+        # Bregman terms @ W = [H_phi(f), H_psi(E[f|Y])]; the E f column adds 0
+        self.W = np.zeros((n + ny + 1, 2))
+        self.W[:n, 0], self.W[n:-1, 1] = wx, wy
+        # (Phi'(X) - Phi'(E f)) @ G = [dH_phi(f)/df, dH_psi(E[f|Y])/df]
+        self.G = np.zeros((n + ny + 1, 2 * n))
+        self.G[:n, :n], self.G[n:-1, n:] = np.diag(px), P.T
+        self.on_f = np.arange(n + ny + 1) < n  # the columns Phi sees when psi is not phi
+        self.cuts = np.array([0, n, n + ny])  # the f, E[f|Y] and E f column blocks
+        # per entropy: its spec, weights, columns of X, and column of Phi(E f) in pm
+        self.terms = ((phi, wx, slice(0, n), 0), (psi, wy, slice(n, -1), -1))
+
+    def rows(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ratio and its gradient per row of F; -inf (gradient 0) where
+        ``H_phi(f) <= _VAR_FLOOR`` leaves it undefined.
+
+        Each entropy is a Bregman sum ``E[Phi(v) - Phi(m) - Phi'(m)(v - m)]``
+        with ``m = E f``.  Where one is below ``phi._CANCEL`` times its Phi
+        scale ``max |Phi(v)| + |Phi(m)|`` (cancellation), its terms on those
+        rows are recomputed by quadrature, as in ``phi._entropy_rows``.
+        """
+        X = F @ self.A
+        m, phi, psi = X[:, -1:], self.phi, self.psi
+        if psi is phi:
+            V, D = phi.safe_eval(X), phi.deriv(1, X)
+            pm = vm = V[:, -1:]
+            dm = D[:, -1:]
+        else:  # Phi on f, Psi on E[f|Y] and E f; pm holds [Phi(m), Psi(m)]
+            x, y = X[:, : self.n], X[:, self.n :]
+            V = np.hstack([phi.safe_eval(x), psi.safe_eval(y)])
+            D = np.hstack([phi.deriv(1, x), psi.deriv(1, y)])
+            pm = np.hstack([phi.safe_eval(m), V[:, -1:]])
+            vm = np.where(self.on_f, pm[:, :1], pm[:, 1:])
+            dm = np.where(self.on_f, phi.deriv(1, m), D[:, -1:])
+        H = (V - vm - dm * (X - m)) @ self.W
+        scale = np.maximum.reduceat(np.abs(V), self.cuts, axis=1)[:, :2] + np.abs(pm)
+        tiny = H < _CANCEL * scale
+        if tiny.any():
+            for j, (spec, w, cols, c) in enumerate(self.terms):
+                r = tiny[:, j].nonzero()[0]
+                if len(r):
+                    H[r, j] = _bregman_terms(spec, X[r, cols], m[r, 0], V[r, cols], pm[r, c]) @ w
+        np.maximum(H, 0.0, out=H, where=H >= -_CLAMP)  # rounding below 0 reads 0
+        ok = H[:, 0] > _VAR_FLOOR
+        den = np.where(ok, H[:, 0], 1.0)
+        ratio = H[:, 1] / den
+        dH = (D - dm) @ self.G
+        grad = (dH[:, self.n :] - ratio[:, None] * dH[:, : self.n]) / den[:, None]
+        if ok.all():
+            return ratio, grad
+        return np.where(ok, ratio, -np.inf), np.where(ok[:, None], grad, 0.0)
 
 
 def _pgd(
@@ -173,18 +208,20 @@ def _pgd(
     by more than ``_ACCEPT``, and its next step is that rung's step times
     ``_GROW``; with no rung accepted the step becomes the smallest rung's
     times ``_SHRINK``.  A row stops after ``opts.max_iters`` accepted moves
-    (each the best rung of one pass), at step ``1e-14 (hi - lo)``, or when
-    |g| < ``_GRAD_TOL`` (tested before each move); the first step is
-    ``_STEP_INIT (hi - lo)``.  Rows sharing a ``groups`` label (from 0; one
-    group by default) stop together as soon as one of them has a value below
-    ``stop_below``, at its start or after any pass: rows below it keep that
-    first value and point, not the deepest the group could reach, and rows
-    still moving report +inf.  With ``stall_exit`` the whole call ends once
+    (each the best rung of one pass), at step ``1e-14 (hi - lo)`` (the step
+    floor), or when |g| < ``_GRAD_TOL`` (tested before each move); the first
+    step is ``_STEP_INIT (hi - lo)``.  Rows sharing a ``groups`` label (from
+    0; one group by default) stop together as soon as one of them has a
+    value below ``stop_below``, at its start or after any pass: rows below it
+    keep that first value and point, not the deepest the group could reach,
+    and rows still moving report +inf.  With ``stall_exit`` the whole call ends once
     its best value has fallen by at most ``_STALL_RTOL`` (relative) over the
     last ``_STALL_PASSES`` passes, and every row then counts as converged.
 
-    Returns final values, final rows, and which rows met the gradient test
-    (all of them after a stall exit).
+    Returns final values, final rows, and which rows converged: those that
+    met the gradient test or reached the step floor, which takes about eight
+    passes in a row where no rung, from 16 times the step down to the floor,
+    improved on the row (every row after a stall exit).
     """
     F = np.array(F, dtype=float)
     vals, G = objective(F, np.arange(len(F)))
@@ -193,11 +230,11 @@ def _pgd(
     step_floor = 1e-14 * (hi - lo)
     K = len(_RUNGS)
 
-    def box_projected(G, F):
-        return np.where(((F <= lo) & (G > 0)) | ((F >= hi) & (G < 0)), 0.0, G)
+    def box_projected(G, F):  # G with the entries that point out of the box at F zeroed
+        return np.where(np.where(G > 0, F <= lo, (F >= hi) & (G < 0)), 0.0, G)
 
     D = box_projected(G, F)
-    converged = np.isfinite(vals) & (np.linalg.norm(D, axis=1) < _GRAD_TOL)
+    converged = np.isfinite(vals) & ((D * D).sum(axis=1) < _GRAD_TOL**2)
     step = _STEP_INIT * (hi - lo)
     # the running rows, kept compact: indices into F, rows, values,
     # directions, steps and accepted moves; vals reads +inf until they stop
@@ -210,38 +247,47 @@ def _pgd(
     step, moves = np.full(len(run), step), np.zeros(len(run), dtype=int)
     best, stalled = [np.min(vals)], False  # the best value after each pass, for the stall exit
     vals[live & ~below] = np.inf
+    stopped = np.min(vals)  # the best value of the rows that have stopped
+    first, rows = K * np.arange(len(run)), np.repeat(run, K)  # each row's first trial
     while len(run):
-        m, at = len(run), np.arange(len(run))
         steps = step[:, None] * _RUNGS
-        trial = np.clip(Fr[:, None, :] - steps[:, :, None] * Dr[:, None, :], lo, hi)
-        trial = trial.reshape(m * K, -1)
+        trial = Fr[:, None, :] - steps[:, :, None] * Dr[:, None, :]
+        np.minimum(np.maximum(trial, lo, out=trial), hi, out=trial)  # clip in place
+        trial = trial.reshape(len(run) * K, -1)
         if project is not None:
             trial = project(trial)
-        v, g = objective(trial, np.repeat(run, K))
-        v = np.where(np.isnan(v), np.inf, v).reshape(m, K)
-        k = np.argmin(v, axis=1)
-        best_v, pick = v[at, k], at * K + k
+        v, g = objective(trial, rows)
+        v = np.where(np.isnan(v), np.inf, v).reshape(-1, K)
+        k = v.argmin(axis=1)
+        pick = first + k
+        best_v = v.ravel()[pick]
         ok = best_v < vr - _ACCEPT
-        Fr = np.where(ok[:, None], trial[pick], Fr)
-        vr = np.where(ok, best_v, vr)
-        Dr = np.where(ok[:, None], box_projected(g[pick], trial[pick]), Dr)
-        moves += ok
-        step = np.where(ok, steps[at, k] * _GROW, step * _RUNGS[-1] * _SHRINK)
-        conv = np.linalg.norm(Dr, axis=1) < _GRAD_TOL
+        step = step * _RUNGS[-1] * _SHRINK
+        if ok.any():  # write back the rows that moved; most passes move them all
+            i = slice(None) if ok.all() else ok.nonzero()[0]
+            p = pick[i]
+            Fr[i], vr[i], step[i] = trial[p], best_v[i], steps.ravel()[p] * _GROW
+            Dr[i] = box_projected(g[p], Fr[i])
+            moves[i] += 1
+        conv = (Dr * Dr).sum(axis=1) < _GRAD_TOL**2
+        floor = step <= step_floor
         below = vr < stop_below
         if stall_exit:
-            best.append(min(np.min(vals), np.min(vr)))
+            best.append(min(stopped, vr.min()))
             stalled = len(best) > _STALL_PASSES and (
                 best[-1 - _STALL_PASSES] - best[-1] <= _STALL_RTOL * abs(best[-1])
             )
-        done = conv | stalled | (moves >= opts.max_iters) | (step <= step_floor) | below
+        done = conv | floor | (moves >= opts.max_iters) | below | stalled
         if done.any():
-            F[run[done]], vals[run[done]], converged[run[done]] = Fr[done], vr[done], conv[done]
+            d = run[done]
+            F[d], vals[d], converged[d] = Fr[done], vr[done], (conv | floor)[done]
+            stopped = min(stopped, vr[done].min())
             exits[groups[run[below]]] = True
             keep = ~done & ~exits[groups[run]]
             run, Fr, vr, Dr, step, moves = (
                 run[keep], Fr[keep], vr[keep], Dr[keep], step[keep], moves[keep]
             )
+            first, rows = K * np.arange(len(run)), np.repeat(run, K)
     converged |= stalled  # the best value has stopped moving, whichever row holds it
     return vals, F, converged
 
@@ -287,8 +333,10 @@ def eta_phi(
     fwit, _, rho = mc_witness(d)
     svd_dir = fwit[sx]
 
+    prob = _EtaProblem(P, px, py, phi, psi)
+
     def neg_ratio(F, rows=None):
-        ratio, grad = _ratio_and_grad(F, P, px, py, phi, psi)
+        ratio, grad = prob.rows(F)
         return -ratio, -grad
 
     # restart 0 follows the quadratic-case witness, the others are uniform

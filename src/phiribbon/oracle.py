@@ -4,7 +4,7 @@ These share no code with the search or spectral implementations: entropies
 are re-derived from their definitions and minima come from exhaustive grids,
 so an agreement between the two is meaningful evidence.  A grid ``pts^n`` is
 walked in ``itertools.product`` order, in blocks of rows decoded from the
-row index by mixed-radix arithmetic, so ties resolve to the first grid row.
+row index by ``np.unravel_index``, so ties resolve to the first grid row.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ def _grid_blocks(pts: np.ndarray, n: int):
     if total > _CAP:
         raise GridTooLarge(f"{r}^{n} = {total} grid points exceeds cap {_CAP}")
     chunk = max(1, _CAP // (50 * max(n, 1)))
-    place = r ** np.arange(n - 1, -1, -1)  # the digit of column j is idx // r^(n-1-j) % r
     for start in range(0, total, chunk):
+        # C order puts the last column's digit fastest, as itertools.product does
         idx = np.arange(start, min(start + chunk, total))
-        yield pts[idx[:, None] // place % r]
+        yield pts[np.stack(np.unravel_index(idx, (r,) * n), axis=1)]
 
 
 def _objective_batch(

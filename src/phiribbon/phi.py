@@ -20,6 +20,9 @@ from .dist import JointDist, JointFunction, MarginalFunction, cond_expectation, 
 from .errors import BadParameter, DomainViolation, NotIndependent
 
 _CLAMP = 1e-12
+# an entropy's Bregman sum below this share of Phi's scale, max |Phi(v)| + |Phi(m)|,
+# may be mostly cancellation error, so its terms are recomputed by quadrature
+_CANCEL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -265,7 +268,7 @@ def _clamped(v: float) -> float:
 # Gauss-Legendre nodes mapped to [0, 1], for the Bregman-term quadrature
 _GL_S, _GL_W = np.polynomial.legendre.leggauss(12)
 _GL_S = 0.5 * (_GL_S + 1.0)
-_GL_W = 0.5 * _GL_W
+_GL_K = (1.0 - _GL_S) * (0.5 * _GL_W)  # weights of integral_0^1 (1 - s) g(s) ds at _GL_S
 
 
 def _wmean(x: np.ndarray, weights: np.ndarray, total) -> np.ndarray:
@@ -278,7 +281,12 @@ def _entropy_rows(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> np.n
     rows, or one row of weights per row, each with a positive total.
 
     Zero-weight atoms carry arbitrary values and never reach Phi.  Phi and
-    Phi' are evaluated once each; :func:`_entropy_from_values` does the rest.
+    Phi' are evaluated once each, for the Bregman form
+    ``E[Phi(f) - Phi(m) - Phi'(m)(f - m)]`` at the row means m; where that is
+    tiny relative to Phi's scale (catastrophic cancellation) each term is
+    recomputed without subtraction by :func:`_bregman_terms`.  A mean on the
+    domain edge uses ``E[Phi(f) - Phi(m)]``.  Derivatives a spec lacks come
+    from the stencil of :meth:`PhiSpec.deriv`.
     """
     values = np.asarray(values, dtype=float)
     on = weights > 0
@@ -292,45 +300,37 @@ def _entropy_rows(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> np.n
     c = values[:, 0]
     m = c + _wmean(values - c[:, None], weights, total)
     pfm = phi.safe_eval(np.concatenate([values, m[:, None]], axis=1))
+    pf, pm = pfm[:, :-1], pfm[:, -1]
     a, b = phi.domain
     interior = (m > a) & (m < b)  # Phi'(m) is only needed, and finite, at interior m
     d1m = phi.deriv(1, m if interior.all() else np.where(interior, m, 0.5 * (a + b)))
-    return _entropy_from_values(phi, weights, total, values, m, pfm[:, :-1], pfm[:, -1], d1m)
-
-
-def _entropy_from_values(phi, weights, total, values, m, pf, pm, d1m) -> np.ndarray:
-    """H_phi per row from ``pf = Phi(values)``, ``pm = Phi(m)`` at the row
-    means m and ``d1m = Phi'(m)``, under ``weights`` with their ``total`` as
-    in :func:`_wmean`.
-
-    Bregman form ``E[Phi(f) - Phi(m) - Phi'(m)(f - m)]``; where that is tiny
-    relative to Phi's scale (catastrophic cancellation) each term is
-    recomputed without subtraction as
-    ``(v - m)^2 * integral_0^1 (1 - s) Phi''(m + s(v - m)) ds``.  A mean on
-    the domain edge uses ``E[Phi(f) - Phi(m)]``.  Derivatives a spec lacks
-    come from the stencil of :meth:`PhiSpec.deriv`.
-    """
-    a, b = phi.domain
-    interior = (m > a) & (m < b)
     dv = values - m[:, None]
     diff = pf - pm[:, None]  # exact zeros on a constant row
     out = _wmean(diff, weights, total)
     out = np.where(interior, _wmean(diff - d1m[:, None] * dv, weights, total), out)
     scale = np.abs(pf).max(axis=1) + np.abs(pm)
-    tiny = (interior & (out < 1e-5 * scale)).nonzero()[0]
+    tiny = (interior & (out < _CANCEL * scale)).nonzero()[0]
     if len(tiny):
-        dt, mt = dv[tiny], m[tiny]
-        nodes = mt[:, None, None] + dt[:, :, None] * _GL_S  # inside the hull of {v, m}
-        terms = dt * dt * (phi.deriv(2, nodes) @ ((1.0 - _GL_S) * _GL_W))
-        zero = phi.allow_zero & (values[tiny] == 0.0)
-        if zero.any():
-            # singular lower end: fall back to the direct formula there
-            direct = pf[tiny] - pm[tiny, None] - phi.deriv(1, mt)[:, None] * dt
-            terms = np.where(zero, direct, terms)
         rows = (weights, total) if weights.ndim == 1 else (weights[tiny], total[tiny])
-        out[tiny] = _wmean(terms, *rows)
+        out[tiny] = _wmean(_bregman_terms(phi, values[tiny], m[tiny], pf[tiny], pm[tiny]), *rows)
     out[(-_CLAMP <= out) & (out < 0.0)] = 0.0
     return out
+
+
+def _bregman_terms(phi, values, m, pf, pm) -> np.ndarray:
+    """``Phi(v) - Phi(m) - Phi'(m)(v - m)`` per entry of ``values``, row means
+    m, computed without the subtraction as ``(v - m)^2 * integral_0^1 (1 - s)
+    Phi''(m + s(v - m)) ds`` by Gauss-Legendre quadrature; ``pf = Phi(values)``
+    and ``pm = Phi(m)`` serve the direct formula at a 0 that ``allow_zero``
+    admits, where Phi'' is singular."""
+    dt = values - m[:, None]
+    nodes = m[:, None, None] + dt[:, :, None] * _GL_S  # inside the hull of {v, m}
+    terms = dt * dt * (phi.deriv(2, nodes) @ _GL_K)
+    zero = phi.allow_zero & (values == 0.0)
+    if zero.any():
+        direct = pf - pm[:, None] - phi.deriv(1, m)[:, None] * dt
+        terms = np.where(zero, direct, terms)
+    return terms
 
 
 def _entropy_of_weighted(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> float:

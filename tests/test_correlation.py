@@ -5,13 +5,18 @@ import pytest
 
 from phiribbon import correlation
 from phiribbon.correlation import (
+    _ACCEPT,
+    _GRAD_TOL,
+    _GROW,
     _RUNGS,
+    _SHRINK,
     _STALL_PASSES,
     _STALL_RTOL,
+    _STEP_INIT,
     SearchOpts,
     _bipartite_matrices,
+    _EtaProblem,
     _pgd,
-    _ratio_and_grad,
     eta_lower_bound_rho2,
     eta_phi,
     maximal_correlation,
@@ -20,6 +25,7 @@ from phiribbon.correlation import (
 from phiribbon.dist import JointFunction, canonical, cond_expectation, make_joint
 from phiribbon.errors import BadParameter, NotBipartite
 from phiribbon.phi import PhiSpec, _entropy_rows, binent, parse_phi, square, xlogx
+from phiribbon.ribbon_phi import _EXIT_BELOW, _FlatProblem, _project_density, _seeds
 
 
 def test_search_opts_validation():
@@ -177,7 +183,7 @@ def test_ratio_and_grad_match_two_entropy_evaluations(phi_name, psi_name):
     U = rng.uniform(-1, 1, size=(len(amps), 6, 3))
     c = rng.uniform(lo, hi, size=(1, 6, 1))
     F = np.clip(c + 0.5 * (hi - lo) * amps[:, None, None] * U, lo, hi).reshape(-1, 3)
-    ratio, grad = _ratio_and_grad(F, P, px, py, phi, psi)
+    ratio, grad = _EtaProblem(P, px, py, phi, psi).rows(F)
     want, want_grad, size = _ratio_and_grad_reference(F, P, px, py, phi, psi)
     ok = np.isfinite(want)
     assert np.array_equal(np.isfinite(ratio), ok)
@@ -358,13 +364,13 @@ def test_eta_phi_objective_budget(monkeypatch, law, phi_name, parent):
     # the parent counts come from the plain one-step ascent that ran every row
     # to max_iters; the ladder and the stall exit must stay well under them
     calls = []
-    real = correlation._ratio_and_grad
+    real = correlation._EtaProblem.rows
 
-    def counted(*args):
-        calls.append(len(args[0]))
-        return real(*args)
+    def counted(self, F):
+        calls.append(len(F))
+        return real(self, F)
 
-    monkeypatch.setattr(correlation, "_ratio_and_grad", counted)
+    monkeypatch.setattr(correlation._EtaProblem, "rows", counted)
     if law == "dsbs":
         d = canonical("dsbs", lam=0.5)
     else:
@@ -374,3 +380,146 @@ def test_eta_phi_objective_budget(monkeypatch, law, phi_name, parent):
     assert est.converged
     if law == "dsbs":
         assert est.value == pytest.approx(0.25, abs=2e-3)
+
+
+def test_eta_phi_converged_when_every_restart_reaches_its_step_floor():
+    # the best ratio last rises at pass 17 and every restart has reached the
+    # step floor by pass 25, before the 10-pass stall window could fill
+    est = eta_phi(canonical("dsbs", lam=0.5), xlogx(), opts=SearchOpts(4, 100, seed=3))
+    assert est.value == pytest.approx(0.25, abs=1e-9)
+    assert est.converged
+
+
+def _pgd_reference(
+    objective, F, lo, hi, opts, project=None, stop_below=-np.inf, groups=None, stall_exit=False
+):
+    """The engine loop before its bookkeeping was trimmed, kept as its reference.
+
+    Besides values, rows and the gradient-test flags it returns which rows
+    stopped at the step floor.
+    """
+    F = np.array(F, dtype=float)
+    vals, G = objective(F, np.arange(len(F)))
+    vals = np.where(np.isnan(vals), np.inf, vals)
+    groups = np.zeros(len(F), dtype=int) if groups is None else groups
+    step_floor = 1e-14 * (hi - lo)
+    K = len(_RUNGS)
+
+    def box_projected(G, F):
+        return np.where(((F <= lo) & (G > 0)) | ((F >= hi) & (G < 0)), 0.0, G)
+
+    D = box_projected(G, F)
+    converged = np.isfinite(vals) & (np.linalg.norm(D, axis=1) < _GRAD_TOL)
+    floored = np.zeros(len(F), dtype=bool)
+    step = _STEP_INIT * (hi - lo)
+    live = np.isfinite(vals) & ~converged & (step > step_floor) & (opts.max_iters > 0)
+    below = vals < stop_below
+    exits = np.zeros(groups.max() + 1, dtype=bool)
+    exits[groups[below]] = True
+    run = np.flatnonzero(live & ~exits[groups])
+    Fr, vr, Dr = F[run], vals[run], D[run]
+    step, moves = np.full(len(run), step), np.zeros(len(run), dtype=int)
+    best, stalled = [np.min(vals)], False
+    vals[live & ~below] = np.inf
+    while len(run):
+        m, at = len(run), np.arange(len(run))
+        steps = step[:, None] * _RUNGS
+        trial = np.clip(Fr[:, None, :] - steps[:, :, None] * Dr[:, None, :], lo, hi)
+        trial = trial.reshape(m * K, -1)
+        if project is not None:
+            trial = project(trial)
+        v, g = objective(trial, np.repeat(run, K))
+        v = np.where(np.isnan(v), np.inf, v).reshape(m, K)
+        k = np.argmin(v, axis=1)
+        best_v, pick = v[at, k], at * K + k
+        ok = best_v < vr - _ACCEPT
+        Fr = np.where(ok[:, None], trial[pick], Fr)
+        vr = np.where(ok, best_v, vr)
+        Dr = np.where(ok[:, None], box_projected(g[pick], trial[pick]), Dr)
+        moves += ok
+        step = np.where(ok, steps[at, k] * _GROW, step * _RUNGS[-1] * _SHRINK)
+        conv = np.linalg.norm(Dr, axis=1) < _GRAD_TOL
+        below = vr < stop_below
+        if stall_exit:
+            best.append(min(np.min(vals), np.min(vr)))
+            stalled = len(best) > _STALL_PASSES and (
+                best[-1 - _STALL_PASSES] - best[-1] <= _STALL_RTOL * abs(best[-1])
+            )
+        done = conv | stalled | (moves >= opts.max_iters) | (step <= step_floor) | below
+        if done.any():
+            F[run[done]], vals[run[done]], converged[run[done]] = Fr[done], vr[done], conv[done]
+            floored[run[done]] = (step <= step_floor)[done]
+            exits[groups[run[below]]] = True
+            keep = ~done & ~exits[groups[run]]
+            run, Fr, vr, Dr, step, moves = (
+                run[keep], Fr[keep], vr[keep], Dr[keep], step[keep], moves[keep]
+            )
+    converged |= stalled
+    return vals, F, converged, floored
+
+
+def _engine_problems():
+    """Seeded ``(objective, starts, lo, hi, opts, keywords)`` for both engine users."""
+    rng = np.random.default_rng(21)
+    for shape, name in (((2, 2), "binent"), ((2, 2, 2), "power:1.5"), ((3, 3), "xlogx:0.05,4")):
+        d = make_joint(shape, rng.dirichlet(np.ones(int(np.prod(shape)))))
+        phi = parse_phi(name)
+        prob = _FlatProblem(d, phi)
+        for box, exit_below, max_iters in (
+            ((0.7, 1.0), _EXIT_BELOW, 50),  # corner points: groups exit early
+            ((0.0, 0.3), _EXIT_BELOW, 50),  # deep points: every row runs out
+            ((0.0, 1.0), 0.0, 50),  # some groups start below stop_below
+            ((0.0, 1.0), _EXIT_BELOW, 0),
+        ):
+            lams = rng.uniform(*box, size=(3, len(shape)))
+            starts, lo, hi = _seeds(prob, lams, np.random.default_rng(5), 4)
+            L = np.repeat(lams, 4, axis=0)
+            yield (
+                lambda X, rows, L=L, prob=prob: prob.rows(X, L[rows]), starts, lo, hi,
+                SearchOpts(4, max_iters), {"stop_below": exit_below, "groups": np.arange(12) // 4},
+            )
+    # the normalized search: every trial row goes through the density projection
+    d = make_joint([2, 2], rng.dirichlet(np.ones(4)))
+    prob, lams = _FlatProblem(d, parse_phi("xlogx:0,4")), rng.uniform(0.3, 1.0, size=(2, 2))
+
+    def project(V):
+        return _project_density(V, prob.p, 1e-12, 4.0 - 4e-9)
+
+    starts, lo, hi = _seeds(prob, lams, np.random.default_rng(6), 4, project)
+    L = np.repeat(lams, 4, axis=0)
+    yield (
+        lambda X, rows: prob.rows(X, L[rows]), starts, lo, hi, SearchOpts(4, 50),
+        {"project": project, "stop_below": -np.inf, "groups": np.arange(8) // 4},
+    )
+    # eta_phi's ascent with the stall exit, and a start where the ratio is undefined
+    for shape, name in (((2, 2), "xlogx"), ((3, 3), "sym:1.5"), ((4, 4), "power:1.5")):
+        d = make_joint(shape, rng.dirichlet(np.ones(int(np.prod(shape)))))
+        phi = parse_phi(name)
+        P, px, py, _, _ = _bipartite_matrices(d)
+        prob = _EtaProblem(P, px, py, phi, phi)
+        a, b = phi.domain
+        lo, hi = a + 1e-9 * (b - a), b - 1e-9 * (b - a)
+
+        def neg_ratio(X, rows, prob=prob):
+            ratio, grad = prob.rows(X)
+            return -ratio, -grad
+
+        starts = rng.uniform(lo, hi, size=(6, shape[0]))
+        for stall_exit in (True, False):
+            yield neg_ratio, starts, lo, hi, SearchOpts(6, 100), {"stall_exit": stall_exit}
+        yield neg_ratio, np.full((3, shape[0]), 0.5 * (lo + hi)), lo, hi, SearchOpts(3, 100), {}
+
+
+def test_pgd_matches_the_reference_loop():
+    # the same rows and values bit for bit; converged differs only where a
+    # row stopped on its step floor, which now counts as converged
+    floor_flips = exits = undefined = 0
+    for objective, starts, lo, hi, opts, kw in _engine_problems():
+        vals, ends, conv = _pgd(objective, starts, lo, hi, opts, **kw)
+        want, want_ends, want_conv, floored = _pgd_reference(objective, starts, lo, hi, opts, **kw)
+        assert np.array_equal(vals, want) and np.array_equal(ends, want_ends)
+        assert np.array_equal(conv, want_conv | floored)
+        floor_flips += (floored & ~want_conv).sum()
+        exits += (want < kw.get("stop_below", -np.inf)).sum()
+        undefined += np.isinf(want).all()
+    assert floor_flips > 0 and exits > 0 and undefined > 0

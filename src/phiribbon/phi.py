@@ -93,7 +93,7 @@ class PhiSpec:
         if mask is not None:
             ok = ok | ~mask
         if not np.all(ok):
-            bad = v[~ok].ravel()[0]
+            bad = float(v[~ok].ravel()[0])
             raise DomainViolation(
                 f"value {bad!r} outside domain [{a}, {b}] of {self.name}"
             )

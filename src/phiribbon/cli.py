@@ -174,8 +174,9 @@ def ribbon():
 @click.option("--lambda", "lam_text", required=True)
 @click.option("--kind", type=click.Choice(ribbon_mc.KINDS), default="mc")
 def ribbon_check(dist_path, lam_text, kind):
-    """Exact membership test.  ``min_eigenvalue`` is null when the test
-    matrix is empty (no coordinate varies): the point is a member."""
+    """Exact membership test.  For ``mc``, ``min_eigenvalue`` is that of the
+    congruent ``I - Lambda^{1/2} M Lambda^{1/2}`` (the sign of ``Lambda^{-1} - M``'s;
+    1 at lambda = 0).  It is null when no coordinate varies: a member."""
     d = _load_dist(dist_path)
     lam = _parse_lambda(lam_text, d.k)
     fn = {

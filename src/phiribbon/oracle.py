@@ -169,6 +169,9 @@ def brute_maximal_correlation(d: JointDist, grid: GridSpec) -> float:
 
     Grids the function g on the Y support; for each g the optimal partner
     is f = E[g|X] (the correlation-maximizing choice), evaluated exactly.
+    ``grid.domain`` is not read: g is gridded on [-1, 1], correlation is
+    invariant under affine maps of g, and any other interval's grid, midpoint
+    included, is an affine image of this one, so no domain changes the answer.
     """
     if d.k != 2:
         raise NotBipartite("brute_maximal_correlation needs k = 2")

@@ -6,8 +6,8 @@ assemble into a symmetric matrix ``M``.  Every region query here reduces to
 a positive-semidefinite test on a matrix derived from ``M`` and the
 diagonal expansion of the queried lambda point:
 
-* variance region ("mc"): member iff ``Lambda^{-1} - M >= 0``
-  (blocks with ``lambda_i = 0`` deleted);
+* variance region ("mc"): member iff ``I - Lambda^{1/2} M Lambda^{1/2} >= 0``
+  (for lambda > 0, congruent to ``Lambda^{-1} - M >= 0``);
 * same region, alternate form ("sprime"): member iff ``M - M Lambda M >= 0``;
 * sum-variance region ("tilde"): member iff ``M - Lambda >= 0``.
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import JointDist, JointFunction, MarginalFunction, marginal
+from .dist import JointDist, JointFunction, MarginalFunction
 from .errors import (
     BadCoordinate,
     BadLambda,
@@ -35,7 +35,7 @@ from .errors import (
 )
 
 PSD_TOL = 1e-9
-_LAMBDA_FLOOR = 1e-300  # below it 1/lambda overflows; lambda_i moves no test past PSD_TOL
+_LAMBDA_FLOOR = 1e-300  # entries below read as 0: fc2_gap, bipartite_closed_form divide by them
 _common_tol = 1e-8
 KINDS = ("mc", "sprime", "tilde")
 _STACK_ROWS = 4096  # lambda rows per stacked eigenvalue solve: bounds its memory
@@ -62,39 +62,39 @@ class MembershipResult:
 def _marginal_basis(p: np.ndarray) -> np.ndarray:
     """Orthonormal zero-mean basis under <f,g> = sum p f g, as columns.
 
-    Symbols are processed in decreasing probability; vectors whose residual
-    norm falls below 1e-10 are dropped (the span of centered indicators has
-    dimension support-1).  Rows at zero-probability symbols are 0.
+    The Gram-Schmidt basis of the centered indicators in closed form: with
+    the support sorted as q_1 >= ... >= q_m, tails T_j = q_j + ... + q_m and
+    residual norms r_j = sqrt(q_j T_{j+1} / T_j), column j is 0 before symbol
+    j, r_j / q_j at it and -r_j / T_{j+1} after it.  Columns from the first
+    with r_j < 1e-10 drop (r_m = 0).  Rows at zero-probability symbols are 0.
     """
-    n = len(p)
     support = np.flatnonzero(p > 0)
     order = support[np.argsort(-p[support])]
-    basis: list[np.ndarray] = []
-    for s in order:
-        v = np.zeros(n)
-        v[s] = 1.0
-        v[support] -= p[s]  # center: subtract the mean of the indicator
-        for b in basis:
-            v -= np.dot(p, v * b) * b
-        norm = np.sqrt(np.dot(p, v * v))
-        if norm < 1e-10:
-            continue
-        basis.append(v / norm)
-    return np.column_stack(basis) if basis else np.zeros((n, 0))
+    q = p[order]
+    tail = np.cumsum(q[::-1])[::-1]  # summed from the smallest up: small tails stay exact
+    q, after = q[:-1], tail[1:]  # column m, with r_m = 0, always drops
+    r = np.sqrt(q * after / tail[:-1])
+    dim = next((j for j, x in enumerate(r.tolist()) if x < 1e-10), len(r))
+    col = np.arange(dim)
+    B = np.zeros((len(p), dim))
+    B[order] = (np.arange(len(order))[:, None] > col) * (-r / after)[:dim]  # the tail rows
+    B[order[:dim], col] = (r / q)[:dim]
+    return B
 
 
 def gram_matrix(d: JointDist) -> GramMatrix:
-    """Assemble M with one block per coordinate; diagonal blocks are I."""
+    """Assemble ``M = W^T W``, row a of W holding sqrt(p_a) times every basis
+    function at atom a; the diagonal blocks are set to exactly I."""
     basis = tuple(_marginal_basis(d.marginal_vector(i)) for i in range(d.k))
     dims = tuple(b.shape[1] for b in basis)
-    off = np.cumsum((0, *dims))  # block i of M spans off[i]:off[i + 1]
-    M = np.eye(off[-1])
-    for i in range(d.k):
-        for j in range(i + 1, d.k):
-            pij = d.probs.sum(axis=tuple(a for a in range(d.k) if a not in (i, j)))
-            block = basis[i].T @ pij @ basis[j]
-            M[off[i] : off[i + 1], off[j] : off[j + 1]] = block
-            M[off[j] : off[j + 1], off[i] : off[i + 1]] = block.T
+    p = d.probs.ravel()
+    symbols = np.unravel_index(np.arange(p.size), d.alphabet_sizes)  # per coordinate, per atom
+    W = np.sqrt(p)[:, None] * np.concatenate([b[s] for b, s in zip(basis, symbols)], 1)
+    M, a = W.T @ W, 0
+    for n in dims:  # the product leaves rounding-level entries in the diagonal blocks
+        M[a : a + n, a : a + n] = 0.0
+        a += n
+    np.fill_diagonal(M, 1.0)
     return GramMatrix(dims, M, basis)
 
 
@@ -112,19 +112,18 @@ def _check_lambda(lam, k: int, ndim: int = 1) -> np.ndarray:
 def _test_matrices(kind: str, M: np.ndarray, dims, lams: np.ndarray):
     """Stack of matrices whose PSD-ness decides membership, one per lambda row.
 
-    ``M`` has blocks of sizes ``dims``, one per lambda entry.  "mc" deletes
-    the blocks of zero lambda entries, so its rows must share them.  Also
-    returns the index of the rows and columns of M kept.
+    ``M`` has blocks of sizes ``dims``, one per lambda entry.  "mc" is
+    ``I - S M S = S (Lambda^{-1} - M) S`` with ``S = Lambda^{1/2}``, of the
+    same inertia (Sylvester) for lambda > 0; a zero lambda_i leaves an
+    identity block, decoupled from the rest.
     """
-    L, keep = np.repeat(lams, dims, axis=1), slice(None)
+    L = np.repeat(lams, dims, axis=1)
     if kind == "mc":
-        if not lams[0].all():
-            keep = np.repeat(lams[0] > 0, dims)
-            L, M = L[:, keep], M[np.ix_(keep, keep)]
-        return (1.0 / L)[:, :, None] * np.eye(len(M)) - M, keep
+        s = np.sqrt(L)
+        return np.eye(len(M)) - s[:, :, None] * M * s[:, None, :]
     if kind == "sprime":
-        return M - M @ (L[:, :, None] * M), keep
-    return M - L[:, :, None] * np.eye(len(M)), keep
+        return M - M @ (L[:, :, None] * M)
+    return M - L[:, :, None] * np.eye(len(M))
 
 
 def _witness_functions(g: GramMatrix, coeffs: np.ndarray) -> tuple[MarginalFunction, ...]:
@@ -179,15 +178,15 @@ def tilde_gap(d: JointDist, lam, fs) -> float:
 def _membership(kind: str, d: JointDist, lam, g: GramMatrix | None) -> MembershipResult:
     lam = _check_lambda(lam, d.k)
     g = g or gram_matrix(d)
-    A, keep = _test_matrices(kind, g.M, g.block_dims, lam[None])
+    A = _test_matrices(kind, g.M, g.block_dims, lam[None])
     if A.shape[-1] == 0:
         return MembershipResult(True, float("inf"))
     w, V = np.linalg.eigh(A[0])
     if w[0] >= -PSD_TOL:
         return MembershipResult(True, float(w[0]))
-    c = np.zeros(len(g.M))
-    c[keep] = V[:, 0]
-    fs = _witness_functions(g, c)
+    # an "mc" eigenvector v maps back as c = S v, so that fc2_gap(c) = v^T A v
+    s = np.sqrt(np.repeat(lam, g.block_dims)) if kind == "mc" else 1.0
+    fs = _witness_functions(g, s * V[:, 0])
     if kind == "mc":
         gap = fc2_gap(d, lam, fs)
     elif kind == "sprime":
@@ -198,7 +197,10 @@ def _membership(kind: str, d: JointDist, lam, g: GramMatrix | None) -> Membershi
 
 
 def mc_membership(d: JointDist, lam, g: GramMatrix | None = None) -> MembershipResult:
-    """PSD test ``Lambda^{-1} - M >= 0`` after deleting lambda_i = 0 blocks."""
+    """PSD test ``I - Lambda^{1/2} M Lambda^{1/2} >= 0``, whose least
+    eigenvalue has the sign of ``Lambda^{-1} - M``'s.  ``PSD_TOL`` applies on
+    this bounded scale: at lambda = (1, 1e-12) the deepest gap, about
+    ``-1e-12 rho^2``, is inside it, so the point reads as a member."""
     return _membership("mc", d, lam, g)
 
 
@@ -220,21 +222,18 @@ def membership_verdicts(
     """Verdicts of one ``kind`` of membership at each row of ``lams``.
 
     Stacked ``eigh`` solves of the single-point functions' test matrices,
-    with their tolerance but no witnesses, so each verdict equals the
-    single-point one; "mc" rows are grouped by zero pattern.
+    ``_STACK_ROWS`` rows at a time, with their tolerance but no witnesses,
+    so each verdict equals the single-point one.
     """
     if kind not in KINDS:
         raise BadParameter(f"kind must be one of {KINDS}")
     lams = _check_lambda(lams, d.k, ndim=2)
     g = g or gram_matrix(d)
-    groups = (lams > 0) @ (1 << np.arange(d.k)) if kind == "mc" else np.zeros(len(lams))
     out = np.ones(len(lams), dtype=bool)
-    for group in np.unique(groups):
-        rows = np.flatnonzero(groups == group)
-        for start in range(0, len(rows), _STACK_ROWS):
-            chunk = rows[start : start + _STACK_ROWS]
-            A, _ = _test_matrices(kind, g.M, g.block_dims, lams[chunk])
-            out[chunk] = np.linalg.eigh(A)[0].min(axis=1, initial=np.inf) >= -PSD_TOL
+    for start in range(0, len(lams), _STACK_ROWS):
+        rows = slice(start, start + _STACK_ROWS)
+        A = _test_matrices(kind, g.M, g.block_dims, lams[rows])
+        out[rows] = np.linalg.eigh(A)[0].min(axis=1, initial=np.inf) >= -PSD_TOL
     return out
 
 
@@ -296,28 +295,24 @@ def bbt_closed_form(d: JointDist, lam) -> bool:
 
 
 def pearson_matrix(d: JointDist) -> np.ndarray:
-    """Pearson correlation matrix of an all-binary distribution's bits."""
+    """Pearson correlation matrix of an all-binary distribution's bits, as
+    one product over the atoms of their standardized bits."""
     if any(s != 2 for s in d.alphabet_sizes):
         raise BadShape("pearson_matrix needs all-binary coordinates")
-    k = d.k
-    R = np.eye(k)
-    vals = []
-    for i in range(k):
-        p = d.marginal_vector(i)
-        m = p[1]
-        sd = np.sqrt(m * (1 - m))
-        if sd <= 0:
-            raise NonGeneric(f"coordinate {i} is deterministic")
-        vals.append((np.array([0.0, 1.0]) - m) / sd)
-    for i in range(k):
-        for j in range(i + 1, k):
-            pij = marginal(d, [i, j]).probs
-            R[i, j] = R[j, i] = float(vals[i] @ pij @ vals[j])
+    p = d.probs.ravel()
+    bits = np.transpose(np.unravel_index(np.arange(p.size), d.alphabet_sizes)).astype(float)
+    ones, zeros = p @ bits, p @ (1.0 - bits)  # P(bit = 1), P(bit = 0)
+    sd = np.sqrt(ones * zeros)
+    if not sd.all():
+        raise NonGeneric(f"coordinate {int(np.argmin(sd))} is deterministic")
+    W = np.sqrt(p)[:, None] * ((bits - ones) / sd)
+    R = W.T @ W
+    np.fill_diagonal(R, 1.0)
     return R
 
 
 def gaussian_mc_membership(R: np.ndarray, lam) -> bool:
-    """Member iff ``Lambda^{-1} - R >= 0`` (lambda_i = 0 rows deleted).
+    """Member iff ``I - Lambda^{1/2} R Lambda^{1/2} >= 0`` (``Lambda^{-1} - R >= 0``).
 
     ``R`` is the correlation matrix of a jointly Gaussian (or the Pearson
     matrix of an all-binary) vector.
@@ -332,7 +327,7 @@ def gaussian_mc_membership(R: np.ndarray, lam) -> bool:
         raise NotCorrelationMatrix("R must have unit diagonal")
     if np.linalg.eigvalsh(R)[0] < -PSD_TOL:
         raise NotCorrelationMatrix("R must be positive semidefinite")
-    A, _ = _test_matrices("mc", R, (1,) * k, _check_lambda(lam, k)[None])
+    A = _test_matrices("mc", R, (1,) * k, _check_lambda(lam, k)[None])
     return bool(np.linalg.eigh(A[0])[0].min(initial=np.inf) >= -PSD_TOL)
 
 
@@ -346,8 +341,7 @@ def detect_structure(d: JointDist, g: GramMatrix | None = None) -> dict:
     """
     g = g or gram_matrix(d)
     k = d.k
-    block = np.repeat(np.arange(k), g.block_dims)
-    off = np.where(block[:, None] == block, 0.0, g.M)  # cross blocks only
+    off = g.M - np.eye(len(g.M))  # cross blocks only: the diagonal blocks are I
     w, V = np.linalg.eigh(g.M) if len(g.M) else (np.array([1.0]), None)
     report = {
         "pairwise_independent": bool(np.max(np.abs(off), initial=0.0) < 1e-10),
@@ -384,7 +378,7 @@ def mc_boundary_trace(
 ) -> list[tuple[np.ndarray, bool]]:
     """Exit points of the ``_rays`` from the origin, in closed form.
 
-    Along ``t v``, ``Lambda^{-1} - M >= 0`` reads ``I/t - S M S >= 0`` with
+    Along ``t v`` the "mc" test matrix is ``I - t S M S`` with
     ``S = diag(sqrt(v))`` expanded over blocks, so the ray exits at
     ``t* = 1/lambda_max(S M S)``.  M has identity diagonal blocks and
     ``max v = 1``, so ``t* <= 1`` (the floor at 1 covers constant

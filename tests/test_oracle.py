@@ -236,16 +236,17 @@ def _min_objective_at_cap(cap, *args):
         return brute_min_objective(*args)
 
 
-def _max_correlation_reference(d, grid):
+def _max_correlation_reference(d, grid, interval=(-1.0, 1.0)):
+    lo, hi = interval
     px, py = d.marginal_vector(0), d.marginal_vector(1)
     P = d.probs[np.ix_(px > 0, py > 0)]
     pxs, pys = px[px > 0], py[py > 0]
     best = 0.0
-    for Gv in _product_blocks(grid.points(-1.0, 1.0), len(pys)):
+    for Gv in _product_blocks(grid.points(lo, hi), len(pys)):
         g0 = Gv - (Gv @ pys)[:, None]
         var_g = (g0 * g0) @ pys
         Ef = (g0 @ P.T) / pxs
-        ok = var_g > 1e-14
+        ok = var_g > 1e-14 * ((hi - lo) / 2) ** 2  # the oracle's 1e-14 on [-1, 1]
         with np.errstate(invalid="ignore", divide="ignore"):
             corr = np.sqrt(np.where(ok, ((Ef * Ef) @ pxs) / np.where(ok, var_g, 1.0), 0.0))
         best = max(best, float(np.max(corr)))
@@ -279,6 +280,25 @@ def test_grid_blocks_match_itertools_product(monkeypatch, cap):
     got, f = _assert_matches_reference(d, square(), lam, GridSpec(resolution=3))
     want, want_f = _min_objective_at_cap(default_cap, d, square(), lam, GridSpec(3))
     assert got == want and np.array_equal(f.values, want_f.values)
+
+
+def test_brute_maximal_correlation_answer_does_not_depend_on_the_domain():
+    # correlation is invariant under affine maps of g, and the grid of any
+    # interval, midpoint included, is an affine image of the grid on [-1, 1]
+    laws = [
+        canonical("dsbs", lam=0.7),
+        make_joint([2, 3], np.random.default_rng(23).dirichlet(np.ones(6))),
+    ]
+    for d in laws:
+        want = brute_maximal_correlation(d, GridSpec(9))
+        for domain in ((0.0, 0.001), (5.0, 6.0)):
+            got = brute_maximal_correlation(d, GridSpec(9, domain))
+            assert got == pytest.approx(want, rel=0, abs=1e-12), domain
+            # g gridded on the domain itself reaches the same correlation
+            on_domain = _max_correlation_reference(d, GridSpec(9), domain)
+            assert on_domain == pytest.approx(want, rel=0, abs=1e-12), domain
+    # a binary Y: every non-constant g attains rho
+    assert brute_maximal_correlation(laws[0], GridSpec(9)) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_oracle_imports_only_dist_errors_and_phi():

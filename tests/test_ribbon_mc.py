@@ -1,13 +1,15 @@
 """Unit tests for the exact (quadratic-case) region queries."""
 
+import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from phiribbon import ribbon_mc
 from phiribbon.correlation import maximal_correlation
-from phiribbon.dist import JointFunction, canonical, make_joint, pair_product
+from phiribbon.dist import JointFunction, canonical, make_joint, marginal, pair_product
 from phiribbon.errors import (
     BadLambda,
     BadParameter,
@@ -57,8 +59,8 @@ def test_gram_basis_is_orthonormal_zero_mean():
     for i, B in enumerate(g.basis):
         p = d.marginal_vector(i)
         assert B.shape == (3, g.block_dims[i]) == (3, 2)
-        assert np.allclose(p @ B, 0.0, rtol=0, atol=1e-10)
-        assert np.allclose(B.T @ (p[:, None] * B), np.eye(2), rtol=0, atol=1e-10)
+        assert np.allclose(p @ B, 0.0, rtol=0, atol=1e-13)
+        assert np.allclose(B.T @ (p[:, None] * B), np.eye(2), rtol=0, atol=1e-13)
 
 
 def test_lambda_validation():
@@ -346,7 +348,7 @@ def _grid(k, n):
     "sizes, n", [((2, 2), 11), ((3, 3), 9), ((2, 2, 2), 7), ((2, 2, 3), 6), ((3, 2, 2), 5)]
 )
 def test_membership_verdicts_match_single_point_tests(sizes, n, monkeypatch):
-    # small stacks, so that stack boundaries fall inside zero-pattern groups
+    # small stacks, so that stack boundaries fall inside the grid
     monkeypatch.setattr(ribbon_mc, "_STACK_ROWS", 7)
     rng = np.random.default_rng(19)
     d = _random_dist(rng, sizes)
@@ -397,3 +399,198 @@ def test_tensorization_of_membership():
     for lam in rng.uniform(0.05, 1.0, size=(30, 2)):
         want = mc_membership(dx, lam).verdict and mc_membership(dy, lam).verdict
         assert mc_membership(prod, lam).verdict == want
+
+
+# ---------------------------------------------------------------------------
+# The loop constructions that the closed forms replaced, kept as references
+
+
+def _marginal_basis_reference(p):
+    """Classical Gram-Schmidt on the centered indicators, in decreasing probability."""
+    n = len(p)
+    support = np.flatnonzero(p > 0)
+    order = support[np.argsort(-p[support])]
+    basis = []
+    for s in order:
+        v = np.zeros(n)
+        v[s] = 1.0
+        v[support] -= p[s]
+        for b in basis:
+            v -= np.dot(p, v * b) * b
+        norm = np.sqrt(np.dot(p, v * v))
+        if norm < 1e-10:
+            continue
+        basis.append(v / norm)
+    return np.column_stack(basis) if basis else np.zeros((n, 0))
+
+
+def _gram_matrix_reference(d):
+    """Block dims and M, with each cross block taken from a pairwise marginal."""
+    basis = [_marginal_basis_reference(d.marginal_vector(i)) for i in range(d.k)]
+    dims = tuple(b.shape[1] for b in basis)
+    off = np.cumsum((0, *dims))
+    M = np.eye(off[-1])
+    for i in range(d.k):
+        for j in range(i + 1, d.k):
+            pij = d.probs.sum(axis=tuple(a for a in range(d.k) if a not in (i, j)))
+            block = basis[i].T @ pij @ basis[j]
+            M[off[i] : off[i + 1], off[j] : off[j + 1]] = block
+            M[off[j] : off[j + 1], off[i] : off[i + 1]] = block.T
+    return dims, M
+
+
+def _mc_eigenvalue_reference(M, dims, lam):
+    """Least eigenvalue of ``Lambda^{-1} - M`` with the lambda_i = 0 blocks
+    deleted (inf if none is left).  Its entries reach 1/lambda_min, so it is
+    trusted only where every lambda_i is 0 or at least 1e-3."""
+    keep = np.repeat(np.asarray(lam) > 0, dims)
+    A = np.diag(1.0 / np.repeat(lam, dims)[keep]) - M[np.ix_(keep, keep)]
+    return np.linalg.eigvalsh(A)[0] if len(A) else np.inf
+
+
+def _pearson_reference(d):
+    """Pearson matrix from the standardized bits and each pairwise marginal."""
+    vals = []
+    for i in range(d.k):
+        m = d.marginal_vector(i)[1]
+        sd = np.sqrt(m * (1 - m))
+        if sd <= 0:
+            raise NonGeneric(f"coordinate {i} is deterministic")
+        vals.append((np.array([0.0, 1.0]) - m) / sd)
+    R = np.eye(d.k)
+    for i, j in itertools.combinations(range(d.k), 2):
+        R[i, j] = R[j, i] = vals[i] @ marginal(d, [i, j]).probs @ vals[j]
+    return R
+
+
+def _corpus():
+    """30 seeded laws per shape with about 20% zero atoms, each with 20 lambda
+    rows whose entries are 0 with probability 0.2 and 1 with probability 0.05."""
+    rng = np.random.default_rng(113)
+    for shape in ((2, 2), (3, 3), (4, 4), (2, 2, 2), (2, 2, 3), (3, 3, 3)):
+        n = int(np.prod(shape))
+        for _ in range(30):
+            p = rng.dirichlet(np.ones(n)) * (rng.random(n) >= 0.2)
+            if not p.any():
+                p[0] = 1.0
+            lams = rng.uniform(0.0, 1.0, (20, len(shape)))
+            u = rng.random(lams.shape)
+            lams[u < 0.2], lams[u > 0.95] = 0.0, 1.0
+            yield make_joint(shape, p / p.sum()), lams
+
+
+def test_closed_forms_match_the_loop_references():
+    checked = 0
+    for d, lams in _corpus():
+        g = gram_matrix(d)
+        for i, B in enumerate(g.basis):
+            ref = _marginal_basis_reference(d.marginal_vector(i))
+            assert B.shape == ref.shape
+            assert np.allclose(B, ref, rtol=0, atol=1e-13)
+        dims, M = _gram_matrix_reference(d)
+        assert g.block_dims == dims
+        assert np.allclose(g.M, M, rtol=0, atol=1e-13)
+        R = R_ref = None
+        if set(d.alphabet_sizes) == {2}:
+            try:
+                R_ref = _pearson_reference(d)
+            except NonGeneric:
+                with pytest.raises(NonGeneric):
+                    pearson_matrix(d)
+            else:
+                R = pearson_matrix(d)
+                assert np.allclose(R, R_ref, rtol=0, atol=1e-13)
+        stacked = membership_verdicts(d, "mc", lams, g)
+        for lam, in_stack in zip(lams, stacked):
+            if np.any((lam > 0) & (lam < 1e-3)):
+                continue
+            res = mc_membership(d, lam, g)
+            ref = _mc_eigenvalue_reference(M, dims, lam)
+            if min(abs(res.min_eigenvalue), abs(ref)) < 1e-9:
+                continue
+            assert res.verdict == in_stack == (ref >= -1e-9), lam
+            if R is not None:
+                ref = _mc_eigenvalue_reference(R_ref, (1,) * d.k, lam)
+                assert gaussian_mc_membership(R, lam) == (ref >= -1e-9), lam
+            checked += 1
+    assert checked > 2500
+
+
+_TINY_TO_ONE = (
+    1e-300, 1e-200, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1.0
+)
+
+
+def _exact_member(rho, lam):
+    """``(1/l1 - 1)(1/l2 - 1) >= rho^2`` in exact rational arithmetic."""
+    l1, l2 = (Fraction(float(x)) for x in lam)
+    return (1 / l1 - 1) * (1 / l2 - 1) >= Fraction(float(rho)) ** 2
+
+
+def test_mc_verdicts_at_small_lambda_match_exact_arithmetic():
+    # Lambda^{-1} - M has entries up to 1/lambda_min, and eigh's absolute error
+    # on it, about eps/lambda_min, swamps PSD_TOL once some lambda_i is below
+    # about 1e-7; the congruent I - S M S has entries of order 1
+    d = make_joint([3, 3], np.random.default_rng(3).dirichlet(np.ones(9)))
+    lam = [1e-12, 1 - 1e-9]
+    assert _exact_member(maximal_correlation(d), lam)
+    assert mc_membership(d, lam).verdict and membership_verdicts(d, "mc", [lam]).all()
+    rng = np.random.default_rng(29)
+    laws = [d] + [_random_dist(rng, s) for s in ((2, 2), (3, 3), (4, 4), (2, 5)) for _ in range(3)]
+    lams = np.array(list(itertools.product(_TINY_TO_ONE, repeat=2)))
+    checked = 0
+    for d in laws:
+        rho, g = maximal_correlation(d), gram_matrix(d)
+        R = pearson_matrix(d) if d.alphabet_sizes == (2, 2) else None
+        for lam, in_stack in zip(lams, membership_verdicts(d, "mc", lams, g)):
+            res = mc_membership(d, lam, g)
+            if abs(res.min_eigenvalue) < 1e-9:
+                continue
+            want = _exact_member(rho, lam)
+            assert res.verdict == in_stack == want, lam
+            if R is not None:
+                assert gaussian_mc_membership(R, lam) == want, lam
+            if not res.verdict:  # the witness gap is the eigenvalue, re-checked
+                assert res.gap < 0
+                assert res.gap == pytest.approx(res.min_eigenvalue, rel=1e-9, abs=1e-15)
+            checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        [0.7, 0.3 - 1e-10 - 1e-14, 1e-10, 1e-14],
+        [0.5, 0.5 - 1e-8 - 1e-12, 1e-8, 1e-12],
+        [0.4, 0.3, 0.3 - 2e-9, 1e-9, 1e-9],
+        [0.6, 0.4 - 1e-7 - 1e-11 - 1e-15, 1e-7, 1e-11, 1e-15],
+        [0.25, 0.25, 0.25, 0.25 - 1e-9, 1e-9],
+    ],
+)
+def test_marginal_basis_is_orthonormal_with_near_absent_symbols(p):
+    # classical Gram-Schmidt is off by up to 2e-9 on these; the closed form
+    # keeps orthonormality to rounding and the same dimension
+    p = np.asarray(p) / np.sum(p)
+    B = ribbon_mc._marginal_basis(p)
+    assert B.shape == _marginal_basis_reference(p).shape
+    assert np.allclose(p @ B, 0.0, rtol=0, atol=1e-13)
+    assert np.allclose(B.T @ (p[:, None] * B), np.eye(B.shape[1]), rtol=0, atol=1e-13)
+
+
+def test_gram_matrix_diagonal_blocks_are_exactly_identity():
+    # the product W^T W leaves rounding-level entries there; gram's CLI
+    # output, detect_structure and the trace's t* <= 1 rely on exact I
+    rng = np.random.default_rng(31)
+    for sizes in ((2, 2), (3, 3), (4, 4), (2, 2, 3), (3, 3, 3), (2, 5)):
+        g = gram_matrix(_random_dist(rng, sizes))
+        block = np.repeat(np.arange(len(sizes)), g.block_dims)
+        same = block[:, None] == block
+        assert np.array_equal(g.M[same], np.eye(len(block))[same])
+        assert np.array_equal(g.M, g.M.T)
+
+
+def test_mc_zero_lambda_entries_leave_identity_blocks():
+    d = canonical("dsbs", lam=0.9)
+    assert mc_membership(d, [0.0, 0.0]).min_eigenvalue == 1.0
+    assert mc_membership(d, [0.0, 0.7]).min_eigenvalue == pytest.approx(0.3, abs=1e-15)
+    assert gaussian_mc_membership(pearson_matrix(d), [0.0, 0.0])

@@ -67,22 +67,18 @@ class _Group(_Command, click.Group):
     group_class = type  # subgroups are _Group too
 
 
+def _load_json(path: str, what: str):
+    """The JSON object in a UTF-8 file; a file that cannot be opened, is not
+    UTF-8 or is not JSON is an input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as e:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise click.UsageError(f"cannot read {what} {path}: {e}")
+
+
 def _load_dist(path: str) -> JointDist:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise click.UsageError(f"cannot read distribution file {path}: {e}")
-    return dist_from_json_dict(obj)
-
-
-def _load_channel(path: str):
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise click.UsageError(f"cannot read channel file {path}: {e}")
-    return channel_from_json_dict(obj)
+    return dist_from_json_dict(_load_json(path, "distribution file"))
 
 
 def _parse_lambda(text: str, k: int) -> list[float]:
@@ -125,7 +121,10 @@ def rho(dist_path):
 @cli.command()
 @click.option("--dist", "dist_path", required=True)
 @click.option("--phi", "phi_name", required=True)
-@click.option("--psi", "psi_name", default=None)
+@click.option(
+    "--psi", "psi_name", default=None,
+    help="Phi of the numerator: estimate sup H_psi(E[f|Y]) / H_phi(f). Defaults to --phi.",
+)
 @click.option("--restarts", default=32, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def eta(dist_path, phi_name, psi_name, restarts, seed):
@@ -279,7 +278,7 @@ def phi_ribbon_trace(dist_path, phi_name, directions, seed, out_path):
 def phi_ribbon_channel_test(dist_path, phi_name, channel_path, lam_text):
     d = _load_dist(dist_path)
     phi = parse_phi(phi_name)
-    ch = _load_channel(channel_path)
+    ch = channel_from_json_dict(_load_json(channel_path, "channel file"))
     lam = _parse_lambda(lam_text, d.k)
     gap = ribbon_phi.i_phi_channel_test(d, phi, lam, ch)
     _emit_json(
@@ -296,11 +295,10 @@ def gaussian():
 @click.option("--R", "r_path", required=True)
 @click.option("--lambda", "lam_text", required=True)
 def gaussian_check(r_path, lam_text):
+    obj = _load_json(r_path, "correlation matrix")
     try:
-        with open(r_path) as fh:
-            obj = json.load(fh)
         R = np.asarray(obj["matrix"], dtype=float)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise click.UsageError(f"cannot read correlation matrix {r_path}: {e}")
     if R.ndim != 2:
         raise click.UsageError(f"correlation matrix in {r_path} must be 2-D")

@@ -86,13 +86,9 @@ def _bipartite_matrices(d: JointDist):
 
 
 def maximal_correlation(d: JointDist) -> float:
-    """Second singular value of ``Q[x,y] = p(x,y)/sqrt(p(x)p(y))``."""
-    P, px, py, _, _ = _bipartite_matrices(d)
-    if len(px) < 2 or len(py) < 2:
-        return 0.0
-    Q = P / np.sqrt(np.outer(px, py))
-    s = np.linalg.svd(Q, compute_uv=False)
-    return float(min(1.0, s[1]))
+    """Second singular value of ``Q[x,y] = p(x,y)/sqrt(p(x)p(y))``: the rho of
+    :func:`mc_witness`."""
+    return mc_witness(d)[2]
 
 
 def mc_witness(d: JointDist) -> tuple[np.ndarray, np.ndarray, float]:

@@ -272,13 +272,13 @@ _GL_K = (1.0 - _GL_S) * (0.5 * _GL_W)  # weights of integral_0^1 (1 - s) g(s) ds
 
 
 def _wmean(x: np.ndarray, weights: np.ndarray, total) -> np.ndarray:
-    """Row-wise weighted means: one weight vector for all rows, or one row per row."""
-    return (x @ weights if weights.ndim == 1 else (x * weights).sum(axis=1)) / total
+    """Row-wise weighted means, one row of weights per row of ``x``."""
+    return (x * weights).sum(axis=1) / total
 
 
 def _entropy_rows(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """H_phi of each row of ``values`` under atom weights: one vector for all
-    rows, or one row of weights per row, each with a positive total.
+    """H_phi of each row of ``values`` under atom weights broadcast to the
+    rows (one vector for all rows, or one row per row), each with a positive total.
 
     Zero-weight atoms carry arbitrary values and never reach Phi.  Phi and
     Phi' are evaluated once each, for the Bregman form
@@ -289,12 +289,12 @@ def _entropy_rows(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> np.n
     from the stencil of :meth:`PhiSpec.deriv`.
     """
     values = np.asarray(values, dtype=float)
+    weights = np.broadcast_to(weights, values.shape)
     on = weights > 0
     if not on.all():  # zero-weight atoms take the value of their row's heaviest atom
-        j = weights.argmax(axis=-1)
-        heavy = values[:, j] if weights.ndim == 1 else values[np.arange(len(values)), j]
-        values = np.where(on, values, heavy[:, None])
-    total = weights.sum(axis=-1)
+        heavy = np.take_along_axis(values, weights.argmax(axis=1)[:, None], axis=1)
+        values = np.where(on, values, heavy)
+    total = weights.sum(axis=1)
     # m = c + E[f - c], c an atom's value: exact on a constant row, where a
     # rounded E f can step off a domain edge into the quadrature path
     c = values[:, 0]
@@ -311,8 +311,8 @@ def _entropy_rows(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> np.n
     scale = np.abs(pf).max(axis=1) + np.abs(pm)
     tiny = (interior & (out < _CANCEL * scale)).nonzero()[0]
     if len(tiny):
-        rows = (weights, total) if weights.ndim == 1 else (weights[tiny], total[tiny])
-        out[tiny] = _wmean(_bregman_terms(phi, values[tiny], m[tiny], pf[tiny], pm[tiny]), *rows)
+        terms = _bregman_terms(phi, values[tiny], m[tiny], pf[tiny], pm[tiny])
+        out[tiny] = _wmean(terms, weights[tiny], total[tiny])
     out[(-_CLAMP <= out) & (out < 0.0)] = 0.0
     return out
 
@@ -333,24 +333,17 @@ def _bregman_terms(phi, values, m, pf, pm) -> np.ndarray:
     return terms
 
 
-def _entropy_of_weighted(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> float:
-    """H_phi of a finite law given atom weights and values: one row of :func:`_entropy_rows`."""
-    return float(_entropy_rows(phi, weights, np.asarray(values, dtype=float)[None])[0])
-
-
 def phi_entropy(d: JointDist, phi: PhiSpec, f: JointFunction) -> EntropyValue:
-    """``H_phi(f) = E[Phi(f)] - Phi(E f)``; non-negative by convexity."""
-    phi.check_in_domain(f.values, d.support_mask)
-    w = np.where(d.support_mask, d.probs, 0.0).ravel()
-    v = f.values.ravel()
-    return EntropyValue(_entropy_of_weighted(phi, w, v))
+    """``H_phi(f) = E[Phi(f)] - Phi(E f)``, non-negative by convexity: the
+    conditional entropy given no coordinates, whose one cell is the whole law."""
+    return cond_phi_entropy(d, phi, f, ())
 
 
 def marginal_phi_entropy(d: JointDist, phi: PhiSpec, g: MarginalFunction) -> EntropyValue:
     """H_phi of a single-coordinate function under the marginal law."""
     p = d.marginal_vector(g.coord)
     phi.check_in_domain(g.values, p > 0)
-    return EntropyValue(_entropy_of_weighted(phi, np.where(p > 0, p, 0.0), g.values))
+    return EntropyValue(float(_entropy_rows(phi, np.where(p > 0, p, 0.0), g.values[None])[0]))
 
 
 def cond_phi_entropy(
@@ -359,8 +352,6 @@ def cond_phi_entropy(
     """``H_phi(f | X_coords) = sum_s p(s) H_phi(f | X_coords = s)``."""
     phi.check_in_domain(f.values, d.support_mask)
     coords = sorted(set(int(c) for c in coords))
-    if not coords:
-        return phi_entropy(d, phi, f)
     drop = tuple(a for a in range(d.k) if a not in coords)
     # move conditioning axes to the front, flatten both groups
     order = coords + list(drop)

@@ -35,7 +35,7 @@ from .errors import (
 )
 
 PSD_TOL = 1e-9
-_LAMBDA_FLOOR = 1e-300  # entries below read as 0: fc2_gap, bipartite_closed_form divide by them
+_LAMBDA_FLOOR = 1e-300  # entries below read as 0: fc2_gap divides by them
 _common_tol = 1e-8
 KINDS = ("mc", "sprime", "tilde")
 _STACK_ROWS = 4096  # lambda rows per stacked eigenvalue solve: bounds its memory
@@ -238,23 +238,22 @@ def membership_verdicts(
 
 
 def bipartite_closed_form(rho: float, lam) -> bool:
-    """k = 2 closed form: member iff ``(1 - 1/l1)(1 - 1/l2) >= rho^2``."""
-    lam = _check_lambda(lam, 2)
-    l1, l2 = lam
-    if l1 == 0 or l2 == 0 or rho == 0:
-        return True
-    if l1 == 1 or l2 == 1:
-        # (1 - 1/l) = 0 on that side: member only if rho vanishes
-        return rho * rho <= PSD_TOL
-    return (1 - 1 / l1) * (1 - 1 / l2) >= rho * rho - PSD_TOL
+    """k = 2 closed form ``(1/l1 - 1)(1/l2 - 1) >= rho^2``, tested as
+    ``(1 - l1)(1 - l2) >= (rho^2 - PSD_TOL) l1 l2``: the same inequality
+    times ``l1 l2 >= 0``, with no reciprocal, so a zero entry is a member."""
+    l1, l2 = _check_lambda(lam, 2)
+    return (1 - l1) * (1 - l2) >= (rho * rho - PSD_TOL) * l1 * l2
 
 
 def bbt_closed_form(d: JointDist, lam) -> bool:
     """Closed form for alphabets (2, 2, 3) via three scalar inequalities.
 
-    Requires the conditional expectations of the two binary-coordinate
-    basis functions on the ternary coordinate to be linearly independent
-    ("generic" case); otherwise raises NonGeneric.
+    The terms are entries of the Gram matrix M (blocks of sizes 1, 1, 2):
+    ``rho12 = M[0, 1]``, and rows ``r13 = M[0, 2:]``, ``r23 = M[1, 2:]`` hold
+    the coefficients of ``E[g1|X3]`` and ``E[g2|X3]`` in X3's orthonormal
+    basis, so ``rho13^2 = |r13|^2``, ``rho23^2 = |r23|^2`` and the cross term
+    ``E[E[g1|X3] E[g2|X3]] = r13 . r23``.  Requires r13 and r23 to be
+    linearly independent ("generic" case); otherwise raises NonGeneric.
     """
     if d.alphabet_sizes != (2, 2, 3):
         raise BadShape("bbt_closed_form needs alphabet sizes (2, 2, 3)")
@@ -262,25 +261,12 @@ def bbt_closed_form(d: JointDist, lam) -> bool:
     g = gram_matrix(d)
     if g.block_dims != (1, 1, 2):
         raise NonGeneric("degenerate supports")
-    g1 = g.basis[0][:, 0]
-    g2 = g.basis[1][:, 0]
-    rho12 = float(np.sum(d.probs.sum(axis=2) * np.outer(g1, g2)))
-    if rho12 < 0:
-        g2 = -g2
-        rho12 = -rho12
-    p3 = d.marginal_vector(2)
-    # conditional expectations of g1, g2 on the ternary coordinate
-    p13 = d.probs.sum(axis=1)
-    p23 = d.probs.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e1 = np.where(p3 > 0, (g1 @ p13) / p3, 0.0)
-        e2 = np.where(p3 > 0, (g2 @ p23) / p3, 0.0)
-    stack = np.sqrt(p3)[:, None] * np.column_stack([e1, e2])
-    if np.linalg.svd(stack, compute_uv=False)[-1] <= 1e-8:
+    M = g.M
+    sign = 1.0 if M[0, 1] >= 0 else -1.0  # flips g2 so that rho12 >= 0
+    rho12, r13, r23 = sign * M[0, 1], M[0, 2:], sign * M[1, 2:]
+    if np.linalg.svd(np.vstack([r13, r23]), compute_uv=False)[-1] <= 1e-8:
         raise NonGeneric("conditional expectations on X3 are linearly dependent")
-    rho13_sq = float(p3 @ (e1 * e1))
-    rho23_sq = float(p3 @ (e2 * e2))
-    cross = float(p3 @ (e1 * e2))  # = E[ E[g1|X3] E[g2|X3] ]
+    rho13_sq, rho23_sq, cross = r13 @ r13, r23 @ r23, r13 @ r23
     # With u_i = 1/lambda_i - 1 the region is a, b >= 0 and a b >= c^2 for
     # a = u1 u3 - rho13^2, b = u2 u3 - rho23^2, c = u3 rho12 + cross.  Scaled
     # by the lambdas they divide by (A = l1 l3 a, B = l2 l3 b, C = l3 c, so

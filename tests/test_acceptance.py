@@ -41,9 +41,12 @@ from phiribbon.ribbon_mc import (
     tilde_membership,
 )
 from phiribbon.ribbon_phi import (
+    _search,
     alpha_equivalent_membership,
     definition_gap,
+    lift_witness_to_product,
     phi_ribbon_membership,
+    ribbon_boundary_trace,
 )
 
 warnings.filterwarnings("ignore", category=UserWarning)
@@ -292,3 +295,54 @@ def test_criterion_13_property_suites_ten_thousand_trials():
             px, py = rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(3))
             d = make_joint([2, 3], np.outer(px, py).ravel())
             assert phi_mutual_information(d, phi_i) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_criterion_14_hc_ribbon_is_the_xlogx_ribbon():
+    # for Phi = t log t the Phi-ribbon of DSBS(rho) is the hypercontractivity
+    # ribbon (1/l1 - 1)(1/l2 - 1) >= rho^2 (Bonami-Beckner); on a ray t v it
+    # exits at the least root of v1 v2 (1 - rho^2) t^2 - (v1 + v2) t + 1 = 0
+    opts = SearchOpts(restarts=12, max_iters=200)
+    for rho in (0.3, 0.5, 0.8):
+        trace = ribbon_boundary_trace(canonical("dsbs", lam=rho), xlogx(), 8, opts)
+        assert len(trace) == 8
+        for lam, verdict in trace:
+            assert verdict == "violated", (rho, lam)
+            v = lam / lam.max()  # the ray, scaled to leave the cube at t = 1
+            a, b = v[0] * v[1] * (1 - rho * rho), v[0] + v[1]
+            t_exact = (b - math.sqrt(b * b - 4 * a)) / (2 * a)
+            # the trace bisects t to 2^-10 = 9.8e-4
+            assert abs(lam.max() - t_exact) <= 1e-3, (rho, lam.tolist(), t_exact)
+
+
+def _lift_second(g, dx, dy):
+    """A witness g on dy as a function on pair_product(dx, dy): lift it onto
+    pair_product(dy, dx), then swap each coordinate's symbol pair (y, x) to (x, y)."""
+    vals = lift_witness_to_product(g, dy, dx).values
+    split = [s for pair in zip(dy.alphabet_sizes, dx.alphabet_sizes) for s in pair]
+    swap = [j for i in range(dx.k) for j in (2 * i + 1, 2 * i)]
+    merged = [a * b for a, b in zip(dx.alphabet_sizes, dy.alphabet_sizes)]
+    return JointFunction(vals.reshape(split).transpose(swap).reshape(merged))
+
+
+def test_criterion_15_general_phi_region_tensorizes():
+    # the product's region is the intersection of the factors': a factor's
+    # violation lifts to the product exactly, and a product violation where
+    # both factors hold would contradict tensorization or expose a search miss
+    rng = np.random.default_rng(15)
+    axis = np.linspace(0.1, 1.0, 6)
+    lams = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    opts = SearchOpts(restarts=12, max_iters=200)
+    phi = binent()
+    violated = 0
+    for _ in range(2):
+        dx, dy = _random_dist(rng, [2, 2]), _random_dist(rng, [2, 2])
+        prod = pair_product(dx, dy)
+        on_x, on_y, on_prod = (_search(d, phi, lams, opts) for d in (dx, dy, prod))
+        for lam, rx, ry, rp in zip(lams, on_x, on_y, on_prod):
+            for r, lift in ((rx, lift_witness_to_product), (ry, _lift_second)):
+                if r.violated:
+                    f = lift(r.witness, dx, dy)
+                    assert definition_gap(prod, phi, lam, f) <= -1e-9, lam.tolist()
+            assert not (rp.violated and not rx.violated and not ry.violated), lam.tolist()
+            violated += rx.violated or ry.violated
+    assert violated > 0

@@ -36,9 +36,21 @@ def test_rho_output(dsbs05, capsys):
     assert json.loads(out) == {"rho": 0.5}
 
 
-def test_rho_missing_file_is_input_error(capsys):
-    code, _ = run_cli(capsys, "rho", "--dist", "/nonexistent.json")
-    assert code == 2
+def test_rho_missing_file_is_input_error(dsbs05, tmp_path, capsys):
+    # each JSON input (a distribution, a channel, a correlation matrix) that is
+    # missing or not UTF-8 is an input error
+    garbled = tmp_path / "garbled.json"
+    garbled.write_bytes(b"\xff\xfe{\x00}\x00")
+    for bad in ("/nonexistent.json", str(garbled)):
+        for argv in (
+            ["rho", "--dist", bad],
+            ["phi-ribbon", "channel-test", "--dist", dsbs05, "--phi", "xlogx:0,64",
+             "--channel", bad, "--lambda", "1,1"],
+            ["gaussian", "check", "--R", bad, "--lambda", "0.5,0.5"],
+        ):
+            code, out = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
 
 
 def test_bad_distribution_is_input_error(tmp_path, capsys):

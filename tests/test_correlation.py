@@ -28,6 +28,11 @@ from phiribbon.phi import PhiSpec, _entropy_rows, binent, parse_phi, square, xlo
 from phiribbon.ribbon_phi import _EXIT_BELOW, _FlatProblem, _project_density, _seeds
 
 
+def _entropy_of_weighted(phi, weights, values):
+    """H_phi of a finite law given atom weights and values: one row of ``_entropy_rows``."""
+    return float(_entropy_rows(phi, weights, np.asarray(values, dtype=float)[None])[0])
+
+
 def test_search_opts_validation():
     with pytest.raises(BadParameter):
         SearchOpts(restarts=0)
@@ -103,8 +108,6 @@ def test_eta_phi_square_equals_rho_squared():
 
 
 def test_eta_phi_value_is_achieved_by_witness():
-    from phiribbon.phi import _entropy_of_weighted
-
     d = canonical("dsbs", lam=0.5)
     phi = binent()
     est = eta_phi(d, phi, opts=SearchOpts(restarts=8, seed=2))

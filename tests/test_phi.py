@@ -11,7 +11,6 @@ from phiribbon.dist import JointFunction, canonical, cond_expectation, make_join
 from phiribbon.errors import BadParameter, DomainViolation, NotIndependent
 from phiribbon.phi import (
     PhiSpec,
-    _entropy_of_weighted,
     _entropy_rows,
     binent,
     check_class_F,
@@ -26,6 +25,11 @@ from phiribbon.phi import (
     sym_alpha,
     xlogx,
 )
+
+
+def _entropy_of_weighted(phi, weights, values):
+    """H_phi of a finite law given atom weights and values: one row of ``_entropy_rows``."""
+    return float(_entropy_rows(phi, weights, np.asarray(values, dtype=float)[None])[0])
 
 
 # ---------------------------------------------------------------------------

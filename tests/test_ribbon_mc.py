@@ -141,10 +141,28 @@ def test_bipartite_closed_form_matches_psd_test():
             assert bipartite_closed_form(rho, lam) == res.verdict
 
 
+def _reciprocal_closed_form_exact(rho, lam):
+    """``(1 - 1/l1)(1 - 1/l2) >= rho^2 - PSD_TOL`` in exact rational arithmetic,
+    a zero entry or rho = 0 a member and an entry of 1 a member only when
+    ``rho^2 <= PSD_TOL``: the reciprocal form of the bipartite closed form."""
+    l1, l2 = (Fraction(float(x)) for x in lam)
+    rho2, tol = Fraction(float(rho)) ** 2, Fraction(ribbon_mc.PSD_TOL)
+    if l1 == 0 or l2 == 0 or rho2 == 0:
+        return True
+    if l1 == 1 or l2 == 1:
+        return rho2 <= tol
+    return (1 - 1 / l1) * (1 - 1 / l2) >= rho2 - tol
+
+
 def test_bipartite_closed_form_edges():
     assert bipartite_closed_form(0.5, [0.0, 0.9])
     assert bipartite_closed_form(0.0, [1.0, 1.0])
     assert not bipartite_closed_form(0.5, [1.0, 0.9])
+    entries = (0.0, 1e-300, 1e-12, 1 - 1e-9, 1.0)
+    for rho in (0.0, 1e-5, 0.5, 1.0):
+        for lam in itertools.product(entries, repeat=2):
+            want = _reciprocal_closed_form_exact(rho, lam)
+            assert bipartite_closed_form(rho, lam) == want, (rho, lam)
 
 
 def test_bbt_closed_form_matches_psd_test():
@@ -180,6 +198,72 @@ def test_bbt_closed_form_is_exact_at_zero_lambda_entries():
             assert bbt_closed_form(d, lam) == res.verdict, lam
             checked += 1
     assert checked > 500
+
+
+def _bbt_closed_form_from_the_law(d, lam):
+    """``bbt_closed_form`` with E[g1|X3] and E[g2|X3] rebuilt from the law's
+    pair marginals, not read off M: the verdict and the terms (rho12,
+    rho13^2, rho23^2, cross), or NonGeneric."""
+    lam = np.asarray(lam, dtype=float)
+    g = gram_matrix(d)
+    if g.block_dims != (1, 1, 2):
+        raise NonGeneric("degenerate supports")
+    g1, g2 = g.basis[0][:, 0], g.basis[1][:, 0]
+    rho12 = float(np.sum(d.probs.sum(axis=2) * np.outer(g1, g2)))
+    if rho12 < 0:
+        g2, rho12 = -g2, -rho12
+    p3 = d.marginal_vector(2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e1 = np.where(p3 > 0, (g1 @ d.probs.sum(axis=1)) / p3, 0.0)
+        e2 = np.where(p3 > 0, (g2 @ d.probs.sum(axis=0)) / p3, 0.0)
+    stack = np.sqrt(p3)[:, None] * np.column_stack([e1, e2])
+    if np.linalg.svd(stack, compute_uv=False)[-1] <= 1e-8:
+        raise NonGeneric("conditional expectations on X3 are linearly dependent")
+    terms = (rho12, float(p3 @ (e1 * e1)), float(p3 @ (e2 * e2)), float(p3 @ (e1 * e2)))
+    _, rho13_sq, rho23_sq, cross = terms
+    l1, l2, l3 = lam
+    s1, s2, s3 = 1.0 - lam
+    A = s1 * s3 - l1 * l3 * rho13_sq
+    B = s2 * s3 - l2 * l3 * rho23_sq
+    C = s3 * rho12 + l3 * cross
+    tol = ribbon_mc.PSD_TOL
+    return bool(A >= -tol and B >= -tol and A * B >= l1 * l2 * C * C - tol * (1 + abs(C))), terms
+
+
+def test_bbt_closed_form_reads_the_law_terms_off_M():
+    rng = np.random.default_rng(43)
+    laws = []
+    for j in range(40):
+        p = rng.dirichlet(np.ones(12))
+        if j % 3 == 0:  # a zero atom
+            p[rng.integers(12)] = 0.0
+        laws.append(make_joint([2, 2, 3], p / p.sum()))
+    # X3 independent of (X1, X2), and X2 a copy of X1: E[g1|X3], E[g2|X3] dependent
+    indep = np.multiply.outer(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(3)))
+    laws.append(make_joint([2, 2, 3], indep.ravel()))
+    copy = np.zeros((2, 2, 3))
+    copy[0, 0], copy[1, 1] = rng.dirichlet(np.ones(6)).reshape(2, 3)
+    laws.append(make_joint([2, 2, 3], copy.ravel()))
+    nongeneric = checked = 0
+    for d in laws:
+        M = gram_matrix(d).M
+        for lam in np.where(rng.random((25, 3)) < 0.2, 0.0, rng.uniform(0.0, 1.0, (25, 3))):
+            try:
+                want, (rho12, rho13_sq, rho23_sq, cross) = _bbt_closed_form_from_the_law(d, lam)
+            except NonGeneric:
+                with pytest.raises(NonGeneric):
+                    bbt_closed_form(d, lam)
+                nongeneric += 1
+                continue
+            sign = np.copysign(1.0, M[0, 1])
+            r13, r23 = M[0, 2:], sign * M[1, 2:]
+            assert abs(M[0, 1]) == pytest.approx(rho12, rel=0, abs=1e-14)
+            assert r13 @ r13 == pytest.approx(rho13_sq, rel=0, abs=1e-14)
+            assert r23 @ r23 == pytest.approx(rho23_sq, rel=0, abs=1e-14)
+            assert r13 @ r23 == pytest.approx(cross, rel=0, abs=1e-14)
+            assert bbt_closed_form(d, lam) == want, lam
+            checked += 1
+    assert nongeneric >= 50 and checked > 900
 
 
 def test_bbt_closed_form_shape_check():

@@ -98,8 +98,11 @@ def _write_rows(rows, header, out):
     for row in rows:
         w.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
     if out:
-        with open(out, "w") as fh:
-            fh.write(buf.getvalue())
+        try:
+            with open(out, "w") as fh:
+                fh.write(buf.getvalue())
+        except OSError as e:  # an unwritable --out path is an input error, like an unreadable input
+            raise click.UsageError(f"cannot write {out}: {e}")
     else:
         click.echo(buf.getvalue(), nl=False, file=sys.stdout)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dist import JointDist, MarginalFunction
 from .errors import BadParameter, NotBipartite
-from .phi import _CANCEL, _CLAMP, PhiSpec, _bregman_terms
+from .phi import _CANCEL, _CLAMP, PhiSpec, _bregman_terms, square
 
 _VAR_FLOOR = 1e-12  # H_phi(f) at or below this leaves the ratio undefined
 _ACCEPT = 1e-18  # decrease a trial move must exceed to be taken
@@ -31,6 +31,7 @@ _STEP_INIT = 0.1  # first step, as a fraction of the box width: large enough to 
 _RUNGS = np.array([16.0, 4.0, 1.0, 0.25, 0.0625])
 _GROW = 1.5  # next step after an accepted rung, as a multiple of that rung's step
 _SHRINK = 0.5  # next step after a pass with no accepted rung, times the smallest rung
+_NO_MOVE = _RUNGS[-1] * _SHRINK  # that step factor in one: a power of two, so the product is exact
 # the stall exit of an ascent: it ends once its best value has improved by at
 # most _STALL_RTOL (relative) over the last _STALL_PASSES passes, so rows that
 # still creep along a flat ridge do not run out their whole move budget
@@ -59,7 +60,9 @@ class SearchOpts:
 class EtaEstimate:
     """An ``eta_phi`` answer: a ratio achieved by ``witness``, and rho^2.
 
-    ``converged`` says the ascent ended because its answer stopped
+    ``converged`` is True for the ``Phi = t^2`` closed form, which runs no
+    ascent and is exact (a law with one Y atom reads the exact value 0).
+    Otherwise it says the ascent ended because its answer stopped
     improving: the winning restart met the gradient test or reached its step
     floor (about eight passes in a row with no improving rung), the best
     ratio rose by at most ``_STALL_RTOL`` (relative) over the last
@@ -163,6 +166,7 @@ class _EtaProblem:
             V, D = phi.safe_eval(X), phi.deriv(1, X)
             pm = vm = V[:, -1:]
             dm = D[:, -1:]
+            vmax = np.abs(V).max()  # pm is a column of V
         else:  # Phi on f, Psi on E[f|Y] and E f; pm holds [Phi(m), Psi(m)]
             x, y = X[:, : self.n], X[:, self.n :]
             V = np.hstack([phi.safe_eval(x), psi.safe_eval(y)])
@@ -170,23 +174,36 @@ class _EtaProblem:
             pm = np.hstack([phi.safe_eval(m), V[:, -1:]])
             vm = np.where(self.on_f, pm[:, :1], pm[:, 1:])
             dm = np.where(self.on_f, phi.deriv(1, m), D[:, -1:])
+            vmax = max(np.abs(V).max(), np.abs(pm).max())
         H = (V - vm - dm * (X - m)) @ self.W
-        scale = np.maximum.reduceat(np.abs(V), self.cuts, axis=1)[:, :2] + np.abs(pm)
-        tiny = H < _CANCEL * scale
-        if tiny.any():
+        # every row's Phi scale is at most 2 vmax: entropies above that bound's
+        # share are neither cancellation noise nor rounded below 0
+        if not H.min() > 2 * _CANCEL * vmax:
+            scale = np.maximum.reduceat(np.abs(V), self.cuts, axis=1)[:, :2] + np.abs(pm)
+            tiny = H < _CANCEL * scale
             for j, (spec, w, cols, c) in enumerate(self.terms):
                 r = tiny[:, j].nonzero()[0]
                 if len(r):
                     H[r, j] = _bregman_terms(spec, X[r, cols], m[r, 0], V[r, cols], pm[r, c]) @ w
-        np.maximum(H, 0.0, out=H, where=H >= -_CLAMP)  # rounding below 0 reads 0
-        ok = H[:, 0] > _VAR_FLOOR
-        den = np.where(ok, H[:, 0], 1.0)
-        ratio = H[:, 1] / den
+            np.maximum(H, 0.0, out=H, where=H >= -_CLAMP)  # rounding below 0 reads 0
         dH = (D - dm) @ self.G
+        den = H[:, 0]
+        defined = den.min() > _VAR_FLOOR  # every ratio defined (a NaN fails the test)
+        if not defined:
+            ok = den > _VAR_FLOOR
+            den = np.where(ok, den, 1.0)
+        ratio = H[:, 1] / den
         grad = (dH[:, self.n :] - ratio[:, None] * dH[:, : self.n]) / den[:, None]
-        if ok.all():
+        if defined:
             return ratio, grad
         return np.where(ok, ratio, -np.inf), np.where(ok[:, None], grad, 0.0)
+
+
+def _box_projected(G, F, lo, hi):
+    """G with the entries that point out of the box at F zeroed."""
+    if lo < F.min() and F.max() < hi:  # no entry on the box's edge (a NaN fails the test)
+        return G
+    return np.where(np.where(G > 0, F <= lo, (F >= hi) & (G < 0)), 0.0, G)
 
 
 def _pgd(
@@ -221,28 +238,29 @@ def _pgd(
     """
     F = np.array(F, dtype=float)
     vals, G = objective(F, np.arange(len(F)))
-    vals = np.where(np.isnan(vals), np.inf, vals)
-    groups = np.zeros(len(F), dtype=int) if groups is None else groups
+    vals = np.fmin(vals, np.inf)  # NaN reads +inf
     step_floor = 1e-14 * (hi - lo)
     K = len(_RUNGS)
-
-    def box_projected(G, F):  # G with the entries that point out of the box at F zeroed
-        return np.where(np.where(G > 0, F <= lo, (F >= hi) & (G < 0)), 0.0, G)
-
-    D = box_projected(G, F)
+    D = _box_projected(G, F, lo, hi)
     converged = np.isfinite(vals) & ((D * D).sum(axis=1) < _GRAD_TOL**2)
     step = _STEP_INIT * (hi - lo)
     # the running rows, kept compact: indices into F, rows, values,
     # directions, steps and accepted moves; vals reads +inf until they stop
     live = np.isfinite(vals) & ~converged & (step > step_floor) & (opts.max_iters > 0)
-    below = vals < stop_below
-    exits = np.zeros(groups.max() + 1, dtype=bool)  # groups with a row below stop_below
-    exits[groups[below]] = True
-    run = np.flatnonzero(live & ~exits[groups])
+    early = stop_below > -np.inf  # without a threshold (an ascent) no group exits early
+    if early:
+        groups = np.zeros(len(F), dtype=int) if groups is None else groups
+        below = vals < stop_below
+        exits = np.zeros(groups.max() + 1, dtype=bool)  # groups with a row below stop_below
+        exits[groups[below]] = True
+        live &= ~below
+        run = np.flatnonzero(live & ~exits[groups])
+    else:
+        run = np.flatnonzero(live)
     Fr, vr, Dr = F[run], vals[run], D[run]
     step, moves = np.full(len(run), step), np.zeros(len(run), dtype=int)
     best, stalled = [np.min(vals)], False  # the best value after each pass, for the stall exit
-    vals[live & ~below] = np.inf
+    vals[live] = np.inf
     stopped = np.min(vals)  # the best value of the rows that have stopped
     first, rows = K * np.arange(len(run)), np.repeat(run, K)  # each row's first trial
     while len(run):
@@ -253,33 +271,42 @@ def _pgd(
         if project is not None:
             trial = project(trial)
         v, g = objective(trial, rows)
-        v = np.where(np.isnan(v), np.inf, v).reshape(-1, K)
-        k = v.argmin(axis=1)
-        pick = first + k
+        v = np.fmin(v, np.inf).reshape(-1, K)
+        pick = first + v.argmin(axis=1)
         best_v = v.ravel()[pick]
         ok = best_v < vr - _ACCEPT
-        step = step * _RUNGS[-1] * _SHRINK
-        if ok.any():  # write back the rows that moved; most passes move them all
-            i = slice(None) if ok.all() else ok.nonzero()[0]
-            p = pick[i]
-            Fr[i], vr[i], step[i] = trial[p], best_v[i], steps.ravel()[p] * _GROW
-            Dr[i] = box_projected(g[p], Fr[i])
-            moves[i] += 1
-        conv = (Dr * Dr).sum(axis=1) < _GRAD_TOL**2
-        floor = step <= step_floor
-        below = vr < stop_below
+        moved = np.count_nonzero(ok)
+        if moved == len(run):  # most passes move every row
+            Fr, vr, step = trial[pick], best_v, steps.ravel()[pick] * _GROW
+            Dr = _box_projected(g[pick], Fr, lo, hi)
+            moves += 1
+        else:
+            step *= _NO_MOVE
+            if moved:
+                i = ok.nonzero()[0]
+                p = pick[i]
+                Fr[i], vr[i], step[i] = trial[p], best_v[i], steps.ravel()[p] * _GROW
+                Dr[i] = _box_projected(g[p], Fr[i], lo, hi)
+                moves[i] += 1
+        settled = ((Dr * Dr).sum(axis=1) < _GRAD_TOL**2) | (step <= step_floor)
+        done = settled | (moves >= opts.max_iters)
+        if early:
+            below = vr < stop_below
+            done |= below
         if stall_exit:
             best.append(min(stopped, vr.min()))
             stalled = len(best) > _STALL_PASSES and (
                 best[-1 - _STALL_PASSES] - best[-1] <= _STALL_RTOL * abs(best[-1])
             )
-        done = conv | floor | (moves >= opts.max_iters) | below | stalled
-        if done.any():
+            done |= stalled
+        if np.count_nonzero(done):
             d = run[done]
-            F[d], vals[d], converged[d] = Fr[done], vr[done], (conv | floor)[done]
+            F[d], vals[d], converged[d] = Fr[done], vr[done], settled[done]
             stopped = min(stopped, vr[done].min())
-            exits[groups[run[below]]] = True
-            keep = ~done & ~exits[groups[run]]
+            keep = ~done
+            if early:
+                exits[groups[run[below]]] = True
+                keep &= ~exits[groups[run]]
             run, Fr, vr, Dr, step, moves = (
                 run[keep], Fr[keep], vr[keep], Dr[keep], step[keep], moves[keep]
             )
@@ -316,7 +343,10 @@ def eta_phi(
     """Estimate ``sup_f H_psi(E[f|Y]) / H_phi(f)`` over non-constant f on X.
 
     The reported value is a lower bound on the supremum, achieved by the
-    returned witness.  ``psi`` defaults to ``phi``.
+    returned witness.  ``psi`` defaults to ``phi``.  For ``Phi = t^2`` (and
+    ``psi`` unset or the same spec) the ratio is ``Var E[f|Y] / Var f``,
+    whose supremum rho^2 the maximal-correlation witness attains, so that
+    witness, mapped affinely into the box, is the answer and no ascent runs.
     """
     opts = opts or SearchOpts()
     psi = psi or phi
@@ -324,11 +354,15 @@ def eta_phi(
     a, b = phi.domain
     lo = a + 1e-9 * (b - a)
     hi = b - 1e-9 * (b - a)
-    rng = np.random.default_rng(opts.seed)
 
     fwit, _, rho = mc_witness(d)
     svd_dir = fwit[sx]
+    full = np.zeros(d.alphabet_sizes[0])
+    if phi is square() and psi is phi and len(px) > 1:
+        full[sx] = 0.5 * (a + b) + 0.45 * (b - a) * svd_dir / np.max(np.abs(svd_dir))
+        return EtaEstimate(rho**2, MarginalFunction(0, full), rho**2, converged=True)
 
+    rng = np.random.default_rng(opts.seed)
     prob = _EtaProblem(P, px, py, phi, psi)
 
     def neg_ratio(F, rows=None):
@@ -354,7 +388,6 @@ def eta_phi(
     if best_f is None:
         best_f = np.clip(0.5 * (a + b) + 0.1 * (b - a) * svd_dir, lo, hi)
         best_val = 0.0
-    full = np.zeros(d.alphabet_sizes[0])
     full[sx] = best_f
     return EtaEstimate(
         value=float(min(best_val, 1.0) if psi is phi else best_val),

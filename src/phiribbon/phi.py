@@ -173,15 +173,12 @@ def xlogx(delta: float = 1e-6, top: float = 64.0) -> PhiSpec:
 def binent() -> PhiSpec:
     """``Phi_1(t) = 1 - h((1+t)/2)`` with the binary entropy in bits."""
 
+    def xlog2x(p):  # p log2 p, with 0 log2 0 := 0
+        return p * np.log2(np.where(p > 0, p, 1.0))
+
     def f(t):
         t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = (1 + t) / 2
-            q = (1 - t) / 2
-            out = 1.0 + np.where(p > 0, p * np.log2(p), 0.0) + np.where(
-                q > 0, q * np.log2(q), 0.0
-            )
-        return out
+        return 1.0 + xlog2x((1 + t) / 2) + xlog2x((1 - t) / 2)
 
     ln2 = math.log(2.0)
     return PhiSpec(
@@ -204,11 +201,11 @@ def sym_alpha(alpha: float) -> PhiSpec:
 
     def dk(k: int):
         coef = math.prod(a - i for i in range(k)) / c
-        sign = (-1.0) ** k
 
         def f(t):
             t = np.asarray(t, dtype=float)
-            return coef * (np.power(1 + t, a - k) + sign * np.power(1 - t, a - k))
+            up, down = np.power(1 + t, a - k), np.power(1 - t, a - k)
+            return coef * (up - down if k % 2 else up + down)  # d^k/dt^k (1 - t)^a carries (-1)^k
 
         return f
 
@@ -350,20 +347,41 @@ def cond_phi_entropy(
     d: JointDist, phi: PhiSpec, f: JointFunction, coords: Sequence[int]
 ) -> EntropyValue:
     """``H_phi(f | X_coords) = sum_s p(s) H_phi(f | X_coords = s)``."""
+    return EntropyValue(cond_phi_entropies(d, phi, f, [coords])[0])
+
+
+def cond_phi_entropies(
+    d: JointDist, phi: PhiSpec, f: JointFunction, coord_sets: Sequence[Sequence[int]]
+) -> list[float]:
+    """``H_phi(f | X_S)`` for each coordinate set S in ``coord_sets``.
+
+    Every ``H_phi(f | X_S = s)`` of every set is a row of one
+    :func:`_entropy_rows` call: a set's cells are the law with the axes of
+    S moved to the front and both axis groups flattened, zero-padded to the
+    longest cell (the whole law when a set is empty).  With one set nothing
+    is padded.  Zero-weight atoms never reach Phi.
+    """
     phi.check_in_domain(f.values, d.support_mask)
-    coords = sorted(set(int(c) for c in coords))
-    drop = tuple(a for a in range(d.k) if a not in coords)
-    # move conditioning axes to the front, flatten both groups
-    order = coords + list(drop)
-    probs = np.transpose(d.probs, order).reshape(
-        math.prod(d.alphabet_sizes[c] for c in coords), -1
-    )
-    vals = np.transpose(f.values, order).reshape(probs.shape)
-    ps = probs.sum(axis=1)
+    blocks = []
+    for coords in coord_sets:
+        coords = sorted(set(int(c) for c in coords))
+        order = coords + [a for a in range(d.k) if a not in coords]
+        probs = np.transpose(d.probs, order).reshape(
+            math.prod(d.alphabet_sizes[c] for c in coords), -1
+        )
+        blocks.append((probs, np.transpose(f.values, order).reshape(probs.shape)))
+    sizes = [len(probs) for probs, _ in blocks]
+    ends = np.cumsum(sizes)
+    W = np.zeros((ends[-1], max(probs.shape[1] for probs, _ in blocks)))
+    V = np.zeros_like(W)
+    for (probs, vals), end in zip(blocks, ends):
+        cols = probs.shape[1]
+        W[end - len(probs) : end, :cols], V[end - len(probs) : end, :cols] = probs, vals
+    ps = np.concatenate([probs.sum(axis=1) for probs, _ in blocks])  # each cell's probability
     cells = ps > 0  # empty cells contribute 0
     terms = np.zeros(len(ps))
-    terms[cells] = ps[cells] * _entropy_rows(phi, probs[cells], vals[cells])
-    return EntropyValue(_clamped(float(terms.sum())))
+    terms[cells] = ps[cells] * _entropy_rows(phi, W[cells], V[cells])
+    return [_clamped(float(terms[end - n : end].sum())) for n, end in zip(sizes, ends)]
 
 
 def phi_mutual_information(d: JointDist, phi: PhiSpec) -> float:
@@ -438,9 +456,7 @@ def subadditivity_gap(d: JointDist, phi: PhiSpec, f: JointFunction) -> float:
 
     if not is_fully_independent(d):
         raise NotIndependent("subadditivity_gap requires independent coordinates")
-    total = phi_entropy(d, phi, f).value
-    s = 0.0
-    for i in range(d.k):
-        others = [a for a in range(d.k) if a != i]
-        s += cond_phi_entropy(d, phi, f, others).value
-    return s - total
+    total, *conds = cond_phi_entropies(
+        d, phi, f, [(), *([a for a in range(d.k) if a != i] for i in range(d.k))]
+    )
+    return sum(conds) - total

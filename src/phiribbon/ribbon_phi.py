@@ -25,12 +25,7 @@ import numpy as np
 from .correlation import SearchOpts, _pgd
 from .dist import Channel, JointDist, JointFunction, make_joint
 from .errors import BadShape, PhiNotClassF
-from .phi import (
-    PhiSpec,
-    cond_phi_entropy,
-    phi_entropy,
-    phi_mutual_information,
-)
+from .phi import PhiSpec, cond_phi_entropies, phi_mutual_information
 from .ribbon_mc import PSD_TOL, _check_lambda, _rays
 
 _VIOLATION_TOL = 1e-9  # a certified gap must be below -this to prove a violation, not noise
@@ -73,15 +68,16 @@ class RibbonVerdict:
 def definition_gap(d: JointDist, phi: PhiSpec, lam, f: JointFunction) -> float:
     """Re-evaluate the defining inequality at f through the entropy module.
 
-    Used to certify witnesses independently of the flat evaluator below.
+    Used to certify witnesses independently of the flat evaluator below.  By
+    the chain rule ``H(E[f|X_i]) = H(f) - H(f|X_i)`` the gap needs H(f) and
+    ``H(f|X_i)`` for each i with lambda_i > 0, all from one
+    :func:`phi.cond_phi_entropies` call.
     """
     lam = _check_lambda(lam, d.k)
-    total = phi_entropy(d, phi, f).value
+    coords = np.flatnonzero(lam)
+    total, *conds = cond_phi_entropies(d, phi, f, [(), *((i,) for i in coords)])
     g = total
-    for i in range(d.k):
-        if lam[i] == 0:
-            continue
-        cond = cond_phi_entropy(d, phi, f, [i]).value
+    for i, cond in zip(coords, conds):
         g -= lam[i] * (total - cond)  # chain rule: H(E[f|X_i]) = H(f) - H(f|X_i)
     return g
 
@@ -96,14 +92,17 @@ class _FlatProblem:
         self.sup = np.flatnonzero(d.support_mask.ravel())
         self.p = d.probs.ravel()[self.sup]
         self.n = n = len(self.sup)
-        symbols = np.unravel_index(self.sup, d.alphabet_sizes)
+        # each atom's symbol of every X_i, one-hot over the alphabets; the
+        # cells of X_i are its symbols that some atom of the support carries
+        symbols = np.array(np.unravel_index(self.sup, d.alphabet_sizes))
+        hits = 1.0 * (symbols[:, :, None] == np.arange(max(d.alphabet_sizes)))
+        present = hits.any(axis=1)
         # Phi and Phi' are evaluated once per call of rows(), on the stack
         # X = F @ A = [f, E f, E[f|X_i] for each i]; owner marks the columns
         # of f (-2), of E f (-1) and of E[f|X_i] (i)
         blocks, owner = [np.eye(n), self.p[:, None]], [-2] * n + [-1]
         for i in range(d.k):
-            _, cell = np.unique(symbols[i], return_inverse=True)  # each atom's cell of X_i
-            onehot = np.eye(cell.max() + 1)[cell]
+            onehot = hits[i].compress(present[i], axis=1)  # each atom's cell of X_i
             blocks.append(onehot * self.p[:, None] / (self.p @ onehot))  # F @ block = E[f|X_i]
             owner += [i] * onehot.shape[1]
         self.A = np.hstack(blocks)
@@ -159,19 +158,23 @@ def _seeds(prob: _FlatProblem, lams: np.ndarray, rng, restarts: int, project=Non
     u, rejected = prob.directions(lams)
     sweeps = c + (b - a) * eps[:, None] * (u / np.max(np.abs(u), axis=1, keepdims=True))[:, None]
     bits = np.arange(2**n if n <= 10 else 0)[:, None] >> np.arange(n) & 1
-    signs = np.repeat(2.0 * bits - 1, 2, axis=0)  # every corner of the box, at two sizes
-    corners = c + (b - a) * np.tile([0.5, 0.2], len(bits))[:, None] * signs
-    pool = np.clip(np.vstack([sweeps.reshape(-1, n), corners]), lo, hi)
-    pool = np.vstack([pool, rng.uniform(lo, hi, size=(restarts, n))])
+    # every corner of the box, at two sizes
+    corners = c + (b - a) * (np.array([[0.5], [0.2]]) * (2.0 * bits - 1)[:, None]).reshape(-1, n)
+    C = len(corners)
+    pool = np.vstack([sweeps.reshape(-1, n), corners, rng.uniform(lo, hi, size=(restarts, n))])
+    pool = np.clip(pool, lo, hi)
     if project is not None:
         pool = project(pool)
     # gap(f, lambda) = G @ [1, lambda]: each sweep at its own point, the shared rows at all
-    G, L1 = prob.gap_terms(pool), np.column_stack([np.ones(P), lams])
-    own = np.einsum("pjv,pv->pj", G[: m * P].reshape(P, m, -1), L1)
-    gaps = np.hstack([own, L1 @ G[m * P :].T])
-    fill = restarts - m * rejected - len(corners)  # the random rows each point takes
-    valid = np.hstack([np.repeat(rejected[:, None], m, axis=1), np.ones((P, len(corners)), bool),
-                       np.arange(restarts) < fill[:, None]])
+    G, L1 = prob.gap_terms(pool), np.ones((P, 1 + lams.shape[1]))
+    L1[:, 1:] = lams
+    gaps = np.empty((P, m + C + restarts))
+    gaps[:, :m] = np.einsum("pjv,pv->pj", G[: m * P].reshape(P, m, -1), L1)
+    gaps[:, m:] = L1 @ G[m * P :].T
+    fill = restarts - m * rejected - C  # the random rows each point takes
+    valid = np.ones(gaps.shape, dtype=bool)
+    valid[:, :m] = rejected[:, None]
+    valid[:, m + C :] = np.arange(restarts) < fill[:, None]
     best = np.lexsort((gaps, ~valid))[:, :restarts]  # valid rows first, by gap, NaN last
     rows = np.where(best < m, m * np.arange(P)[:, None] + best, m * (P - 1) + best)  # into pool
     return pool[rows.ravel()], lo, hi

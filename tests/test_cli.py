@@ -53,6 +53,20 @@ def test_rho_missing_file_is_input_error(dsbs05, tmp_path, capsys):
             assert out == ""
 
 
+@pytest.mark.parametrize("group", ["ribbon", "phi-ribbon"])
+def test_trace_to_an_unwritable_path_is_input_error(dsbs05, tmp_path, capsys, group):
+    out_path = str(tmp_path / "no-such-dir" / "x.csv")
+    argv = ["ribbon", "trace", "--dist", dsbs05, "--grid", "3", "--out", out_path]
+    if group == "phi-ribbon":
+        argv = ["phi-ribbon", "trace", "--dist", dsbs05, "--phi", "square", "--directions", "2",
+                "--out", out_path]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_bad_distribution_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     for probs in ("[0.9, 0.9, 0.9, 0.9]", "[NaN, 0.5, 0.25, 0.25]"):

@@ -13,6 +13,7 @@ from phiribbon.correlation import (
     _STALL_PASSES,
     _STALL_RTOL,
     _STEP_INIT,
+    _VAR_FLOOR,
     SearchOpts,
     _bipartite_matrices,
     _EtaProblem,
@@ -24,7 +25,18 @@ from phiribbon.correlation import (
 )
 from phiribbon.dist import JointFunction, canonical, cond_expectation, make_joint
 from phiribbon.errors import BadParameter, NotBipartite
-from phiribbon.phi import PhiSpec, _entropy_rows, binent, parse_phi, square, xlogx
+from phiribbon.phi import (
+    _CANCEL,
+    _CLAMP,
+    PhiSpec,
+    _bregman_terms,
+    _entropy_rows,
+    binent,
+    marginal_phi_entropy,
+    parse_phi,
+    square,
+    xlogx,
+)
 from phiribbon.ribbon_phi import _EXIT_BELOW, _FlatProblem, _project_density, _seeds
 
 
@@ -103,8 +115,59 @@ def test_eta_phi_square_equals_rho_squared():
     for lam in (0.3, 0.7):
         d = canonical("dsbs", lam=lam)
         est = eta_phi(d, square(), opts=SearchOpts(restarts=8, seed=1))
-        assert est.value == pytest.approx(lam * lam, abs=1e-6)
+        assert est.value == pytest.approx(lam * lam, abs=1e-12)
         assert est.lower_bound_rho2 == pytest.approx(lam * lam, abs=1e-12)
+
+
+def _counting_eta_rows(monkeypatch):
+    calls = []
+    real = correlation._EtaProblem.rows
+
+    def counted(self, F):
+        calls.append(len(F))
+        return real(self, F)
+
+    monkeypatch.setattr(correlation._EtaProblem, "rows", counted)
+    return calls
+
+
+def _ratio_at_witness(d, phi, psi, est):
+    gy = cond_expectation(d, est.witness.lift(d), 1)
+    return marginal_phi_entropy(d, psi, gy).value / marginal_phi_entropy(d, phi, est.witness).value
+
+
+def test_eta_phi_square_is_the_closed_form_at_its_witness(monkeypatch):
+    # rho^2 from the SVD, achieved by the maximal-correlation witness mapped
+    # into the box: no ascent, whether psi is unset or the same spec
+    calls = _counting_eta_rows(monkeypatch)
+    rng = np.random.default_rng(13)
+    laws = [canonical("dsbs", lam=0.6), make_joint([3, 2], rng.dirichlet(np.ones(6)))]
+    laws += [make_joint([4, 3], np.r_[0.0, 0.0, 0.0, rng.dirichlet(np.ones(9))])]  # an empty x
+    laws += [make_joint([3, 4], rng.dirichlet(np.ones(12))) for _ in range(4)]
+    laws += [make_joint([3, 2], [0.2, 0.0, 0.5, 0.0, 0.3, 0.0])]  # one y: the exact value is 0
+    for d in laws:
+        for psi in (None, square()):
+            est = eta_phi(d, square(), psi, SearchOpts(restarts=4, seed=2))
+            assert est.value == est.lower_bound_rho2 == maximal_correlation(d) ** 2
+            assert est.converged
+            w = est.witness.values[d.marginal_vector(0) > 0]
+            assert np.all((-1.0 < w) & (w < 1.0)) and np.ptp(w) > 0.5
+            ratio = _ratio_at_witness(d, square(), square(), est)
+            assert ratio == pytest.approx(est.value, rel=1e-12)
+    assert calls == []
+
+
+def test_eta_phi_square_with_another_psi_still_ascends(monkeypatch):
+    calls = _counting_eta_rows(monkeypatch)
+    d = make_joint([3, 3], np.random.default_rng(14).dirichlet(np.ones(9)))
+    est = eta_phi(d, square(), binent(), SearchOpts(restarts=4, max_iters=50, seed=1))
+    assert len(calls) > 1
+    assert _ratio_at_witness(d, square(), binent(), est) == pytest.approx(est.value, rel=1e-9)
+    # one atom of X in the support leaves no non-constant f: no closed form either
+    point = make_joint([2, 2], [0.5, 0.5, 0.0, 0.0])
+    calls.clear()
+    assert eta_phi(point, square(), opts=SearchOpts(restarts=2, max_iters=5)).value == 0.0
+    assert len(calls) > 0
 
 
 def test_eta_phi_value_is_achieved_by_witness():
@@ -193,6 +256,78 @@ def test_ratio_and_grad_match_two_entropy_evaluations(phi_name, psi_name):
     assert ok.sum() >= 20
     np.testing.assert_allclose(ratio[ok], want[ok], rtol=1e-9, atol=0)
     assert np.all(np.abs(grad - want_grad)[ok] <= 1e-10 * size[ok])
+
+
+def _eta_rows_reference(prob, F):
+    """``_EtaProblem.rows`` before its whole-array shortcuts, kept as their
+    reference: the per-row cancellation scale and the undefined-row guards
+    on every call."""
+    X = F @ prob.A
+    m, phi, psi = X[:, -1:], prob.phi, prob.psi
+    if psi is phi:
+        V, D = phi.safe_eval(X), phi.deriv(1, X)
+        pm = vm = V[:, -1:]
+        dm = D[:, -1:]
+    else:
+        x, y = X[:, : prob.n], X[:, prob.n :]
+        V = np.hstack([phi.safe_eval(x), psi.safe_eval(y)])
+        D = np.hstack([phi.deriv(1, x), psi.deriv(1, y)])
+        pm = np.hstack([phi.safe_eval(m), V[:, -1:]])
+        vm = np.where(prob.on_f, pm[:, :1], pm[:, 1:])
+        dm = np.where(prob.on_f, phi.deriv(1, m), D[:, -1:])
+    H = (V - vm - dm * (X - m)) @ prob.W
+    scale = np.maximum.reduceat(np.abs(V), prob.cuts, axis=1)[:, :2] + np.abs(pm)
+    tiny = H < _CANCEL * scale
+    if tiny.any():
+        for j, (spec, w, cols, c) in enumerate(prob.terms):
+            r = tiny[:, j].nonzero()[0]
+            if len(r):
+                H[r, j] = _bregman_terms(spec, X[r, cols], m[r, 0], V[r, cols], pm[r, c]) @ w
+    np.maximum(H, 0.0, out=H, where=H >= -_CLAMP)
+    ok = H[:, 0] > _VAR_FLOOR
+    den = np.where(ok, H[:, 0], 1.0)
+    ratio = H[:, 1] / den
+    dH = (D - dm) @ prob.G
+    grad = (dH[:, prob.n :] - ratio[:, None] * dH[:, : prob.n]) / den[:, None]
+    return np.where(ok, ratio, -np.inf), np.where(ok[:, None], grad, 0.0)
+
+
+@pytest.mark.parametrize(
+    "phi_name, psi_name",
+    [(n, n) for n in ("power:1.5", "sym:1.5", "binent", "xlogx", "xlogx:0,4")]
+    + [("sym:1.5", "binent"), ("power:1.5", "xlogx:0,4")],
+)
+def test_eta_rows_match_the_reference_bit_for_bit(monkeypatch, phi_name, psi_name):
+    quadrature = []  # rows recomputed by quadrature in each rows() call
+    real = correlation._bregman_terms
+    monkeypatch.setattr(
+        correlation, "_bregman_terms", lambda *args: quadrature.append(len(args[1])) or real(*args)
+    )
+    phi = parse_phi(phi_name)
+    psi = phi if psi_name == phi_name else parse_phi(psi_name)
+    rng = np.random.default_rng(19)
+    a, b = phi.domain
+    lo, hi = a + 1e-9 * (b - a), b - 1e-9 * (b - a)
+    amps = {"wide": 0.4, "quadrature": 1e-4, "undefined": 1e-9}  # as shares of the box
+    seen = dict.fromkeys(amps, 0)
+    for shape in ((2, 2), (3, 4), (4, 3)):
+        d = make_joint(shape, rng.dirichlet(np.ones(np.prod(shape))))
+        P, px, py, _, _ = _bipartite_matrices(d)
+        prob = _EtaProblem(P, px, py, phi, psi)
+        stacks = {}
+        for name, amp in amps.items():
+            c = rng.uniform(lo + amp * (hi - lo), hi - amp * (hi - lo), size=(8, 1))
+            stacks[name] = c + amp * (hi - lo) * rng.uniform(-1, 1, size=(8, shape[0]))
+        stacks["mixed"] = np.vstack([F[:3] for F in stacks.values()])
+        for name, F in stacks.items():
+            quadrature.clear()
+            got, want = prob.rows(F), _eta_rows_reference(prob, F)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w)), name
+            seen["wide"] += name == "wide" and np.isfinite(want[0]).all()
+            seen["quadrature"] += name == "quadrature" and sum(quadrature)
+            seen["undefined"] += name == "undefined" and np.isinf(want[0]).sum()
+    assert all(seen.values()), seen
 
 
 def test_pgd_groups_run_as_their_own_one_group_runs():

@@ -14,6 +14,7 @@ from phiribbon.phi import (
     _entropy_rows,
     binent,
     check_class_F,
+    cond_phi_entropies,
     cond_phi_entropy,
     marginal_phi_entropy,
     parse_phi,
@@ -302,10 +303,17 @@ def test_cond_phi_entropy_matches_per_cell_loop(name, shape):
             off = np.flatnonzero(p == 0)  # off-support values must never reach Phi
             vals.flat[off] = np.resize([np.nan, -7.0, 1e9], len(off))
             f = JointFunction(vals)
-            for coords in ([0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]):
+            sets = ([0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2])
+            for coords in sets:
                 got = cond_phi_entropy(d, phi, f, coords).value
                 want = _cond_phi_entropy_per_cell(d, phi, f, coords)
                 assert abs(got - max(want, 0.0)) <= 1e-12, (coords, amp, got, want)
+            # one stacked call, in another order and with a repeat: the cells
+            # of the smaller sets are zero-padded
+            many = [(), *sets[::-1], [1]]
+            stacked = cond_phi_entropies(d, phi, f, many)
+            single = [cond_phi_entropy(d, phi, f, S).value for S in many]
+            assert np.allclose(stacked, single, rtol=1e-13, atol=1e-18), (amp, stacked, single)
 
 
 def test_chain_rule_identity():

@@ -15,11 +15,12 @@ from phiribbon.dist import (
     pair_product,
 )
 from phiribbon.errors import BadParameter, BadShape, PhiNotClassF
-from phiribbon.phi import PhiSpec, binent, parse_phi, square, xlogx
+from phiribbon.phi import PhiSpec, binent, cond_phi_entropy, parse_phi, phi_entropy, square, xlogx
 from phiribbon.ribbon_phi import (
     _FlatProblem,
     _project_density,
     _search,
+    _seeds,
     alpha_equivalent_membership,
     definition_gap,
     eta_from_ribbon,
@@ -30,7 +31,7 @@ from phiribbon.ribbon_phi import (
     phi_ribbon_membership,
     ribbon_boundary_trace,
 )
-from phiribbon.ribbon_mc import mc_def_gap, mc_membership
+from phiribbon.ribbon_mc import _check_lambda, mc_def_gap, mc_membership
 
 OPTS = SearchOpts(restarts=16, seed=0)
 
@@ -162,6 +163,70 @@ def test_stacked_search_equals_per_point_calls():
     assert _search(dsbs, binent(), np.zeros((0, 2)), opts) == []
 
 
+def _flat_blocks_reference(prob):
+    """The averaging blocks of ``_FlatProblem.A`` from ``np.unique`` cells and
+    ``np.eye`` one-hots per coordinate, kept as the reference of the one-hots
+    built for all coordinates at once."""
+    symbols = np.unravel_index(prob.sup, prob.d.alphabet_sizes)
+    blocks = [np.eye(prob.n), prob.p[:, None]]
+    for i in range(prob.d.k):
+        _, cell = np.unique(symbols[i], return_inverse=True)
+        onehot = np.eye(cell.max() + 1)[cell]
+        blocks.append(onehot * prob.p[:, None] / (prob.p @ onehot))
+    return np.hstack(blocks)
+
+
+def _seeds_reference(prob, lams, rng, restarts, project=None):
+    """``_seeds`` with its pool and ranking built piece by piece, kept as the
+    reference of the preallocated version."""
+    a, b = prob.phi.domain
+    lo, hi, c = a + 1e-9 * (b - a), b - 1e-9 * (b - a), 0.5 * (a + b)
+    eps = np.array([0.45, 0.2, 0.05, 0.01, 1e-3])
+    P, n, m = len(lams), prob.n, len(eps)
+    u, rejected = prob.directions(lams)
+    sweeps = c + (b - a) * eps[:, None] * (u / np.max(np.abs(u), axis=1, keepdims=True))[:, None]
+    bits = np.arange(2**n if n <= 10 else 0)[:, None] >> np.arange(n) & 1
+    signs = np.repeat(2.0 * bits - 1, 2, axis=0)
+    corners = c + (b - a) * np.tile([0.5, 0.2], len(bits))[:, None] * signs
+    pool = np.clip(np.vstack([sweeps.reshape(-1, n), corners]), lo, hi)
+    pool = np.vstack([pool, rng.uniform(lo, hi, size=(restarts, n))])
+    if project is not None:
+        pool = project(pool)
+    G, L1 = prob.gap_terms(pool), np.column_stack([np.ones(P), lams])
+    own = np.einsum("pjv,pv->pj", G[: m * P].reshape(P, m, -1), L1)
+    gaps = np.hstack([own, L1 @ G[m * P :].T])
+    fill = restarts - m * rejected - len(corners)
+    valid = np.hstack([np.repeat(rejected[:, None], m, axis=1), np.ones((P, len(corners)), bool),
+                       np.arange(restarts) < fill[:, None]])
+    best = np.lexsort((gaps, ~valid))[:, :restarts]
+    rows = np.where(best < m, m * np.arange(P)[:, None] + best, m * (P - 1) + best)
+    return pool[rows.ravel()], lo, hi
+
+
+def test_flat_setup_and_seeds_match_the_references():
+    # bit for bit: the search's start rows, and so its answers, must not move
+    rng = np.random.default_rng(43)
+    shapes = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (3, 3, 3), (3, 4)]
+    for t in range(42):
+        sizes = shapes[t % len(shapes)]
+        probs = rng.dirichlet(np.ones(math.prod(sizes))).reshape(sizes)
+        if t % 3 == 1:  # a symbol of one coordinate carries no mass: fewer cells
+            axis = rng.integers(len(sizes))
+            probs[(slice(None),) * axis + (rng.integers(sizes[axis]),)] = 0.0
+        elif t % 3 == 2:
+            probs.ravel()[rng.integers(probs.size)] = 0.0
+        d = make_joint(list(sizes), probs.ravel() / probs.sum())
+        phi = parse_phi(["binent", "power:1.5", "xlogx:0,4"][t % 3])
+        prob = _FlatProblem(d, phi)
+        assert np.array_equal(prob.A, _flat_blocks_reference(prob))
+        lams = rng.uniform(0.0, 1.0, size=(3, d.k)) * (rng.uniform(size=(3, d.k)) > 0.2)
+        top = phi.domain[1] - 1e-9 * (phi.domain[1] - phi.domain[0])
+        project = (lambda V: _project_density(V, prob.p, 1e-12, top)) if phi.allow_zero else None
+        got = _seeds(prob, lams, np.random.default_rng(t), 4, project)
+        want = _seeds_reference(prob, lams, np.random.default_rng(t), 4, project)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), (sizes, t)
+
+
 def _bisect_projection(v, p, floor, top):
     """The 100-step bisection the breakpoint solve replaced, kept as its reference."""
     lo_mu, hi_mu = np.min(v) - top, np.max(v)
@@ -227,6 +292,48 @@ def test_flat_rows_match_definition_gap(name):
             gaps, _ = prob.rows(F, L)
         want = [definition_gap(d, phi, l, prob.to_joint(f)) for f, l in zip(F, L)]
         np.testing.assert_allclose(gaps, want, rtol=0, atol=1e-12)
+
+
+def _definition_gap_reference(d, phi, lam, f):
+    """The gap from one entropy call per coordinate, kept as the reference of
+    the stacked evaluation in ``definition_gap``."""
+    lam = _check_lambda(lam, d.k)
+    total = phi_entropy(d, phi, f).value
+    g = total
+    for i in range(d.k):
+        if lam[i] == 0:
+            continue
+        cond = cond_phi_entropy(d, phi, f, [i]).value
+        g -= lam[i] * (total - cond)
+    return g
+
+
+def test_definition_gap_matches_the_per_coordinate_reference():
+    # the stacked rows sum their atoms in another order (zero-padded cells),
+    # so the two agree to rounding, not bit for bit
+    rng = np.random.default_rng(41)
+    names = ["square", "power:1.5", "sym:1.5", "binent", "xlogx", "xlogx:0.05,4", "xlogx:0,4"]
+    compared = zeros = 0
+    for sizes in [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (3, 3, 3)]:
+        for trial in range(6):
+            probs = rng.dirichlet(np.ones(math.prod(sizes)))
+            if trial % 2:
+                probs[rng.integers(len(probs))] = 0.0  # a zero atom, which may empty a cell
+                probs /= probs.sum()
+            d = make_joint(list(sizes), probs)
+            for name in names:
+                phi = parse_phi(name)
+                a, b = phi.domain
+                vals = rng.uniform(a + 1e-3 * (b - a), b - 1e-3 * (b - a), size=sizes)
+                if phi.allow_zero:
+                    vals.ravel()[rng.random(vals.size) < 0.3] = 0.0
+                    zeros += 1
+                lam = rng.uniform(0.0, 1.0, size=len(sizes)) * (rng.random(len(sizes)) > 0.3)
+                f = JointFunction(vals)
+                want = _definition_gap_reference(d, phi, lam, f)
+                assert definition_gap(d, phi, lam, f) == pytest.approx(want, rel=1e-13, abs=1e-18)
+                compared += 1
+    assert compared == 252 and zeros == 36
 
 
 def test_flat_rows_gradient_matches_differences():

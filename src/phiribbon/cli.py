@@ -124,14 +124,10 @@ def rho(dist_path):
 @cli.command()
 @click.option("--dist", "dist_path", required=True)
 @click.option("--phi", "phi_name", required=True)
-@click.option(
-    "--psi", "psi_name", default=None,
-    help="Phi of the numerator: estimate sup H_psi(E[f|Y]) / H_phi(f). Defaults to --phi.",
-)
 @click.option("--restarts", default=32, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-def eta(dist_path, phi_name, psi_name, restarts, seed):
-    """Lower-bound estimate of the SDPI constant.
+def eta(dist_path, phi_name, restarts, seed):
+    """Lower-bound estimate of the SDPI constant eta_Phi, capped at 1.
 
     "converged" is true when the ascent ended because its answer stopped
     improving (gradient test met, step floor reached, best ratio flat to
@@ -139,8 +135,7 @@ def eta(dist_path, phi_name, psi_name, restarts, seed):
     winning restart used up its move budget first."""
     d = _load_dist(dist_path)
     phi = parse_phi(phi_name)
-    psi = parse_phi(psi_name) if psi_name else None
-    est = correlation.eta_phi(d, phi, psi, SearchOpts(restarts=restarts, seed=seed))
+    est = correlation.eta_phi(d, phi, opts=SearchOpts(restarts=restarts, seed=seed))
     _emit_json(
         {
             "value": est.value,

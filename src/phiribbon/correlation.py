@@ -22,6 +22,7 @@ from .errors import BadParameter, NotBipartite
 from .phi import _CANCEL, _CLAMP, PhiSpec, _bregman_terms, square
 
 _VAR_FLOOR = 1e-12  # H_phi(f) at or below this leaves the ratio undefined
+_MARGIN = 1e-9  # share of the domain width kept off each end, where Phi' may be infinite
 _ACCEPT = 1e-18  # decrease a trial move must exceed to be taken
 _GRAD_TOL = 1e-9  # a row whose box-projected gradient norm is below this has converged
 _STEP_INIT = 0.1  # first step, as a fraction of the box width: large enough to leave a corner
@@ -58,7 +59,8 @@ class SearchOpts:
 
 @dataclass(frozen=True)
 class EtaEstimate:
-    """An ``eta_phi`` answer: a ratio achieved by ``witness``, and rho^2.
+    """An ``eta_phi`` answer: ``H_phi(E[f|Y]) / H_phi(f)`` at f = ``witness``
+    (capped at 1), and rho^2, the lower bound every Phi's ``eta_Phi`` meets.
 
     ``converged`` is True for the ``Phi = t^2`` closed form, which runs no
     ascent and is exact (a law with one Y atom reads the exact value 0).
@@ -122,12 +124,14 @@ def mc_witness(d: JointDist) -> tuple[np.ndarray, np.ndarray, float]:
     return f_full, g_full, float(min(1.0, s[1]))
 
 
-def eta_lower_bound_rho2(d: JointDist) -> float:
-    return maximal_correlation(d) ** 2
+def _box(phi: PhiSpec) -> tuple[float, float]:
+    """The box ``[lo, hi]`` search rows for ``phi`` stay in: the domain less its ``_MARGIN``."""
+    a, b = phi.domain
+    return a + _MARGIN * (b - a), b - _MARGIN * (b - a)
 
 
 class _EtaProblem:
-    """Row-stacked ratio ``H_psi(E[f|Y]) / H_phi(f)`` over f on the X support.
+    """Row-stacked ratio ``H_phi(E[f|Y]) / H_phi(f)`` over f on the X support.
 
     As in ``ribbon_phi._FlatProblem``, one product ``X = F @ A`` with
     ``A = [I | P/p_y | p_x]`` stacks ``[f, E[f|Y], E f]`` for every row, and
@@ -135,21 +139,20 @@ class _EtaProblem:
     their gradients.  Rows lie in the open box, so ``E f`` is interior.
     """
 
-    def __init__(self, P, px, py, phi: PhiSpec, psi: PhiSpec):
+    def __init__(self, P, px, py, phi: PhiSpec):
         n, ny = P.shape
         wx, wy = px / px.sum(), py / py.sum()
-        self.phi, self.psi, self.n = phi, psi, n
+        self.phi, self.n = phi, n
         self.A = np.hstack([np.eye(n), P / py, wx[:, None]])
-        # Bregman terms @ W = [H_phi(f), H_psi(E[f|Y])]; the E f column adds 0
+        # Bregman terms @ W = [H_phi(f), H_phi(E[f|Y])]; the E f column adds 0
         self.W = np.zeros((n + ny + 1, 2))
         self.W[:n, 0], self.W[n:-1, 1] = wx, wy
-        # (Phi'(X) - Phi'(E f)) @ G = [dH_phi(f)/df, dH_psi(E[f|Y])/df]
+        # (Phi'(X) - Phi'(E f)) @ G = [dH_phi(f)/df, dH_phi(E[f|Y])/df]
         self.G = np.zeros((n + ny + 1, 2 * n))
         self.G[:n, :n], self.G[n:-1, n:] = np.diag(px), P.T
-        self.on_f = np.arange(n + ny + 1) < n  # the columns Phi sees when psi is not phi
         self.cuts = np.array([0, n, n + ny])  # the f, E[f|Y] and E f column blocks
-        # per entropy: its spec, weights, columns of X, and column of Phi(E f) in pm
-        self.terms = ((phi, wx, slice(0, n), 0), (psi, wy, slice(n, -1), -1))
+        # per entropy: its weights and columns of X
+        self.terms = ((wx, slice(0, n)), (wy, slice(n, -1)))
 
     def rows(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ratio and its gradient per row of F; -inf (gradient 0) where
@@ -161,30 +164,19 @@ class _EtaProblem:
         rows are recomputed by quadrature, as in ``phi._entropy_rows``.
         """
         X = F @ self.A
-        m, phi, psi = X[:, -1:], self.phi, self.psi
-        if psi is phi:
-            V, D = phi.safe_eval(X), phi.deriv(1, X)
-            pm = vm = V[:, -1:]
-            dm = D[:, -1:]
-            vmax = np.abs(V).max()  # pm is a column of V
-        else:  # Phi on f, Psi on E[f|Y] and E f; pm holds [Phi(m), Psi(m)]
-            x, y = X[:, : self.n], X[:, self.n :]
-            V = np.hstack([phi.safe_eval(x), psi.safe_eval(y)])
-            D = np.hstack([phi.deriv(1, x), psi.deriv(1, y)])
-            pm = np.hstack([phi.safe_eval(m), V[:, -1:]])
-            vm = np.where(self.on_f, pm[:, :1], pm[:, 1:])
-            dm = np.where(self.on_f, phi.deriv(1, m), D[:, -1:])
-            vmax = max(np.abs(V).max(), np.abs(pm).max())
-        H = (V - vm - dm * (X - m)) @ self.W
-        # every row's Phi scale is at most 2 vmax: entropies above that bound's
-        # share are neither cancellation noise nor rounded below 0
-        if not H.min() > 2 * _CANCEL * vmax:
+        m, phi = X[:, -1:], self.phi
+        V, D = phi.safe_eval(X), phi.deriv(1, X)
+        pm, dm = V[:, -1:], D[:, -1:]
+        H = (V - pm - dm * (X - m)) @ self.W
+        # every row's Phi scale is at most 2 max |V| (pm is a column of V): entropies
+        # above that bound's share are neither cancellation noise nor rounded below 0
+        if not H.min() > 2 * _CANCEL * np.abs(V).max():
             scale = np.maximum.reduceat(np.abs(V), self.cuts, axis=1)[:, :2] + np.abs(pm)
             tiny = H < _CANCEL * scale
-            for j, (spec, w, cols, c) in enumerate(self.terms):
+            for j, (w, cols) in enumerate(self.terms):
                 r = tiny[:, j].nonzero()[0]
                 if len(r):
-                    H[r, j] = _bregman_terms(spec, X[r, cols], m[r, 0], V[r, cols], pm[r, c]) @ w
+                    H[r, j] = _bregman_terms(phi, X[r, cols], m[r, 0], V[r, cols], pm[r, 0]) @ w
             np.maximum(H, 0.0, out=H, where=H >= -_CLAMP)  # rounding below 0 reads 0
         dH = (D - dm) @ self.G
         den = H[:, 0]
@@ -315,7 +307,7 @@ def _pgd(
     return vals, F, converged
 
 
-def _amplitude_sweep(directions, neg_ratio, px, a, b) -> tuple[float, np.ndarray]:
+def _amplitude_sweep(directions, neg_ratio, px, phi) -> tuple[float, np.ndarray]:
     """Best ratio over f = c + eps * u for every direction and shrinking eps.
 
     Small-amplitude expansion of both entropies turns the ratio into a
@@ -324,11 +316,12 @@ def _amplitude_sweep(directions, neg_ratio, px, a, b) -> tuple[float, np.ndarray
     ``0.45 (b - a)`` to just above ``1e-5 (b - a)``; all directions and
     amplitudes are rows of one evaluation.
     """
+    a, b = phi.domain
     U = directions - (directions @ px)[:, None]
     U /= np.maximum(np.max(np.abs(U), axis=1), 1e-300)[:, None]
     eps = 0.45 * (b - a) * 0.5 ** np.arange(16)
     F = 0.5 * (a + b) + eps[None, :, None] * U[:, None, :]
-    F = np.clip(F, a + 1e-9 * (b - a), b - 1e-9 * (b - a)).reshape(-1, U.shape[1])
+    F = np.clip(F, *_box(phi)).reshape(-1, U.shape[1])
     vals, _ = neg_ratio(F)
     j = int(np.argmin(vals))
     return float(-vals[j]), F[j]
@@ -340,30 +333,32 @@ def eta_phi(
     psi: PhiSpec | None = None,
     opts: SearchOpts | None = None,
 ) -> EtaEstimate:
-    """Estimate ``sup_f H_psi(E[f|Y]) / H_phi(f)`` over non-constant f on X.
+    """Estimate the SDPI constant ``eta_Phi = sup_f H_phi(E[f|Y]) / H_phi(f)``
+    over non-constant f on X, capped at 1.
 
     The reported value is a lower bound on the supremum, achieved by the
-    returned witness.  ``psi`` defaults to ``phi``.  For ``Phi = t^2`` (and
-    ``psi`` unset or the same spec) the ratio is ``Var E[f|Y] / Var f``,
-    whose supremum rho^2 the maximal-correlation witness attains, so that
-    witness, mapped affinely into the box, is the answer and no ascent runs.
+    returned witness.  ``psi`` is a retired slot: it accepts only ``None`` or
+    ``phi`` itself, and anything else raises ``BadParameter``.  For
+    ``Phi = t^2`` the ratio is ``Var E[f|Y] / Var f``, whose supremum rho^2
+    the maximal-correlation witness attains, so that witness, mapped affinely
+    into the box, is the answer and no ascent runs.
     """
+    if psi is not None and psi is not phi:
+        raise BadParameter("eta_Phi has one Phi: psi must be None or phi itself")
     opts = opts or SearchOpts()
-    psi = psi or phi
     P, px, py, sx, _ = _bipartite_matrices(d)
     a, b = phi.domain
-    lo = a + 1e-9 * (b - a)
-    hi = b - 1e-9 * (b - a)
+    lo, hi = _box(phi)
 
     fwit, _, rho = mc_witness(d)
     svd_dir = fwit[sx]
     full = np.zeros(d.alphabet_sizes[0])
-    if phi is square() and psi is phi and len(px) > 1:
+    if phi is square() and len(px) > 1:
         full[sx] = 0.5 * (a + b) + 0.45 * (b - a) * svd_dir / np.max(np.abs(svd_dir))
         return EtaEstimate(rho**2, MarginalFunction(0, full), rho**2, converged=True)
 
     rng = np.random.default_rng(opts.seed)
-    prob = _EtaProblem(P, px, py, phi, psi)
+    prob = _EtaProblem(P, px, py, phi)
 
     def neg_ratio(F, rows=None):
         ratio, grad = prob.rows(F)
@@ -382,7 +377,7 @@ def eta_phi(
     # the supremum often sits in the small-amplitude limit around a
     # constant; sweep that regime explicitly along the best directions
     directions = [svd_dir] if best_f is None else [svd_dir, best_f - px @ best_f]
-    sval, sf = _amplitude_sweep(np.array(directions), neg_ratio, px, a, b)
+    sval, sf = _amplitude_sweep(np.array(directions), neg_ratio, px, phi)
     if sval > best_val:
         best_val, best_f, converged = sval, sf, True
     if best_f is None:
@@ -390,7 +385,7 @@ def eta_phi(
         best_val = 0.0
     full[sx] = best_f
     return EtaEstimate(
-        value=float(min(best_val, 1.0) if psi is phi else best_val),
+        value=float(min(best_val, 1.0)),
         witness=MarginalFunction(0, full),
         lower_bound_rho2=rho**2,
         converged=converged,

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import JointDist, JointFunction, MarginalFunction, cond_expectation, marginal
+from .dist import JointDist, JointFunction, MarginalFunction
 from .errors import BadParameter, DomainViolation, NotIndependent
 
 _CLAMP = 1e-12

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import SearchOpts, _pgd
+from .correlation import SearchOpts, _box, _pgd
 from .dist import Channel, JointDist, JointFunction, make_joint
 from .errors import BadShape, PhiNotClassF
 from .phi import PhiSpec, cond_phi_entropies, phi_mutual_information
@@ -152,7 +152,7 @@ def _seeds(prob: _FlatProblem, lams: np.ndarray, rng, restarts: int, project=Non
     rows drawn once for all points, as a lone search would draw them.  The
     gap is linear in lambda, so one evaluation of the pool ranks every point."""
     a, b = prob.phi.domain
-    lo, hi, c = a + 1e-9 * (b - a), b - 1e-9 * (b - a), 0.5 * (a + b)
+    (lo, hi), c = _box(prob.phi), 0.5 * (a + b)
     eps = np.array([0.45, 0.2, 0.05, 0.01, 1e-3])  # amplitudes along the quadratic-case direction
     P, n, m = len(lams), prob.n, len(eps)
     u, rejected = prob.directions(lams)
@@ -251,8 +251,7 @@ def normalized_phi_ribbon_membership(
         raise BadShape(
             f"{phi.name} does not admit non-negative functions reaching 0"
         )
-    a, b = phi.domain
-    top = b - 1e-9 * (b - a)
+    top = _box(phi)[1]
     if top <= 1:  # then E f = 1 leaves only constants, or no f at all
         raise BadShape(f"{phi.name} has no non-constant f <= {top!r} with E f = 1")
     floor = 1e-12  # keep Phi' finite for the descent; 0 itself adds nothing

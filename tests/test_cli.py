@@ -78,6 +78,15 @@ def test_bad_distribution_is_input_error(tmp_path, capsys):
 def test_unknown_flag_is_input_error(dsbs05, capsys):
     code, _ = run_cli(capsys, "rho", "--dist", dsbs05, "--bogus", "1")
     assert code == 2
+
+
+def test_eta_takes_one_phi(dsbs05, capsys):
+    # eta_Phi has one Phi: there is no second one for the numerator
+    code = main(["eta", "--dist", dsbs05, "--phi", "xlogx", "--psi", "binent"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
     # malformed flag values: phi names and search options
     for argv in (
         ["--phi", "power:1.2.3"],

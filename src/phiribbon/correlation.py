@@ -1,14 +1,13 @@
-"""Scalar correlation measures, and the projected-gradient engine of all searches.
+"""Scalar correlation measures, and the engine and row evaluator of all searches.
 
 Maximal correlation is spectral (second singular value of the normalized
 joint matrix).  The SDPI constant ``eta_phi`` is a supremum of entropy
 ratios with no closed form in general, so it is estimated by multi-start
 projected gradient ascent plus a small-amplitude sweep; every reported
-value is achieved by a concrete witness function and is therefore a
-certified lower bound.  The ascent and the region searches of
-``ribbon_phi`` share one engine, :func:`_pgd`, which moves every restart of
-a search as one row of a matrix, so each objective evaluation is a single
-row-stacked NumPy call.
+value is re-evaluated at its witness through the entropy module, so it is a
+certified lower bound.  The ascent and the region searches of ``ribbon_phi``
+share one engine, :func:`_pgd`, which moves every restart of a search as one
+row of a matrix, and one row evaluator, :class:`_FlatProblem`.
 """
 
 from __future__ import annotations
@@ -19,9 +18,9 @@ import numpy as np
 
 from .dist import JointDist, MarginalFunction
 from .errors import BadParameter, NotBipartite
-from .phi import _CANCEL, _CLAMP, PhiSpec, _bregman_terms, square
+from .phi import PhiSpec, _entropy_rows, square
 
-_VAR_FLOOR = 1e-12  # H_phi(f) at or below this leaves the ratio undefined
+_VAR_FLOOR = 1e-12  # H_phi(f) at or below this (times Phi's scale, in the ascent) leaves no ratio
 _MARGIN = 1e-9  # share of the domain width kept off each end, where Phi' may be infinite
 _ACCEPT = 1e-18  # decrease a trial move must exceed to be taken
 _GRAD_TOL = 1e-9  # a row whose box-projected gradient norm is below this has converged
@@ -59,8 +58,9 @@ class SearchOpts:
 
 @dataclass(frozen=True)
 class EtaEstimate:
-    """An ``eta_phi`` answer: ``H_phi(E[f|Y]) / H_phi(f)`` at f = ``witness``
-    (capped at 1), and rho^2, the lower bound every Phi's ``eta_Phi`` meets.
+    """An ``eta_phi`` answer: ``H_phi(E[f|Y]) / H_phi(f)`` at f = ``witness``,
+    re-evaluated there through the entropy module (capped at 1), and rho^2,
+    the lower bound every Phi's ``eta_Phi`` meets.
 
     ``converged`` is True for the ``Phi = t^2`` closed form, which runs no
     ascent and is exact (a law with one Y atom reads the exact value 0).
@@ -130,62 +130,61 @@ def _box(phi: PhiSpec) -> tuple[float, float]:
     return a + _MARGIN * (b - a), b - _MARGIN * (b - a)
 
 
-class _EtaProblem:
-    """Row-stacked ratio ``H_phi(E[f|Y]) / H_phi(f)`` over f on the X support.
+class _FlatProblem:
+    """Row-stacked Phi-entropy terms over function values f on atoms of
+    probabilities p, with averaging maps given as tables ``t_i[a, c] =
+    P(cell c | atom a)``.  Phi and Phi' are evaluated once per call, on
+    ``X = F @ A = [f, E f, E_0 f, E_1 f, ...]``; w holds each column's cell
+    probability and T the averaged columns' tables (E f's is all ones), so
+    ``A[a, n + c] w[n + c] = p[a] T[c, a]``."""
 
-    As in ``ribbon_phi._FlatProblem``, one product ``X = F @ A`` with
-    ``A = [I | P/p_y | p_x]`` stacks ``[f, E[f|Y], E f]`` for every row, and
-    fixed matrices turn ``Phi(X)`` and ``Phi'(X)`` into both entropies and
-    their gradients.  Rows lie in the open box, so ``E f`` is interior.
-    """
+    def __init__(self, p: np.ndarray, tables: list[np.ndarray], phi: PhiSpec):
+        self.p, self.phi, self.n = p, phi, len(p)
+        # owner marks the columns of f (-2), of E f (-1) and of E_i f (i)
+        blocks, owner = [np.eye(self.n), p[:, None]], [-2] * self.n + [-1]
+        for i, t in enumerate(tables):
+            blocks.append(t * p[:, None] / (p @ t))  # F @ block = E_i f
+            owner += [i] * t.shape[1]
+        self.A = np.hstack(blocks)
+        self.T = np.hstack([np.ones((self.n, 1)), *tables]).T
+        self.w = np.concatenate([p, self.T @ p])
+        owner = np.array(owner)
+        # each column's coefficient in the gap is V0 + lambda @ V: 1 on f,
+        # sum(lambda) - 1 on E f, and -lambda_i on E_i f
+        self.V0 = 1.0 * (owner == -2) - (owner == -1)
+        self.V = 1.0 * (owner == -1) - (owner == np.arange(len(tables))[:, None])
 
-    def __init__(self, P, px, py, phi: PhiSpec):
-        n, ny = P.shape
-        wx, wy = px / px.sum(), py / py.sum()
-        self.phi, self.n = phi, n
-        self.A = np.hstack([np.eye(n), P / py, wx[:, None]])
-        # Bregman terms @ W = [H_phi(f), H_phi(E[f|Y])]; the E f column adds 0
-        self.W = np.zeros((n + ny + 1, 2))
-        self.W[:n, 0], self.W[n:-1, 1] = wx, wy
-        # (Phi'(X) - Phi'(E f)) @ G = [dH_phi(f)/df, dH_phi(E[f|Y])/df]
-        self.G = np.zeros((n + ny + 1, 2 * n))
-        self.G[:n, :n], self.G[n:-1, n:] = np.diag(px), P.T
-        self.cuts = np.array([0, n, n + ny])  # the f, E[f|Y] and E f column blocks
-        # per entropy: its weights and columns of X
-        self.terms = ((wx, slice(0, n)), (wy, slice(n, -1)))
-
-    def rows(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ratio and its gradient per row of F; -inf (gradient 0) where
-        ``H_phi(f) <= _VAR_FLOOR`` leaves it undefined.
-
-        Each entropy is a Bregman sum ``E[Phi(v) - Phi(m) - Phi'(m)(v - m)]``
-        with ``m = E f``.  Where one is below ``phi._CANCEL`` times its Phi
-        scale ``max |Phi(v)| + |Phi(m)|`` (cancellation), its terms on those
-        rows are recomputed by quadrature, as in ``phi._entropy_rows``.
-        """
+    def rows(self, F: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gap ``H(f) - sum_i lambda_i H(E_i f)`` and its gradient, per row
+        of F with the lambda point in the same row of L."""
         X = F @ self.A
-        m, phi = X[:, -1:], self.phi
-        V, D = phi.safe_eval(X), phi.deriv(1, X)
-        pm, dm = V[:, -1:], D[:, -1:]
-        H = (V - pm - dm * (X - m)) @ self.W
-        # every row's Phi scale is at most 2 max |V| (pm is a column of V): entropies
-        # above that bound's share are neither cancellation noise nor rounded below 0
-        if not H.min() > 2 * _CANCEL * np.abs(V).max():
-            scale = np.maximum.reduceat(np.abs(V), self.cuts, axis=1)[:, :2] + np.abs(pm)
-            tiny = H < _CANCEL * scale
-            for j, (w, cols) in enumerate(self.terms):
-                r = tiny[:, j].nonzero()[0]
-                if len(r):
-                    H[r, j] = _bregman_terms(phi, X[r, cols], m[r, 0], V[r, cols], pm[r, 0]) @ w
-            np.maximum(H, 0.0, out=H, where=H >= -_CLAMP)  # rounding below 0 reads 0
-        dH = (D - dm) @ self.G
-        den = H[:, 0]
-        defined = den.min() > _VAR_FLOOR  # every ratio defined (a NaN fails the test)
+        C = self.V0 + L @ self.V
+        gap = (self.phi.safe_eval(X) * C) @ self.w
+        D = self.phi.deriv(1, X) * C  # an f column feeds only its own atom
+        return gap, self.p * (D[:, : self.n] + D[:, self.n :] @ self.T)
+
+    def gap_terms(self, F: np.ndarray) -> np.ndarray:
+        """Per row of F, the terms G of its gap: ``gap(f, lambda) = G @ [1, lambda]``."""
+        return (self.phi.safe_eval(F @ self.A) * self.w) @ np.vstack([self.V0, self.V]).T
+
+    def ratio(self, F: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+        """``H(E_0 f) / H(f)`` and its gradient per row of F (one averaging
+        map), -inf (gradient 0) where ``H(f) <= floor``.  Both are plain
+        Bregman sums ``E[Phi(v) - Phi(m) - Phi'(m)(v - m)]`` at ``m = E f``,
+        which lose digits near a constant: callers certify what they report."""
+        n = self.n
+        X = F @ self.A
+        V, D = self.phi.safe_eval(X), self.phi.deriv(1, X)
+        m, dm = X[:, n : n + 1], D[:, n : n + 1]
+        B = V - V[:, n : n + 1] - dm * (X - m)  # 0 in the E f column
+        den, num = B[:, :n] @ self.p, B[:, n:] @ self.w[n:]
+        D -= dm
+        defined = den.min() > floor  # every ratio defined (a NaN fails the test)
         if not defined:
-            ok = den > _VAR_FLOOR
+            ok = den > floor
             den = np.where(ok, den, 1.0)
-        ratio = H[:, 1] / den
-        grad = (dH[:, self.n :] - ratio[:, None] * dH[:, : self.n]) / den[:, None]
+        ratio = num / den
+        grad = (D[:, n:] @ self.T - ratio[:, None] * D[:, :n]) * (self.p / den[:, None])
         if defined:
             return ratio, grad
         return np.where(ok, ratio, -np.inf), np.where(ok[:, None], grad, 0.0)
@@ -307,8 +306,18 @@ def _pgd(
     return vals, F, converged
 
 
-def _amplitude_sweep(directions, neg_ratio, px, phi) -> tuple[float, np.ndarray]:
-    """Best ratio over f = c + eps * u for every direction and shrinking eps.
+def _certified_ratio(F, P, px, py, phi) -> np.ndarray:
+    """``H_phi(E[f|Y]) / H_phi(f)`` per row of F from one ``_entropy_rows`` call
+    per entropy, -inf where ``H_phi(f) <= _VAR_FLOOR``; E[f|Y] sums over x in
+    order, as ``dist.cond_expectation`` does."""
+    den = _entropy_rows(phi, px, F)
+    ok = den > _VAR_FLOOR
+    gy = (P * F[:, :, None]).sum(axis=1) / py
+    return np.where(ok, _entropy_rows(phi, py, gy) / np.where(ok, den, 1.0), -np.inf)
+
+
+def _amplitude_sweep(directions, P, px, py, phi) -> tuple[float, np.ndarray]:
+    """Best certified ratio over f = c + eps * u for every direction and shrinking eps.
 
     Small-amplitude expansion of both entropies turns the ratio into a
     Rayleigh quotient, so sweeping eps downward recovers the supremum when
@@ -322,9 +331,9 @@ def _amplitude_sweep(directions, neg_ratio, px, phi) -> tuple[float, np.ndarray]
     eps = 0.45 * (b - a) * 0.5 ** np.arange(16)
     F = 0.5 * (a + b) + eps[None, :, None] * U[:, None, :]
     F = np.clip(F, *_box(phi)).reshape(-1, U.shape[1])
-    vals, _ = neg_ratio(F)
-    j = int(np.argmin(vals))
-    return float(-vals[j]), F[j]
+    vals = _certified_ratio(F, P, px, py, phi)
+    j = int(np.argmax(vals))
+    return float(vals[j]), F[j]
 
 
 def eta_phi(
@@ -336,12 +345,14 @@ def eta_phi(
     """Estimate the SDPI constant ``eta_Phi = sup_f H_phi(E[f|Y]) / H_phi(f)``
     over non-constant f on X, capped at 1.
 
-    The reported value is a lower bound on the supremum, achieved by the
-    returned witness.  ``psi`` is a retired slot: it accepts only ``None`` or
-    ``phi`` itself, and anything else raises ``BadParameter``.  For
-    ``Phi = t^2`` the ratio is ``Var E[f|Y] / Var f``, whose supremum rho^2
-    the maximal-correlation witness attains, so that witness, mapped affinely
-    into the box, is the answer and no ascent runs.
+    The ascent climbs ``_FlatProblem.ratio``; the best of its restarts' ends
+    and the sweep's rows, re-evaluated through the entropy module, is the
+    reported lower bound, achieved by the returned witness.  ``psi`` is a
+    retired slot: it accepts only ``None`` or ``phi`` itself, and anything
+    else raises ``BadParameter``.  For ``Phi = t^2`` the ratio is
+    ``Var E[f|Y] / Var f``, whose supremum rho^2 the maximal-correlation
+    witness attains, so that witness, mapped affinely into the box, is the
+    answer and no ascent runs.
     """
     if psi is not None and psi is not phi:
         raise BadParameter("eta_Phi has one Phi: psi must be None or phi itself")
@@ -358,10 +369,12 @@ def eta_phi(
         return EtaEstimate(rho**2, MarginalFunction(0, full), rho**2, converged=True)
 
     rng = np.random.default_rng(opts.seed)
-    prob = _EtaProblem(P, px, py, phi)
+    prob = _FlatProblem(px, [P / px[:, None]], phi)  # one map: the channel rows P(y|x)
+    # the objective's rounding error scales with Phi, so its floor does too
+    floor = _VAR_FLOOR * max(1.0, *np.abs(phi.safe_eval(np.array([lo, hi]))))
 
-    def neg_ratio(F, rows=None):
-        ratio, grad = prob.rows(F)
+    def neg_ratio(F, rows):
+        ratio, grad = prob.ratio(F, floor)
         return -ratio, -grad
 
     # restart 0 follows the quadratic-case witness, the others are uniform
@@ -369,15 +382,16 @@ def eta_phi(
         np.clip(0.5 * (a + b) + 0.2 * (b - a) * svd_dir, lo, hi),
         rng.uniform(lo, hi, size=(opts.restarts - 1, len(px))),
     ])
-    vals, ends, conv = _pgd(neg_ratio, starts, lo, hi, opts, stall_exit=True)
-    j = int(np.argmin(vals))
+    _, ends, conv = _pgd(neg_ratio, starts, lo, hi, opts, stall_exit=True)
+    vals = _certified_ratio(ends, P, px, py, phi)
+    j = int(np.argmax(vals))
     best_val, best_f, converged = 0.0, None, False
-    if -vals[j] > 0.0:
-        best_val, best_f, converged = float(-vals[j]), ends[j], bool(conv[j])
+    if vals[j] > 0.0:
+        best_val, best_f, converged = float(vals[j]), ends[j], bool(conv[j])
     # the supremum often sits in the small-amplitude limit around a
     # constant; sweep that regime explicitly along the best directions
     directions = [svd_dir] if best_f is None else [svd_dir, best_f - px @ best_f]
-    sval, sf = _amplitude_sweep(np.array(directions), neg_ratio, px, phi)
+    sval, sf = _amplitude_sweep(np.array(directions), P, px, py, phi)
     if sval > best_val:
         best_val, best_f, converged = sval, sf, True
     if best_f is None:

@@ -281,9 +281,11 @@ def _entropy_rows(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> np.n
     Phi' are evaluated once each, for the Bregman form
     ``E[Phi(f) - Phi(m) - Phi'(m)(f - m)]`` at the row means m; where that is
     tiny relative to Phi's scale (catastrophic cancellation) each term is
-    recomputed without subtraction by :func:`_bregman_terms`.  A mean on the
-    domain edge uses ``E[Phi(f) - Phi(m)]``.  Derivatives a spec lacks come
-    from the stencil of :meth:`PhiSpec.deriv`.
+    recomputed without subtraction by :func:`_bregman_terms`.  This is the
+    library's only cancellation test: the searches' objectives are plain
+    sums, and the answers they certify (eta values, violations) are
+    re-evaluated here.  A mean on the domain edge uses ``E[Phi(f) - Phi(m)]``.
+    Derivatives a spec lacks come from the stencil of :meth:`PhiSpec.deriv`.
     """
     values = np.asarray(values, dtype=float)
     weights = np.broadcast_to(weights, values.shape)
@@ -317,8 +319,9 @@ def _entropy_rows(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> np.n
 def _bregman_terms(phi, values, m, pf, pm) -> np.ndarray:
     """``Phi(v) - Phi(m) - Phi'(m)(v - m)`` per entry of ``values``, row means
     m, computed without the subtraction as ``(v - m)^2 * integral_0^1 (1 - s)
-    Phi''(m + s(v - m)) ds`` by Gauss-Legendre quadrature; ``pf = Phi(values)``
-    and ``pm = Phi(m)`` serve the direct formula at a 0 that ``allow_zero``
+    Phi''(m + s(v - m)) ds`` by Gauss-Legendre quadrature, the library's only
+    one (called from :func:`_entropy_rows`); ``pf = Phi(values)`` and
+    ``pm = Phi(m)`` serve the direct formula at a 0 that ``allow_zero``
     admits, where Phi'' is singular."""
     dt = values - m[:, None]
     nodes = m[:, None, None] + dt[:, :, None] * _GL_S  # inside the hull of {v, m}

@@ -3,7 +3,10 @@
 The defining inequality ``H_phi(f) >= sum_i lambda_i H_phi(E[f|X_i])`` has
 no closed form outside the quadratic case, so membership is probed by
 minimizing the gap over function values: ranked start rows descend together
-in the batched projected-gradient engine ``correlation._pgd``.  The gap is
+in the batched projected-gradient engine ``correlation._pgd``, evaluated by
+the row evaluator ``correlation._FlatProblem``.  This module keeps what is
+particular to a law: its support atoms, the one-hot cells of each X_i, the
+quadratic-case directions, and the map back to a joint function.  The gap is
 linear in lambda, so each row carries its own lambda point, and a search
 makes one ``_pgd`` call per law, Phi and stack of points.
 The quadratic case is the second-order term of every Phi: near a constant
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import correlation
 from .correlation import SearchOpts, _box, _pgd
 from .dist import Channel, JointDist, JointFunction, make_joint
 from .errors import BadShape, PhiNotClassF
@@ -82,51 +86,19 @@ def definition_gap(d: JointDist, phi: PhiSpec, lam, f: JointFunction) -> float:
     return g
 
 
-class _FlatProblem:
-    """Row-stacked gap evaluation over function values on the joint support,
-    with a lambda point per row."""
+class _FlatProblem(correlation._FlatProblem):
+    """Row-stacked gap evaluation over function values on the support of a
+    law, with a lambda point per row: the atoms are the support's, and the
+    cells of X_i are its symbols that some atom of the support carries."""
 
     def __init__(self, d: JointDist, phi: PhiSpec):
         self.d = d
-        self.phi = phi
         self.sup = np.flatnonzero(d.support_mask.ravel())
-        self.p = d.probs.ravel()[self.sup]
-        self.n = n = len(self.sup)
-        # each atom's symbol of every X_i, one-hot over the alphabets; the
-        # cells of X_i are its symbols that some atom of the support carries
+        # each atom's symbol of every X_i, one-hot over the alphabets
         symbols = np.array(np.unravel_index(self.sup, d.alphabet_sizes))
         hits = 1.0 * (symbols[:, :, None] == np.arange(max(d.alphabet_sizes)))
-        present = hits.any(axis=1)
-        # Phi and Phi' are evaluated once per call of rows(), on the stack
-        # X = F @ A = [f, E f, E[f|X_i] for each i]; owner marks the columns
-        # of f (-2), of E f (-1) and of E[f|X_i] (i)
-        blocks, owner = [np.eye(n), self.p[:, None]], [-2] * n + [-1]
-        for i in range(d.k):
-            onehot = hits[i].compress(present[i], axis=1)  # each atom's cell of X_i
-            blocks.append(onehot * self.p[:, None] / (self.p @ onehot))  # F @ block = E[f|X_i]
-            owner += [i] * onehot.shape[1]
-        self.A = np.hstack(blocks)
-        # averaged column c covers atom a iff T[c, a] = 1; the f columns are the identity
-        self.T = (self.A[:, n:] > 0).T * 1.0
-        self.w = np.concatenate([self.p, self.T @ self.p])  # the probability of each column's cell
-        owner = np.array(owner)
-        # each column's coefficient is V0 + lambda @ V: 1 on f, sum(lambda) - 1
-        # on E f, and -lambda_i on E[f|X_i]
-        self.V0 = 1.0 * (owner == -2) - (owner == -1)
-        self.V = 1.0 * (owner == -1) - (owner == np.arange(d.k)[:, None])
-
-    def rows(self, F: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gap ``H(f) - sum_i lambda_i H(E[f|X_i])`` and its gradient, per row
-        of F with the lambda point in the same row of L."""
-        X = F @ self.A
-        C = self.V0 + L @ self.V
-        gap = (self.phi.safe_eval(X) * C) @ self.w
-        D = self.phi.deriv(1, X) * C  # an f column feeds only its own atom
-        return gap, self.p * (D[:, : self.n] + D[:, self.n :] @ self.T)
-
-    def gap_terms(self, F: np.ndarray) -> np.ndarray:
-        """Per row of F, the terms G of its gap: ``gap(f, lambda) = G @ [1, lambda]``."""
-        return (self.phi.safe_eval(F @ self.A) * self.w) @ np.vstack([self.V0, self.V]).T
+        cells = [h.compress(h.any(axis=0), axis=1) for h in hits]  # each atom's cell of X_i
+        super().__init__(d.probs.ravel()[self.sup], cells, phi)
 
     def directions(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row of L, the minimiser of the Phi = t^2 gap ``u Q u`` per unit

@@ -367,6 +367,18 @@ def test_suite_xor_passes(tmp_path, capsys):
     assert "pass" in out
 
 
+# the other reproduction bundles, at their own tolerances (dsbs and sumiid run eta_phi)
+@pytest.mark.parametrize(
+    "name",
+    ["dsbs", "sumiid", "bipartite-boundary", "tilde", "gaussian-binary", "alpha-equivalence"],
+)
+def test_suite_passes(name, capsys):
+    code, out = run_cli(capsys, "suite", name)
+    assert code == 0
+    assert "FAIL" not in out
+    assert "pass" in out
+
+
 def test_suite_unknown_name(capsys):
     code, _ = run_cli(capsys, "suite", "nope")
     assert code == 2

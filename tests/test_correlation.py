@@ -16,7 +16,7 @@ from phiribbon.correlation import (
     _VAR_FLOOR,
     SearchOpts,
     _bipartite_matrices,
-    _EtaProblem,
+    _FlatProblem,
     _pgd,
     eta_phi,
     maximal_correlation,
@@ -24,11 +24,9 @@ from phiribbon.correlation import (
 )
 from phiribbon.dist import JointFunction, canonical, cond_expectation, make_joint
 from phiribbon.errors import BadParameter, NotBipartite
+from phiribbon import phi as phi_module
 from phiribbon.phi import (
-    _CANCEL,
-    _CLAMP,
     PhiSpec,
-    _bregman_terms,
     _entropy_rows,
     binent,
     marginal_phi_entropy,
@@ -36,12 +34,8 @@ from phiribbon.phi import (
     square,
     xlogx,
 )
-from phiribbon.ribbon_phi import _EXIT_BELOW, _FlatProblem, _project_density, _seeds
-
-
-def _entropy_of_weighted(phi, weights, values):
-    """H_phi of a finite law given atom weights and values: one row of ``_entropy_rows``."""
-    return float(_entropy_rows(phi, weights, np.asarray(values, dtype=float)[None])[0])
+from phiribbon.ribbon_phi import _EXIT_BELOW, _project_density, _seeds
+from phiribbon.ribbon_phi import _FlatProblem as _LawProblem
 
 
 def test_search_opts_validation():
@@ -118,15 +112,15 @@ def test_eta_phi_square_equals_rho_squared():
         assert est.lower_bound_rho2 == pytest.approx(lam * lam, abs=1e-12)
 
 
-def _counting_eta_rows(monkeypatch):
+def _counting_ratio(monkeypatch):
     calls = []
-    real = correlation._EtaProblem.rows
+    real = correlation._FlatProblem.ratio
 
-    def counted(self, F):
+    def counted(self, F, *args):
         calls.append(len(F))
-        return real(self, F)
+        return real(self, F, *args)
 
-    monkeypatch.setattr(correlation._EtaProblem, "rows", counted)
+    monkeypatch.setattr(correlation._FlatProblem, "ratio", counted)
     return calls
 
 
@@ -138,7 +132,7 @@ def _ratio_at_witness(d, phi, est):
 def test_eta_phi_square_is_the_closed_form_at_its_witness(monkeypatch):
     # rho^2 from the SVD, achieved by the maximal-correlation witness mapped
     # into the box: no ascent, whether psi is unset or the same spec
-    calls = _counting_eta_rows(monkeypatch)
+    calls = _counting_ratio(monkeypatch)
     rng = np.random.default_rng(13)
     laws = [canonical("dsbs", lam=0.6), make_joint([3, 2], rng.dirichlet(np.ones(6)))]
     laws += [make_joint([4, 3], np.r_[0.0, 0.0, 0.0, rng.dirichlet(np.ones(9))])]  # an empty x
@@ -168,18 +162,45 @@ def test_eta_phi_rejects_a_second_phi():
             eta_phi(d, phi, psi, SearchOpts(restarts=2, max_iters=5))
 
 
+def _eta_corpus():
+    """Seeded laws: dsbs, sum-iid, random (2,2) to (4,4), some with a
+    zero-probability symbol of X, Y or both, and near-independent (3,3)."""
+    rng = np.random.default_rng(37)
+    laws = [canonical("dsbs", lam=lam) for lam in (0.2, 0.5, 0.8)]
+    laws += [canonical("sum_iid_bernoulli", q=0.5, n=n, m=m) for n, m in ((3, 1), (4, 2))]
+    for shape in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 3), (4, 4), (2, 2), (3, 3)):
+        laws.append(make_joint(list(shape), rng.dirichlet(np.ones(np.prod(shape)))))
+    empty = (((3, 3), 1, None), ((4, 3), None, 2), ((3, 4), 0, 3), ((4, 4), 2, 1), ((3, 2), 2, None))
+    for shape, x, y in empty:  # the empty symbols of X and Y
+        probs = rng.dirichlet(np.ones(np.prod(shape))).reshape(shape)
+        if x is not None:
+            probs[x] = 0.0
+        if y is not None:
+            probs[:, y] = 0.0
+        laws.append(make_joint(list(shape), (probs / probs.sum()).ravel()))
+    for _ in range(5):
+        q = np.outer(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3)))
+        q *= 1.0 + 0.02 * rng.uniform(-1.0, 1.0, size=(3, 3))
+        laws.append(make_joint([3, 3], (q / q.sum()).ravel()))
+    return laws
+
+
 def test_eta_phi_value_is_achieved_by_witness():
-    d = canonical("dsbs", lam=0.5)
-    phi = binent()
-    est = eta_phi(d, phi, opts=SearchOpts(restarts=8, seed=2))
-    px = d.marginal_vector(0)
-    py = d.marginal_vector(1)
-    fx = est.witness.values
-    gy = (d.probs.T @ fx) / py
-    num = _entropy_of_weighted(phi, py, gy)
-    den = _entropy_of_weighted(phi, px, fx)
-    assert den > 0
-    assert num / den == pytest.approx(est.value, rel=1e-9)
+    # every reported value is the ratio at its witness, recomputed through
+    # the public entropy and conditional-expectation functions
+    compared = 0
+    for d in _eta_corpus():
+        for name in ("power:1.5", "sym:1.5", "binent", "xlogx", "xlogx:0.05,4", "xlogx:0,4"):
+            phi = parse_phi(name)
+            est = eta_phi(d, phi, opts=SearchOpts(restarts=4, max_iters=100, seed=compared))
+            gy = cond_expectation(d, est.witness.lift(d), 1)
+            den = marginal_phi_entropy(d, phi, est.witness).value
+            assert den > 0
+            ratio = marginal_phi_entropy(d, phi, gy).value / den
+            capped = est.value == 1.0 and ratio >= 1.0
+            assert capped or abs(est.value - ratio) <= 2e-10 * abs(ratio), (name, compared)
+            compared += 1
+    assert compared == 150
 
 
 def test_eta_phi_never_exceeds_one_for_matching_psi():
@@ -229,6 +250,11 @@ def _ratio_and_grad_reference(F, P, px, py, phi):
     return np.where(ok, ratio, -np.inf), np.where(ok[:, None], grad, 0.0), size
 
 
+def _eta_problem(P, px, phi):
+    """``eta_phi``'s objective: one averaging map, the channel rows P(y|x)."""
+    return _FlatProblem(px, [P / px[:, None]], phi)
+
+
 # ids name the Phi of the ratio's numerator and denominator, which are one Phi
 @pytest.mark.parametrize(
     "phi_name",
@@ -247,74 +273,59 @@ def test_ratio_and_grad_match_two_entropy_evaluations(phi_name):
     U = rng.uniform(-1, 1, size=(len(amps), 6, 3))
     c = rng.uniform(lo, hi, size=(1, 6, 1))
     F = np.clip(c + 0.5 * (hi - lo) * amps[:, None, None] * U, lo, hi).reshape(-1, 3)
-    ratio, grad = _EtaProblem(P, px, py, phi).rows(F)
     want, want_grad, size = _ratio_and_grad_reference(F, P, px, py, phi)
     ok = np.isfinite(want)
-    assert np.array_equal(np.isfinite(ratio), ok)
     assert ok.sum() >= 20
-    np.testing.assert_allclose(ratio[ok], want[ok], rtol=1e-9, atol=0)
-    assert np.all(np.abs(grad - want_grad)[ok] <= 1e-10 * size[ok])
+    # the objective's plain Bregman sums resolve the ratio at amplitudes 1 and 0.1
+    wide = np.arange(len(F)) < 12
+    ratio, grad = _eta_problem(P, px, phi).ratio(F[wide], _VAR_FLOOR)
+    assert np.array_equal(np.isfinite(ratio), ok[wide]) and ok[wide].all()
+    np.testing.assert_allclose(ratio, want[wide], rtol=1e-9, atol=0)
+    assert np.all(np.abs(grad - want_grad[wide]) <= 1e-10 * size[wide])
+    # below that they lose digits to cancellation, so eta_phi re-evaluates
+    # its answers through the entropy module: that certifier holds every row
+    cert = correlation._certified_ratio(F, P, px, py, phi)
+    assert np.array_equal(np.isfinite(cert), ok)
+    np.testing.assert_allclose(cert[ok], want[ok], rtol=1e-9, atol=0)
 
 
-def _eta_rows_reference(prob, F):
-    """``_EtaProblem.rows`` before its whole-array shortcuts, kept as their
-    reference: the per-row cancellation scale and the undefined-row guards
-    on every call."""
-    X = F @ prob.A
-    m, phi = X[:, -1:], prob.phi
-    V, D = phi.safe_eval(X), phi.deriv(1, X)
-    pm, dm = V[:, -1:], D[:, -1:]
-    H = (V - pm - dm * (X - m)) @ prob.W
-    scale = np.maximum.reduceat(np.abs(V), prob.cuts, axis=1)[:, :2] + np.abs(pm)
-    tiny = H < _CANCEL * scale
-    if tiny.any():
-        for j, (w, cols) in enumerate(prob.terms):
-            r = tiny[:, j].nonzero()[0]
-            if len(r):
-                H[r, j] = _bregman_terms(phi, X[r, cols], m[r, 0], V[r, cols], pm[r, 0]) @ w
-    np.maximum(H, 0.0, out=H, where=H >= -_CLAMP)
-    ok = H[:, 0] > _VAR_FLOOR
-    den = np.where(ok, H[:, 0], 1.0)
-    ratio = H[:, 1] / den
-    dH = (D - dm) @ prob.G
-    grad = (dH[:, prob.n :] - ratio[:, None] * dH[:, : prob.n]) / den[:, None]
-    return np.where(ok, ratio, -np.inf), np.where(ok[:, None], grad, 0.0)
+@pytest.mark.parametrize("phi_name", ["power:1.5", "sym:1.5", "binent", "xlogx", "xlogx:0,4"])
+def test_eta_objective_runs_no_quadrature(monkeypatch, phi_name):
+    # rows near a constant, where the entropy module's cancellation test
+    # sends most entropies to its quadrature: the objective evaluates them as
+    # plain Bregman sums, and only certification reaches the quadrature
+    in_objective, objective_rows, other_rows = [], [], []
+    real_terms, real_ratio = phi_module._bregman_terms, correlation._FlatProblem.ratio
 
+    def terms(*args):
+        (objective_rows if in_objective else other_rows).append(len(args[1]))
+        return real_terms(*args)
 
-# ids name the Phi of the ratio's numerator and denominator, which are one Phi
-@pytest.mark.parametrize(
-    "phi_name", ["power:1.5", "sym:1.5", "binent", "xlogx", "xlogx:0,4"], ids=lambda n: f"{n}-{n}"
-)
-def test_eta_rows_match_the_reference_bit_for_bit(monkeypatch, phi_name):
-    quadrature = []  # rows recomputed by quadrature in each rows() call
-    real = correlation._bregman_terms
-    monkeypatch.setattr(
-        correlation, "_bregman_terms", lambda *args: quadrature.append(len(args[1])) or real(*args)
-    )
+    def ratio(self, *args):
+        in_objective.append(True)
+        try:
+            return real_ratio(self, *args)
+        finally:
+            in_objective.pop()
+
+    monkeypatch.setattr(phi_module, "_bregman_terms", terms)
+    monkeypatch.setattr(correlation._FlatProblem, "ratio", ratio)
     phi = parse_phi(phi_name)
     rng = np.random.default_rng(19)
     a, b = phi.domain
     lo, hi = a + 1e-9 * (b - a), b - 1e-9 * (b - a)
-    amps = {"wide": 0.4, "quadrature": 1e-4, "undefined": 1e-9}  # as shares of the box
-    seen = dict.fromkeys(amps, 0)
+    amp = 1e-4 * (hi - lo)
     for shape in ((2, 2), (3, 4), (4, 3)):
         d = make_joint(shape, rng.dirichlet(np.ones(np.prod(shape))))
         P, px, py, _, _ = _bipartite_matrices(d)
-        prob = _EtaProblem(P, px, py, phi)
-        stacks = {}
-        for name, amp in amps.items():
-            c = rng.uniform(lo + amp * (hi - lo), hi - amp * (hi - lo), size=(8, 1))
-            stacks[name] = c + amp * (hi - lo) * rng.uniform(-1, 1, size=(8, shape[0]))
-        stacks["mixed"] = np.vstack([F[:3] for F in stacks.values()])
-        for name, F in stacks.items():
-            quadrature.clear()
-            got, want = prob.rows(F), _eta_rows_reference(prob, F)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w)), name
-            seen["wide"] += name == "wide" and np.isfinite(want[0]).all()
-            seen["quadrature"] += name == "quadrature" and sum(quadrature)
-            seen["undefined"] += name == "undefined" and np.isinf(want[0]).sum()
-    assert all(seen.values()), seen
+        F = rng.uniform(lo + amp, hi - amp, size=(8, 1))
+        F = F + amp * rng.uniform(-1, 1, size=(8, shape[0]))
+        other_rows.clear()
+        _eta_problem(P, px, phi).ratio(F, _VAR_FLOOR)
+        correlation._certified_ratio(F, P, px, py, phi)
+        assert sum(other_rows) > len(F)  # most of the 2 * 8 entropies cancel
+        eta_phi(d, phi, opts=SearchOpts(restarts=4, max_iters=20))
+    assert objective_rows == []
 
 
 def test_pgd_groups_run_as_their_own_one_group_runs():
@@ -488,14 +499,7 @@ def test_pgd_stall_exit_ends_a_flat_maximization():
 def test_eta_phi_objective_budget(monkeypatch, law, phi_name, parent):
     # the parent counts come from the plain one-step ascent that ran every row
     # to max_iters; the ladder and the stall exit must stay well under them
-    calls = []
-    real = correlation._EtaProblem.rows
-
-    def counted(self, F):
-        calls.append(len(F))
-        return real(self, F)
-
-    monkeypatch.setattr(correlation._EtaProblem, "rows", counted)
+    calls = _counting_ratio(monkeypatch)
     if law == "dsbs":
         d = canonical("dsbs", lam=0.5)
     else:
@@ -505,6 +509,23 @@ def test_eta_phi_objective_budget(monkeypatch, law, phi_name, parent):
     assert est.converged
     if law == "dsbs":
         assert est.value == pytest.approx(0.25, abs=2e-3)
+
+
+def test_eta_phi_ascent_keeps_off_near_constant_noise():
+    # near a constant at xlogx's top edge the objective's Bregman sums are
+    # rounding noise; with a floor that did not scale with Phi's values the
+    # ascent moved there and answered 0.003811
+    d = make_joint([2, 2], [0.46120236043535706, 0.4281245815182935,
+                            0.047554633846491605, 0.0631184241998579])
+    phi = xlogx()
+    est = eta_phi(d, phi, opts=SearchOpts(restarts=4, max_iters=100, seed=323210680))
+    assert est.value == pytest.approx(0.0059188978975, abs=1e-11)
+    P, px, py, _, _ = _bipartite_matrices(d)
+    gaps = np.geomspace(4e-5, 1e-4, 8)  # H(f) from 1.2e-12 to 7.7e-12
+    F = correlation._box(phi)[1] - np.vstack([np.c_[0 * gaps, gaps], np.c_[gaps, 0 * gaps]])
+    noisy = _eta_problem(P, px, phi).ratio(F, _VAR_FLOOR)[0]
+    exact = correlation._certified_ratio(F, P, px, py, phi)
+    assert np.isfinite(noisy).all() and np.abs(noisy - exact).max() > exact.max()
 
 
 def test_eta_phi_converged_when_every_restart_reaches_its_step_floor():
@@ -589,7 +610,7 @@ def _engine_problems():
     for shape, name in (((2, 2), "binent"), ((2, 2, 2), "power:1.5"), ((3, 3), "xlogx:0.05,4")):
         d = make_joint(shape, rng.dirichlet(np.ones(int(np.prod(shape)))))
         phi = parse_phi(name)
-        prob = _FlatProblem(d, phi)
+        prob = _LawProblem(d, phi)
         for box, exit_below, max_iters in (
             ((0.7, 1.0), _EXIT_BELOW, 50),  # corner points: groups exit early
             ((0.0, 0.3), _EXIT_BELOW, 50),  # deep points: every row runs out
@@ -605,7 +626,7 @@ def _engine_problems():
             )
     # the normalized search: every trial row goes through the density projection
     d = make_joint([2, 2], rng.dirichlet(np.ones(4)))
-    prob, lams = _FlatProblem(d, parse_phi("xlogx:0,4")), rng.uniform(0.3, 1.0, size=(2, 2))
+    prob, lams = _LawProblem(d, parse_phi("xlogx:0,4")), rng.uniform(0.3, 1.0, size=(2, 2))
 
     def project(V):
         return _project_density(V, prob.p, 1e-12, 4.0 - 4e-9)
@@ -621,12 +642,12 @@ def _engine_problems():
         d = make_joint(shape, rng.dirichlet(np.ones(int(np.prod(shape)))))
         phi = parse_phi(name)
         P, px, py, _, _ = _bipartite_matrices(d)
-        prob = _EtaProblem(P, px, py, phi)
+        prob = _eta_problem(P, px, phi)
         a, b = phi.domain
         lo, hi = a + 1e-9 * (b - a), b - 1e-9 * (b - a)
 
         def neg_ratio(X, rows, prob=prob):
-            ratio, grad = prob.rows(X)
+            ratio, grad = prob.ratio(X, _VAR_FLOOR)
             return -ratio, -grad
 
         starts = rng.uniform(lo, hi, size=(6, shape[0]))

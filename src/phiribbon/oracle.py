@@ -108,8 +108,8 @@ def brute_min_objective(
 ) -> tuple[float, JointFunction]:
     """Exhaustive minimum of the ribbon objective over gridded f values.
 
-    Every grid point must lie in Phi's domain (or be the point 0 that
-    ``allow_zero`` admits); otherwise ``DomainViolation`` is raised.
+    Every grid point must lie in Phi's domain (``[0, T]`` for ``xlogx:0,T``,
+    whose formula takes ``0 log 0 := 0``); otherwise ``DomainViolation`` is raised.
     """
     lam = np.asarray(lam, dtype=float)
     # NaN fails both comparisons, so it is rejected along with inf

@@ -29,8 +29,12 @@ _CANCEL = 1e-5
 class PhiSpec:
     """A convex function on a compact interval with derivatives up to order 4.
 
-    ``allow_zero`` admits the single extra point 0 with the convention
-    ``Phi(0) = lim_{t->0+} Phi(t)`` (used by ``xlogx`` where ``0 log 0 := 0``).
+    ``eval`` carries its own limits: where the defining formula has none at
+    a domain end, it takes ``Phi(t) = lim Phi(s)`` as s tends to t from inside
+    (``0 log 0 := 0`` in ``xlogx``, ``Phi(+-1) = 1`` in ``binent`` and
+    ``sym``).  ``eval`` must not cancel internally near a zero of Phi: the
+    entropies' cancellation test compares with Phi's own values, so it
+    cannot see error made inside Phi.
     ``is_class_F`` is :func:`check_class_F`'s verdict, taken once at construction.
     """
 
@@ -41,7 +45,6 @@ class PhiSpec:
     d2: Callable[[np.ndarray], np.ndarray] | None = None
     d3: Callable[[np.ndarray], np.ndarray] | None = None
     d4: Callable[[np.ndarray], np.ndarray] | None = None
-    allow_zero: bool = False
     # where the defining formula makes sense at all (ratio arguments of the
     # mutual information may leave the compact working interval)
     nat_domain: tuple[float, float] | None = None
@@ -88,8 +91,6 @@ class PhiSpec:
         a, b = self.domain
         v = np.asarray(values, dtype=float)
         ok = (v >= a) & (v <= b)
-        if self.allow_zero:
-            ok |= v == 0.0
         if mask is not None:
             ok = ok | ~mask
         if not np.all(ok):
@@ -99,13 +100,9 @@ class PhiSpec:
             )
 
     def safe_eval(self, t) -> np.ndarray:
-        """Evaluate, honoring the allow_zero convention off-domain point."""
-        t = np.asarray(t, dtype=float)
-        if self.allow_zero:
-            a, _ = self.domain
-            out = self.eval(np.where(t == 0.0, a, t))
-            return np.where(t == 0.0, 0.0, out)
-        return self.eval(t)
+        """Phi at ``t`` as a float array: the library evaluates Phi only
+        through this method, which the benchmark's tracer counts by name."""
+        return self.eval(np.asarray(t, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -152,39 +149,50 @@ def xlogx(delta: float = 1e-6, top: float = 64.0) -> PhiSpec:
     hi = float(top)
     if lo < 0 or hi <= max(lo, 0.0):
         raise BadParameter("xlogx requires 0 <= delta < T")
-    allow_zero = lo == 0.0
-    if allow_zero:
-        # keep the working interval positive; t = 0 handled by convention
-        lo = min(1e-300, hi / 2)
     return PhiSpec(
         f"xlogx:{delta},{top}",
         (lo, hi),
-        eval=lambda t: t * np.log(t),
+        eval=lambda t: t * np.log(np.maximum(t, 1e-300)),  # 0 log 0 := 0
         d1=lambda t: np.log(t) + 1.0,
         d2=lambda t: 1.0 / t,
         d3=lambda t: -1.0 / t**2,
         d4=lambda t: 2.0 / t**3,
-        allow_zero=allow_zero,
         nat_domain=(0.0, math.inf),
     )
 
 
-@_memo
-def binent() -> PhiSpec:
-    """``Phi_1(t) = 1 - h((1+t)/2)`` with the binary entropy in bits."""
-
-    def xlog2x(p):  # p log2 p, with 0 log2 0 := 0
-        return p * np.log2(np.where(p > 0, p, 1.0))
+def _unit_ends(core):
+    """Phi on [-1, 1] that is ``core`` inside and 1 at both ends, the limit
+    there: ``core`` never sees +-1, where it would take the log of 0."""
 
     def f(t):
         t = np.asarray(t, dtype=float)
-        return 1.0 + xlog2x((1 + t) / 2) + xlog2x((1 - t) / 2)
+        inner = np.abs(t) < 1.0
+        return np.where(inner, core(np.where(inner, t, 0.0)), 1.0)
 
+    return f
+
+
+@_memo
+def binent() -> PhiSpec:
+    """``Phi_1(t) = 1 - h((1+t)/2)`` with the binary entropy in bits.
+
+    Evaluated as ``(ln(1 - t^2) + t ln((1+t)/(1-t))) / (2 ln 2)``, whose two
+    terms are of the size of Phi near 0, so nothing cancels there as it
+    does in ``1 - h``."""
     ln2 = math.log(2.0)
+
+    def f(t):
+        up, down = np.log1p(t), np.log1p(-t)
+        t2 = t * t
+        # ln(1 - t^2) is log1p(-t^2) near 0, where up + down would cancel,
+        # and up + down near +-1, where t^2 would round 1 - t^2 away
+        return (np.where(t2 < 0.25, np.log1p(-t2), up + down) + t * (up - down)) / (2.0 * ln2)
+
     return PhiSpec(
         "binent",
         (-1.0, 1.0),
-        eval=f,
+        eval=_unit_ends(f),
         d1=lambda t: 0.5 * np.log((1 + t) / (1 - t)) / ln2,
         d2=lambda t: 1.0 / ((1 - t * t) * ln2),
         d3=lambda t: 2.0 * t / ((1 - t * t) ** 2 * ln2),
@@ -194,6 +202,11 @@ def binent() -> PhiSpec:
 
 @_memo
 def sym_alpha(alpha: float) -> PhiSpec:
+    """``Phi(t) = ((1+t)^a + (1-t)^a - 2) / (2^a - 2)``.
+
+    With ``x, y = a ln(1 +- t)`` the numerator is ``expm1(x + y) -
+    expm1(x) expm1(y)``, two terms of the size of Phi near 0, so nothing
+    cancels there as it does in the defining sum."""
     a = float(alpha)
     if not 1.0 < a <= 2.0:
         raise BadParameter("sym_alpha requires alpha in (1, 2]")
@@ -212,7 +225,11 @@ def sym_alpha(alpha: float) -> PhiSpec:
     return PhiSpec(
         f"sym:{a}",
         (-1.0, 1.0),
-        eval=lambda t: (np.power(1 + t, a) + np.power(1 - t, a) - 2.0) / c,
+        eval=_unit_ends(
+            lambda t: (
+                np.expm1(a * np.log1p(-t * t)) - np.expm1(a * np.log1p(t)) * np.expm1(a * np.log1p(-t))
+            ) / c
+        ),
         d1=dk(1),
         d2=dk(2),
         d3=dk(3),
@@ -284,8 +301,10 @@ def _entropy_rows(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> np.n
     recomputed without subtraction by :func:`_bregman_terms`.  This is the
     library's only cancellation test: the searches' objectives are plain
     sums, and the answers they certify (eta values, violations) are
-    re-evaluated here.  A mean on the domain edge uses ``E[Phi(f) - Phi(m)]``.
-    Derivatives a spec lacks come from the stencil of :meth:`PhiSpec.deriv`.
+    re-evaluated here.  A row whose mean is on a domain edge is constant: it
+    takes Phi' at the domain's midpoint, where Phi' is finite, and its terms
+    are exact zeros.  Derivatives a spec lacks come from the stencil of
+    :meth:`PhiSpec.deriv`.
     """
     values = np.asarray(values, dtype=float)
     weights = np.broadcast_to(weights, values.shape)
@@ -301,36 +320,29 @@ def _entropy_rows(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> np.n
     pfm = phi.safe_eval(np.concatenate([values, m[:, None]], axis=1))
     pf, pm = pfm[:, :-1], pfm[:, -1]
     a, b = phi.domain
-    interior = (m > a) & (m < b)  # Phi'(m) is only needed, and finite, at interior m
+    interior = (m > a) & (m < b)
     d1m = phi.deriv(1, m if interior.all() else np.where(interior, m, 0.5 * (a + b)))
-    dv = values - m[:, None]
-    diff = pf - pm[:, None]  # exact zeros on a constant row
-    out = _wmean(diff, weights, total)
-    out = np.where(interior, _wmean(diff - d1m[:, None] * dv, weights, total), out)
+    out = _wmean(pf - pm[:, None] - d1m[:, None] * (values - m[:, None]), weights, total)
     scale = np.abs(pf).max(axis=1) + np.abs(pm)
     tiny = (interior & (out < _CANCEL * scale)).nonzero()[0]
     if len(tiny):
-        terms = _bregman_terms(phi, values[tiny], m[tiny], pf[tiny], pm[tiny])
+        terms = _bregman_terms(phi, values[tiny], m[tiny])
         out[tiny] = _wmean(terms, weights[tiny], total[tiny])
     out[(-_CLAMP <= out) & (out < 0.0)] = 0.0
     return out
 
 
-def _bregman_terms(phi, values, m, pf, pm) -> np.ndarray:
+def _bregman_terms(phi, values, m) -> np.ndarray:
     """``Phi(v) - Phi(m) - Phi'(m)(v - m)`` per entry of ``values``, row means
     m, computed without the subtraction as ``(v - m)^2 * integral_0^1 (1 - s)
     Phi''(m + s(v - m)) ds`` by Gauss-Legendre quadrature, the library's only
-    one (called from :func:`_entropy_rows`); ``pf = Phi(values)`` and
-    ``pm = Phi(m)`` serve the direct formula at a 0 that ``allow_zero``
-    admits, where Phi'' is singular."""
+    one (called from :func:`_entropy_rows`).  Its nodes lie strictly inside
+    the hull of {v, m}, so Phi'' is never taken at an edge where it is
+    singular; for ``xlogx`` at v = 0 the integrand is the constant 1/m, which
+    the rule integrates exactly."""
     dt = values - m[:, None]
-    nodes = m[:, None, None] + dt[:, :, None] * _GL_S  # inside the hull of {v, m}
-    terms = dt * dt * (phi.deriv(2, nodes) @ _GL_K)
-    zero = phi.allow_zero & (values == 0.0)
-    if zero.any():
-        direct = pf - pm[:, None] - phi.deriv(1, m)[:, None] * dt
-        terms = np.where(zero, direct, terms)
-    return terms
+    nodes = m[:, None, None] + dt[:, :, None] * _GL_S
+    return dt * dt * (phi.deriv(2, nodes) @ _GL_K)
 
 
 def phi_entropy(d: JointDist, phi: PhiSpec, f: JointFunction) -> EntropyValue:
@@ -401,14 +413,12 @@ def phi_mutual_information(d: JointDist, phi: PhiSpec) -> float:
     # ratios may leave the compact working interval; require only that the
     # formula itself is defined there
     lo, hi = phi.nat_domain or phi.domain
-    bad = ok & ((ratio < lo) | (ratio > hi)) & ~(phi.allow_zero & (ratio == 0))
+    bad = ok & ((ratio < lo) | (ratio > hi))
     if np.any(bad):
         raise DomainViolation(
             f"ratio {ratio[bad].ravel()[0]!r} outside the defined range of {phi.name}"
         )
-    # exact-zero ratios take the limiting value (0 log 0 := 0 and friends)
-    args = np.where(ok, np.where(ratio == 0, 1e-300, ratio), 1.0)
-    vals = np.where(ok, phi.eval(args), 0.0)
+    vals = np.where(ok, phi.safe_eval(np.where(ok, ratio, 1.0)), 0.0)
     out = float(np.sum(prod * vals) - phi.safe_eval(1.0))
     return _clamped(out)
 

@@ -219,7 +219,7 @@ def normalized_phi_ribbon_membership(
 ) -> RibbonVerdict:
     """Same search restricted to f >= 0 with E[f] = 1 (density-like f)."""
     opts = opts or SearchOpts(restarts=64)
-    if not phi.allow_zero and phi.domain[0] > 1e-12:
+    if phi.domain[0] > 1e-12:
         raise BadShape(
             f"{phi.name} does not admit non-negative functions reaching 0"
         )

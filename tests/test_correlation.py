@@ -22,7 +22,7 @@ from phiribbon.correlation import (
     maximal_correlation,
     mc_witness,
 )
-from phiribbon.dist import JointFunction, canonical, cond_expectation, make_joint
+from phiribbon.dist import JointFunction, MarginalFunction, canonical, cond_expectation, make_joint
 from phiribbon.errors import BadParameter, NotBipartite
 from phiribbon import phi as phi_module
 from phiribbon.phi import (
@@ -201,6 +201,40 @@ def test_eta_phi_value_is_achieved_by_witness():
             assert capped or abs(est.value - ratio) <= 2e-10 * abs(ratio), (name, compared)
             compared += 1
     assert compared == 150
+
+
+_NON_SQUARE = [
+    "power:1.5", "power:1.1", "sym:1.5", "sym:1.2", "sym:2", "binent", "xlogx", "xlogx:0.05,4",
+    "xlogx:0,4",
+]
+
+
+@pytest.mark.parametrize("name", _NON_SQUARE)
+def test_eta_phi_of_dsbs_is_at_most_lambda_squared(name):
+    # eta_Phi(DSBS(lam)) = lam^2; a Phi that cancels inside its own formula
+    # near a zero of Phi (binent and sym did near t = 0) reads above it at
+    # small amplitudes, as far as 2.6e-4 for sym:1.5
+    phi = parse_phi(name)
+    for lam in (0.1, 0.2, 0.5, 0.8, 0.9):
+        d = canonical("dsbs", lam=lam)
+        for seed in range(4):
+            for restarts, max_iters in ((4, 100), (16, 500)):
+                est = eta_phi(d, phi, opts=SearchOpts(restarts, max_iters, seed))
+                assert est.value <= lam * lam + 1e-6, (lam, seed, restarts, est.value)
+
+
+@pytest.mark.parametrize("name", _NON_SQUARE)
+def test_small_amplitude_ratio_on_dsbs_is_lambda_squared(name):
+    # at small amplitude about the domain's centre the ratio is lam^2 up to
+    # O(amplitude^2) on DSBS; around 0 this is where binent and sym cancelled
+    # (the ratio read 0.040358 for sym:1.5, against 0.0400000 to 60 digits)
+    phi = parse_phi(name)
+    a, b = phi.domain
+    d = canonical("dsbs", lam=0.2)
+    f = MarginalFunction(0, 0.5 * (a + b) + 0.5 * (b - a) * np.array([-1.138e-6, 1.015e-6]))
+    gy = cond_expectation(d, f.lift(d), 1)
+    ratio = marginal_phi_entropy(d, phi, gy).value / marginal_phi_entropy(d, phi, f).value
+    assert abs(ratio - 0.04) <= 1e-8, ratio
 
 
 def test_eta_phi_never_exceeds_one_for_matching_psi():

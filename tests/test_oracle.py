@@ -38,7 +38,7 @@ def test_brute_min_objective_rejects_grid_outside_phi_domain():
         brute_min_objective(d, parse_phi("xlogx:0.05,4"), [0.5, 0.5], GridSpec(5, (-1.0, 1.0)))
     with pytest.raises(DomainViolation):
         brute_min_objective(d, parse_phi("xlogx:0.05,4"), [0.5, 0.5], GridSpec(5, (0.0, 4.0)))
-    # the point 0 that allow_zero admits stays on the grid
+    # 0 is in the domain of xlogx:0,4, so it stays on the grid
     gap, f = brute_min_objective(d, parse_phi("xlogx:0,4"), [0.5, 0.5], GridSpec(5, (0.0, 4.0)))
     assert math.isfinite(gap) and np.all(np.isfinite(f.values))
 
@@ -209,7 +209,7 @@ _REFERENCE_CASES = {
     "zero-atoms-2x2x2": (
         _law([2, 2, 2], 8, zero_atoms=[0, 7]), "square", [0.8, 0.8, 0.8], GridSpec(5)
     ),
-    # 0 on the grid, under the allow_zero convention
+    # 0 on the grid, where xlogx:0,4 takes 0 log 0 := 0
     "allow-zero": (_law([2, 2], 9), "xlogx:0,4", [0.9, 0.8], GridSpec(9, (0.0, 4.0))),
     "allow-zero-domain": (_law([2, 2], 10), "xlogx:0,4", [0.9, 0.8], GridSpec(5, (0.0, 1.0))),
     # lambda with zero entries skips those cells

@@ -80,10 +80,12 @@ def test_sym_alpha_endpoints():
     assert phi.eval(np.array([-1.0]))[0] == pytest.approx(1.0)
 
 
-def test_xlogx_allow_zero_convention():
+def test_xlogx_takes_zero_log_zero_in_its_formula():
     phi = xlogx(0.0, 4.0)
-    assert phi.allow_zero
+    assert phi.domain == (0.0, 4.0)
     assert phi.safe_eval(np.array([0.0]))[0] == 0.0
+    for t in (1e-300, 1e-12, 0.5, 4.0):  # the formula is t log t on (0, T]
+        assert phi.safe_eval(np.array([t]))[0] == t * math.log(t)
     phi.check_in_domain(np.array([0.0, 1.0, 4.0]))
     with pytest.raises(DomainViolation):
         phi.check_in_domain(np.array([5.0]))
@@ -211,7 +213,7 @@ def test_entropy_rows_match_one_row_calls(name):
         np.full((1, 7), a),  # mean on the domain edge
         np.full((1, 7), c),  # constant
     ])
-    if phi.allow_zero:
+    if name == "xlogx:0,4":
         V[::2, :3] = 0.0
     rng.shuffle(V)
     got = _entropy_rows(phi, w, V)
@@ -222,6 +224,25 @@ def test_entropy_rows_match_one_row_calls(name):
         m = V @ w
         var = ((V - m[:, None]) ** 2) @ w
         np.testing.assert_allclose(got, var, rtol=1e-9, atol=1e-15)
+    if name == "xlogx:0,4":
+        # rows with an exact 0 in the quadrature regime: a light 0 atom and
+        # the others near c.  The 0's Bregman term Phi(0) - Phi(m) - Phi'(m)(0 - m)
+        # is m, and the quadrature must give it to rounding though Phi'' is
+        # singular at 0; an absolute 1e-12 cannot see that on entropies this small
+        k = 40
+        w0 = 10.0 ** rng.uniform(-14, -6, size=k)
+        W = rng.dirichlet(np.ones(6), size=k) * (1.0 - w0)[:, None]
+        V = c + rng.choice([-1.0, 1.0], size=(k, 6)) * 10.0 ** rng.uniform(-9, -4, size=(k, 6))
+        at = rng.integers(7, size=k)  # the 0 atom's column
+        W = np.array([np.insert(wr, j, w) for wr, j, w in zip(W, at, w0)])
+        V = np.array([np.insert(vr, j, 0.0) for vr, j in zip(V, at)])
+        total = W.sum(axis=1)
+        m = V[:, 0] + ((V - V[:, :1]) * W).sum(axis=1) / total  # as _entropy_rows takes it
+        terms = np.where(V == 0.0, m[:, None], phi_module._bregman_terms(phi, V, m))
+        want = (terms * W).sum(axis=1) / total
+        scale = np.abs(phi.safe_eval(V)).max(axis=1) + np.abs(phi.safe_eval(m))
+        assert np.all(want < phi_module._CANCEL * scale)  # the rows take the quadrature
+        np.testing.assert_allclose(_entropy_rows(phi, W, V), want, rtol=1e-14, atol=0)
 
 
 def test_marginal_phi_entropy_matches_lift():
@@ -298,7 +319,7 @@ def test_cond_phi_entropy_matches_per_cell_loop(name, shape):
                 vals = np.where(np.indices(shape)[-1] % 2 == 0, a, b)
             else:
                 vals = 0.5 * (a + b) + 0.5 * amp * (b - a) * rng.uniform(-1, 1, size=shape)
-            if phi.allow_zero and amp == 1.0:
+            if name == "xlogx:0,4" and amp == 1.0:
                 vals[1, 0, :] = 0.0
             off = np.flatnonzero(p == 0)  # off-support values must never reach Phi
             vals.flat[off] = np.resize([np.nan, -7.0, 1e9], len(off))

@@ -216,12 +216,13 @@ def test_flat_setup_and_seeds_match_the_references():
         elif t % 3 == 2:
             probs.ravel()[rng.integers(probs.size)] = 0.0
         d = make_joint(list(sizes), probs.ravel() / probs.sum())
-        phi = parse_phi(["binent", "power:1.5", "xlogx:0,4"][t % 3])
+        name = ["binent", "power:1.5", "xlogx:0,4"][t % 3]
+        phi = parse_phi(name)
         prob = _FlatProblem(d, phi)
         assert np.array_equal(prob.A, _flat_blocks_reference(prob))
         lams = rng.uniform(0.0, 1.0, size=(3, d.k)) * (rng.uniform(size=(3, d.k)) > 0.2)
         top = phi.domain[1] - 1e-9 * (phi.domain[1] - phi.domain[0])
-        project = (lambda V: _project_density(V, prob.p, 1e-12, top)) if phi.allow_zero else None
+        project = (lambda V: _project_density(V, prob.p, 1e-12, top)) if name == "xlogx:0,4" else None
         got = _seeds(prob, lams, np.random.default_rng(t), 4, project)
         want = _seeds_reference(prob, lams, np.random.default_rng(t), 4, project)
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), (sizes, t)
@@ -282,7 +283,7 @@ def test_flat_rows_match_definition_gap(name):
             rng.uniform(a + 1e-3 * (b - a), b - 1e-3 * (b - a), size=(6, prob.n)),
             c + 1e-6 * (b - a) * rng.uniform(-1, 1, size=(6, prob.n)),  # quadrature regime
         ])
-        if phi.allow_zero:
+        if name == "xlogx:0,4":
             F[::3, : prob.n // 2] = 0.0  # exact zeros take the 0 log 0 = 0 convention
         rng.shuffle(F)
         # half the rows carry lam, half a random point with some zero entries
@@ -325,7 +326,7 @@ def test_definition_gap_matches_the_per_coordinate_reference():
                 phi = parse_phi(name)
                 a, b = phi.domain
                 vals = rng.uniform(a + 1e-3 * (b - a), b - 1e-3 * (b - a), size=sizes)
-                if phi.allow_zero:
+                if name == "xlogx:0,4":
                     vals.ravel()[rng.random(vals.size) < 0.3] = 0.0
                     zeros += 1
                 lam = rng.uniform(0.0, 1.0, size=len(sizes)) * (rng.random(len(sizes)) > 0.3)

@@ -18,7 +18,7 @@ from .dist import (
     channel_from_json_dict,
     dist_from_json_dict,
 )
-from .errors import PhiRibbonError
+from .errors import GridTooLarge, PhiRibbonError
 from .phi import binent, parse_phi, xlogx
 from .correlation import SearchOpts
 
@@ -204,6 +204,8 @@ def ribbon_check(dist_path, lam_text, kind):
 def ribbon_trace(dist_path, grid_n, kind, out_path):
     """Grid sweep over lambda points; CSV of memberships."""
     d = _load_dist(dist_path)
+    if grid_n**d.k > oracle._CAP:  # the oracle's cap: the library's scale for one grid
+        raise GridTooLarge(f"{grid_n}^{d.k} lambda points exceeds cap {oracle._CAP}")
     axes = [np.linspace(0, 1, grid_n)] * d.k
     lams = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d.k)
     member = ribbon_mc.membership_verdicts(d, kind, lams)
@@ -280,7 +282,8 @@ def phi_ribbon_channel_test(dist_path, phi_name, channel_path, lam_text):
     lam = _parse_lambda(lam_text, d.k)
     gap = ribbon_phi.i_phi_channel_test(d, phi, lam, ch)
     _emit_json(
-        {"phi": phi.name, "lambda": lam, "gap": gap, "violates": bool(gap < -1e-9)}
+        {"phi": phi.name, "lambda": lam, "gap": gap,
+         "violates": bool(gap < -ribbon_phi._VIOLATION_TOL)}
     )
 
 

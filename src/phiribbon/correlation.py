@@ -68,9 +68,10 @@ class EtaEstimate:
     improving: the winning restart met the gradient test or reached its step
     floor (about eight passes in a row with no improving rung), the best
     ratio rose by at most ``_STALL_RTOL`` (relative) over the last
-    ``_STALL_PASSES`` passes (the stall exit), or the small-amplitude sweep
-    gave the answer.  False means none of these held: the winning restart
-    used up its ``max_iters`` moves, or no restart found a positive ratio.
+    ``_STALL_PASSES`` passes (the stall exit), or a sweep row gave the answer
+    (it certified above every end).  False means none of these held: the
+    winning restart used up its ``max_iters`` moves, or no row had a
+    positive ratio (the value is then 0).
     """
 
     value: float
@@ -316,24 +317,15 @@ def _certified_ratio(F, P, px, py, phi) -> np.ndarray:
     return np.where(ok, _entropy_rows(phi, py, gy) / np.where(ok, den, 1.0), -np.inf)
 
 
-def _amplitude_sweep(directions, P, px, py, phi) -> tuple[float, np.ndarray]:
-    """Best certified ratio over f = c + eps * u for every direction and shrinking eps.
-
-    Small-amplitude expansion of both entropies turns the ratio into a
-    Rayleigh quotient, so sweeping eps downward recovers the supremum when
-    it is attained in the constant-function limit.  eps halves from
-    ``0.45 (b - a)`` to just above ``1e-5 (b - a)``; all directions and
-    amplitudes are rows of one evaluation.
-    """
+def _sweep(U, amps, phi) -> np.ndarray:
+    """Rows ``c + amp * u / max|u|`` about the domain's midpoint c, for every
+    row u of U and every amplitude, clipped to the box and row-major by
+    direction: the small-amplitude regime, where every Phi's ratio and gap
+    reduce to the ``Phi = t^2`` case."""
     a, b = phi.domain
-    U = directions - (directions @ px)[:, None]
-    U /= np.maximum(np.max(np.abs(U), axis=1), 1e-300)[:, None]
-    eps = 0.45 * (b - a) * 0.5 ** np.arange(16)
-    F = 0.5 * (a + b) + eps[None, :, None] * U[:, None, :]
-    F = np.clip(F, *_box(phi)).reshape(-1, U.shape[1])
-    vals = _certified_ratio(F, P, px, py, phi)
-    j = int(np.argmax(vals))
-    return float(vals[j]), F[j]
+    U = U / np.maximum(np.max(np.abs(U), axis=1), 1e-300)[:, None]
+    F = 0.5 * (a + b) + amps[None, :, None] * U[:, None, :]
+    return np.clip(F, *_box(phi)).reshape(-1, U.shape[1])
 
 
 def eta_phi(
@@ -345,11 +337,13 @@ def eta_phi(
     """Estimate the SDPI constant ``eta_Phi = sup_f H_phi(E[f|Y]) / H_phi(f)``
     over non-constant f on X, capped at 1.
 
-    The ascent climbs ``_FlatProblem.ratio``; the best of its restarts' ends
-    and the sweep's rows, re-evaluated through the entropy module, is the
-    reported lower bound, achieved by the returned witness.  ``psi`` is a
-    retired slot: it accepts only ``None`` or ``phi`` itself, and anything
-    else raises ``BadParameter``.  For ``Phi = t^2`` the ratio is
+    The ascent climbs ``_FlatProblem.ratio``.  Its restarts' ends and the
+    small-amplitude sweeps along the maximal-correlation direction and every
+    end are re-evaluated through the entropy module as one stack, whose best
+    row (the first on a tie) is the witness of the reported lower bound; with
+    no positive ratio the value is 0.  ``psi`` is a retired slot: it accepts
+    only ``None`` or ``phi`` itself, and anything else raises
+    ``BadParameter``.  For ``Phi = t^2`` the ratio is
     ``Var E[f|Y] / Var f``, whose supremum rho^2 the maximal-correlation
     witness attains, so that witness, mapped affinely into the box, is the
     answer and no ascent runs.
@@ -383,24 +377,19 @@ def eta_phi(
         rng.uniform(lo, hi, size=(opts.restarts - 1, len(px))),
     ])
     _, ends, conv = _pgd(neg_ratio, starts, lo, hi, opts, stall_exit=True)
-    vals = _certified_ratio(ends, P, px, py, phi)
+    # the supremum often sits in the small-amplitude limit around a constant,
+    # where the ratio is a Rayleigh quotient: sweep eps from 0.45 (b - a) down
+    # to just above 1e-5 (b - a) along the SVD direction and every end's; the
+    # ends are centred twice, the second pass clearing the first's rounding
+    U = np.vstack([svd_dir, ends - (ends @ px)[:, None]])
+    eps = 0.45 * (b - a) * 0.5 ** np.arange(16)
+    F = np.vstack([ends, _sweep(U - (U @ px)[:, None], eps, phi)])
+    vals = _certified_ratio(F, P, px, py, phi)
     j = int(np.argmax(vals))
-    best_val, best_f, converged = 0.0, None, False
-    if vals[j] > 0.0:
-        best_val, best_f, converged = float(vals[j]), ends[j], bool(conv[j])
-    # the supremum often sits in the small-amplitude limit around a
-    # constant; sweep that regime explicitly along the best directions
-    directions = [svd_dir] if best_f is None else [svd_dir, best_f - px @ best_f]
-    sval, sf = _amplitude_sweep(np.array(directions), P, px, py, phi)
-    if sval > best_val:
-        best_val, best_f, converged = sval, sf, True
-    if best_f is None:
-        best_f = np.clip(0.5 * (a + b) + 0.1 * (b - a) * svd_dir, lo, hi)
-        best_val = 0.0
-    full[sx] = best_f
+    full[sx] = F[j]
     return EtaEstimate(
-        value=float(min(best_val, 1.0)),
+        value=float(np.clip(vals[j], 0.0, 1.0)),
         witness=MarginalFunction(0, full),
         lower_bound_rho2=rho**2,
-        converged=converged,
+        converged=bool(vals[j] > 0.0 and (j >= len(ends) or conv[j])),
     )

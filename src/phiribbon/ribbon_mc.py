@@ -39,6 +39,7 @@ _LAMBDA_FLOOR = 1e-300  # entries below read as 0: fc2_gap divides by them
 _common_tol = 1e-8
 KINDS = ("mc", "sprime", "tilde")
 _STACK_ROWS = 4096  # lambda rows per stacked eigenvalue solve: bounds its memory
+_MAX_DIRECTIONS = 1_000_000  # rays one boundary trace may ask for (64 in the benchmark)
 
 
 @dataclass(frozen=True)
@@ -349,6 +350,8 @@ def _rays(k: int, directions) -> np.ndarray:
         raise BadCoordinate("tracing supports k = 2 or 3")
     if type(directions) is bool or not isinstance(directions, (int, np.integer)) or directions < 1:
         raise BadParameter(f"directions must be an integer >= 1, got {directions!r}")
+    if directions > _MAX_DIRECTIONS:
+        raise BadParameter(f"directions must be at most {_MAX_DIRECTIONS}, got {directions}")
     if k == 2:
         theta = (np.arange(directions) + 0.5) / directions * (np.pi / 2)
         v = np.column_stack([np.cos(theta), np.sin(theta)])

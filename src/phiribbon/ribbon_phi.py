@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import correlation
-from .correlation import SearchOpts, _box, _pgd
+from .correlation import SearchOpts, _box, _pgd, _sweep
 from .dist import Channel, JointDist, JointFunction, make_joint
 from .errors import BadShape, PhiNotClassF
 from .phi import PhiSpec, cond_phi_entropies, phi_mutual_information
@@ -119,7 +119,7 @@ class _FlatProblem(correlation._FlatProblem):
 
 def _seeds(prob: _FlatProblem, lams: np.ndarray, rng, restarts: int, project=None):
     """``restarts`` start rows per lambda row, point by point, ranked by raw gap:
-    a sweep along the quadratic-case direction where the quadratic test
+    a ``_sweep`` along the quadratic-case direction where the quadratic test
     rejects, box corners (n <= 10), then the first of ``restarts`` uniform
     rows drawn once for all points, as a lone search would draw them.  The
     gap is linear in lambda, so one evaluation of the pool ranks every point."""
@@ -128,12 +128,12 @@ def _seeds(prob: _FlatProblem, lams: np.ndarray, rng, restarts: int, project=Non
     eps = np.array([0.45, 0.2, 0.05, 0.01, 1e-3])  # amplitudes along the quadratic-case direction
     P, n, m = len(lams), prob.n, len(eps)
     u, rejected = prob.directions(lams)
-    sweeps = c + (b - a) * eps[:, None] * (u / np.max(np.abs(u), axis=1, keepdims=True))[:, None]
+    sweeps = _sweep(u, (b - a) * eps, prob.phi)
     bits = np.arange(2**n if n <= 10 else 0)[:, None] >> np.arange(n) & 1
     # every corner of the box, at two sizes
     corners = c + (b - a) * (np.array([[0.5], [0.2]]) * (2.0 * bits - 1)[:, None]).reshape(-1, n)
     C = len(corners)
-    pool = np.vstack([sweeps.reshape(-1, n), corners, rng.uniform(lo, hi, size=(restarts, n))])
+    pool = np.vstack([sweeps, corners, rng.uniform(lo, hi, size=(restarts, n))])
     pool = np.clip(pool, lo, hi)
     if project is not None:
         pool = project(pool)

@@ -102,6 +102,9 @@ def test_eta_takes_one_phi(dsbs05, capsys):
          "--seed", "-1"],
         ["phi-ribbon", "trace", "--dist", dsbs05, "--phi", "square", "--directions", "0"],
         ["phi-ribbon", "trace", "--dist", dsbs05, "--phi", "square", "--directions", "-3"],
+        # more rays than any machine could hold: refused before allocating
+        ["phi-ribbon", "trace", "--dist", dsbs05, "--phi", "square", "--directions",
+         "100000000000"],
         ["phi-ribbon", "trace", "--dist", dsbs05, "--phi", "square", "--seed", "-1"],
     ):
         code, out = run_cli(capsys, *argv)
@@ -178,7 +181,8 @@ def test_ribbon_trace_row_count(dsbs05, capsys, tmp_path):
 
 
 def test_ribbon_trace_rejects_bad_grid(dsbs05, capsys):
-    for grid in ("0", "-1"):
+    # 10^6 per axis is 10^12 lambda points, refused before allocating
+    for grid in ("0", "-1", "1000000"):
         code, out = run_cli(
             capsys, "ribbon", "trace", "--dist", dsbs05, "--grid", grid
         )

@@ -562,6 +562,92 @@ def test_eta_phi_ascent_keeps_off_near_constant_noise():
     assert np.isfinite(noisy).all() and np.abs(noisy - exact).max() > exact.max()
 
 
+def _sweep_reference(directions, P, px, py, phi):
+    """The best certified row of the 16-amplitude sweep along ``directions``,
+    as the sweep was run before it joined the stack, kept as its reference."""
+    a, b = phi.domain
+    U = directions - (directions @ px)[:, None]
+    U /= np.maximum(np.max(np.abs(U), axis=1), 1e-300)[:, None]
+    eps = 0.45 * (b - a) * 0.5 ** np.arange(16)
+    F = np.clip(0.5 * (a + b) + eps[None, :, None] * U[:, None, :], *correlation._box(phi))
+    return correlation._certified_ratio(F.reshape(-1, U.shape[1]), P, px, py, phi).max()
+
+
+def _selection_reference(d, phi, ends):
+    """The best value of the selection ``eta_phi`` made before its stack, from
+    the ascent's ends: the ends certified, then the sweep along the
+    maximal-correlation direction and along the best end with a positive ratio."""
+    P, px, py, sx, _ = _bipartite_matrices(d)
+    vals = correlation._certified_ratio(ends, P, px, py, phi)
+    j = int(np.argmax(vals))
+    directions = [mc_witness(d)[0][sx]]
+    if vals[j] > 0.0:
+        directions.append(ends[j] - px @ ends[j])
+    return max(vals[j], _sweep_reference(np.array(directions), P, px, py, phi))
+
+
+def _eta_laws():
+    """Seeded laws: dsbs, sum-iid and random (2,2) to (4,4).  On six of their
+    (Phi, law) pairs the answer comes from the sweep along the best end: with
+    the sweeps along the ends dropped, those pairs read lower."""
+    rng = np.random.default_rng(8)
+    laws = [canonical("dsbs", lam=lam) for lam in (0.3, 0.7)]
+    laws += [canonical("sum_iid_bernoulli", q=0.5, n=n, m=m) for n, m in ((3, 1), (4, 2))]
+    for shape in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)):
+        laws.append(make_joint(list(shape), rng.dirichlet(np.ones(np.prod(shape)))))
+    return laws
+
+
+@pytest.mark.parametrize("name", _NON_SQUARE)
+def test_eta_phi_stack_keeps_every_earlier_candidate(monkeypatch, name):
+    # the stack holds the ends and the sweeps along the SVD direction and
+    # every end, so it never reads below the ends with the sweeps along the
+    # SVD direction and the best end alone
+    ends = []
+    real = correlation._pgd
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        ends.append(out[1].copy())
+        return out
+
+    monkeypatch.setattr(correlation, "_pgd", recorded)
+    phi = parse_phi(name)
+    for i, d in enumerate(_eta_laws()):
+        est = eta_phi(d, phi, opts=SearchOpts(restarts=4, max_iters=100, seed=i))
+        assert est.value >= min(1.0, _selection_reference(d, phi, ends[-1])), (name, i)
+    assert len(ends) == 10
+
+
+def test_eta_phi_sweeps_along_every_end():
+    # the best sweep row lies along an end that does not certify best: the
+    # sweeps along the SVD direction and the best end alone read 0.6040523525
+    p = [0.07281702265297586, 0.07332619573567391, 0.003933640494474477, 0.0015127806235308056,
+         0.07786875066091388, 0.008923076186206457, 0.18591450698290324, 0.002215267559732262,
+         0.024500484204009236, 0.0051717597167937005, 0.018716036904138734, 0.10302771509231164,
+         0.07212913491896743, 0.05437606539456648, 0.292928246935342, 0.0026393159374598863]
+    est = eta_phi(make_joint([4, 4], p), xlogx(), opts=SearchOpts(4, 100, 272220609))
+    assert est.value > 0.6040523525370134
+    assert est.converged
+
+
+@pytest.mark.parametrize("name", ["xlogx", "sym:1.5", "power:1.5"])
+def test_eta_phi_with_no_positive_ratio_reads_zero(name):
+    # one atom of X leaves only constants, one atom of Y leaves H(E[f|Y]) = 0:
+    # no row of the stack has a positive ratio, so the answer is 0, not
+    # converged, at a finite witness inside Phi's domain
+    phi = parse_phi(name)
+    a, b = phi.domain
+    for p, x_atoms in (([0.3, 0.7, 0.0, 0.0], 1), ([0.3, 0.0, 0.7, 0.0], 2)):
+        d = make_joint([2, 2], p)
+        est = eta_phi(d, phi, opts=SearchOpts(restarts=4, max_iters=100, seed=1))
+        assert est.value == 0.0 and not est.converged
+        w = est.witness.values[d.marginal_vector(0) > 0]
+        assert len(w) == x_atoms and np.all((a <= w) & (w <= b))
+        if x_atoms == 2:
+            assert marginal_phi_entropy(d, phi, est.witness).value > 0.0
+
+
 def test_eta_phi_converged_when_every_restart_reaches_its_step_floor():
     # the best ratio last rises at pass 17 and every restart has reached the
     # step floor by pass 25, before the 10-pass stall window could fill

@@ -397,7 +397,8 @@ def test_mc_boundary_trace_matches_bisection(name):
         assert np.max(np.abs(lam - ref_lam)) <= 1e-8
 
 
-@pytest.mark.parametrize("directions", [0, -3, 2.5, True])
+# 10**11 rays is more than any machine could hold: refused before allocating
+@pytest.mark.parametrize("directions", [0, -3, 2.5, True, 10**11])
 def test_mc_boundary_trace_rejects_bad_directions(directions):
     with pytest.raises(BadParameter):
         mc_boundary_trace(canonical("dsbs", lam=0.5), directions)

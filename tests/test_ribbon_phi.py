@@ -430,7 +430,7 @@ def test_ribbon_boundary_trace_square_matches_quadratic_region():
         assert not mc_membership(d, (t + 2e-3) * v).verdict, lam
 
 
-@pytest.mark.parametrize("directions", [0, -3, 2.5, True, "4"])
+@pytest.mark.parametrize("directions", [0, -3, 2.5, True, "4", 10**11])
 @pytest.mark.parametrize("law", ["dsbs", "xor_triple"])
 def test_ribbon_boundary_trace_rejects_bad_directions(law, directions):
     d = canonical(law, lam=0.5) if law == "dsbs" else canonical(law)

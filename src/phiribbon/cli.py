@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import csv
-import io
+import argparse
 import json
 import math
 import sys
 
-import click
 import numpy as np
 
 from . import correlation, oracle, ribbon_mc, ribbon_phi
@@ -21,6 +19,60 @@ from .dist import (
 from .errors import GridTooLarge, PhiRibbonError
 from .phi import binent, parse_phi, xlogx
 from .correlation import SearchOpts
+
+_DESCRIPTION = ("Correlation measures and entropy-inequality regions for discrete "
+                "multivariate distributions.")
+
+
+class _UsageError(Exception):
+    """Bad flags, a missing command or unreadable input: exit 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # raise, so main() alone chooses every exit code
+        raise _UsageError(f"{self.prog}: {message}")
+
+
+def _count(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def count(text):
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{n} is below {low}")
+        return n
+
+    return count
+
+
+# command words -> (parser, handler).  main() picks an entry by the first one
+# or two words of argv; only that entry's parser reads the rest, and the
+# handler takes the parsed options as keyword arguments.
+_COMMANDS: dict = {}
+
+
+def _command(words: str, *options):
+    """Register the decorated handler as ``phiribbon WORDS``; each option is a
+    (flag or name, ``add_argument`` keywords) pair.  The docstring is the help."""
+
+    def register(handler):
+        parser = _Parser(
+            prog=f"phiribbon {words}", description=handler.__doc__, allow_abbrev=False
+        )
+        for flag, kw in options:
+            parser.add_argument(flag, **kw)
+        _COMMANDS[tuple(words.split())] = (parser, handler)
+        return handler
+
+    return register
+
+
+_DIST = ("--dist", {"dest": "dist_path", "required": True, "metavar": "FILE"})
+_PHI = ("--phi", {"dest": "phi_name", "required": True, "metavar": "PHI"})
+_LAMBDA = ("--lambda", {"dest": "lam_text", "required": True, "metavar": "L1,L2,..."})
+_KIND = ("--kind", {"choices": ribbon_mc.KINDS, "default": "mc"})
+_SEED = ("--seed", {"type": _count(0), "default": 0, "help": "default: 0"})
+_OUT = ("--out", {"dest": "out_path", "help": "CSV file (default: standard output)"})
 
 
 def _round12(x):
@@ -40,31 +92,8 @@ def _round12(x):
     return x
 
 
-# Every echo names its stream: with none, click caches a wrapper per stream
-# object and never frees a redirected StringIO, so in-process runs leak.
 def _emit_json(obj):
-    click.echo(json.dumps(_round12(obj), allow_nan=False), file=sys.stdout)
-
-
-def _show_help(ctx, param, value):
-    if value and not ctx.resilient_parsing:
-        click.echo(ctx.get_help(), color=ctx.color, file=sys.stdout)
-        ctx.exit()
-
-
-class _Command(click.Command):
-    """A command whose --help echo names its stream (click's own does not)."""
-
-    def get_help_option(self, ctx):
-        opt = super().get_help_option(ctx)
-        if opt is not None:
-            opt.callback = _show_help
-        return opt
-
-
-class _Group(_Command, click.Group):
-    command_class = _Command
-    group_class = type  # subgroups are _Group too
+    sys.stdout.write(json.dumps(_round12(obj), allow_nan=False) + "\n")
 
 
 def _load_json(path: str, what: str):
@@ -74,7 +103,7 @@ def _load_json(path: str, what: str):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError) as e:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        raise click.UsageError(f"cannot read {what} {path}: {e}")
+        raise _UsageError(f"cannot read {what} {path}: {e}")
 
 
 def _load_dist(path: str) -> JointDist:
@@ -85,48 +114,40 @@ def _parse_lambda(text: str, k: int) -> list[float]:
     try:
         vals = [float(v) for v in text.split(",")]
     except ValueError:
-        raise click.UsageError(f"bad --lambda value {text!r}")
+        raise _UsageError(f"bad --lambda value {text!r}")
     if len(vals) != k:
-        raise click.UsageError(f"--lambda needs {k} comma-separated entries")
+        raise _UsageError(f"--lambda needs {k} comma-separated entries")
     return vals
 
 
-def _write_rows(rows, header, out):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+def _write_csv(header, lines, out):
+    """Write ``header``, joined by commas, then ``lines`` (each formatted and
+    ending in a newline) to the file ``out``, or to stdout.  No field needs
+    quoting: every field is a number or a fixed word."""
+    text = ",".join(header) + "\n" + "".join(lines)
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(buf.getvalue())
+                fh.write(text)
         except OSError as e:  # an unwritable --out path is an input error, like an unreadable input
-            raise click.UsageError(f"cannot write {out}: {e}")
+            raise _UsageError(f"cannot write {out}: {e}")
     else:
-        click.echo(buf.getvalue(), nl=False, file=sys.stdout)
+        sys.stdout.write(text)
 
 
-@click.group(cls=_Group)
-def cli():
-    """Correlation measures and entropy-inequality regions for discrete
-    multivariate distributions."""
-
-
-@cli.command()
-@click.option("--dist", "dist_path", required=True)
-def rho(dist_path):
+@_command("rho", _DIST)
+def _rho(dist_path):
     """Maximal correlation of a bipartite distribution."""
     d = _load_dist(dist_path)
     _emit_json({"rho": correlation.maximal_correlation(d)})
 
 
-@cli.command()
-@click.option("--dist", "dist_path", required=True)
-@click.option("--phi", "phi_name", required=True)
-@click.option("--restarts", default=32, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-def eta(dist_path, phi_name, restarts, seed):
+@_command(
+    "eta", _DIST, _PHI,
+    ("--restarts", {"type": int, "default": 32, "help": "default: 32"}),
+    _SEED,
+)
+def _eta(dist_path, phi_name, restarts, seed):
     """Lower-bound estimate of the SDPI constant eta_Phi, capped at 1.
 
     "converged" is true when the ascent ended because its answer stopped
@@ -146,9 +167,8 @@ def eta(dist_path, phi_name, restarts, seed):
     )
 
 
-@cli.command()
-@click.option("--dist", "dist_path", required=True)
-def gram(dist_path):
+@_command("gram", _DIST)
+def _gram(dist_path):
     """Block Gram matrix of marginal bases and its eigenvalues."""
     d = _load_dist(dist_path)
     g = ribbon_mc.gram_matrix(d)
@@ -161,16 +181,8 @@ def gram(dist_path):
     )
 
 
-@cli.group()
-def ribbon():
-    """Quadratic-case region queries (exact PSD tests)."""
-
-
-@ribbon.command("check")
-@click.option("--dist", "dist_path", required=True)
-@click.option("--lambda", "lam_text", required=True)
-@click.option("--kind", type=click.Choice(ribbon_mc.KINDS), default="mc")
-def ribbon_check(dist_path, lam_text, kind):
+@_command("ribbon check", _DIST, _LAMBDA, _KIND)
+def _ribbon_check(dist_path, lam_text, kind):
     """Exact membership test.  For ``mc``, ``min_eigenvalue`` is that of the
     congruent ``I - Lambda^{1/2} M Lambda^{1/2}`` (the sign of ``Lambda^{-1} - M``'s;
     1 at lambda = 0).  It is null when no coordinate varies: a member."""
@@ -194,14 +206,13 @@ def ribbon_check(dist_path, lam_text, kind):
     _emit_json(out)
 
 
-@ribbon.command("trace")
-@click.option("--dist", "dist_path", required=True)
-@click.option(
-    "--grid", "grid_n", type=click.IntRange(min=1), default=50, show_default=True
+@_command(
+    "ribbon trace", _DIST,
+    ("--grid", {"dest": "grid_n", "type": _count(1), "default": 50,
+                "help": "points per lambda axis (default: 50)"}),
+    _KIND, _OUT,
 )
-@click.option("--kind", type=click.Choice(ribbon_mc.KINDS), default="mc")
-@click.option("--out", "out_path", default=None)
-def ribbon_trace(dist_path, grid_n, kind, out_path):
+def _ribbon_trace(dist_path, grid_n, kind, out_path):
     """Grid sweep over lambda points; CSV of memberships."""
     d = _load_dist(dist_path)
     if grid_n**d.k > oracle._CAP:  # the oracle's cap: the library's scale for one grid
@@ -209,24 +220,18 @@ def ribbon_trace(dist_path, grid_n, kind, out_path):
     axes = [np.linspace(0, 1, grid_n)] * d.k
     lams = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d.k)
     member = ribbon_mc.membership_verdicts(d, kind, lams)
-    rows = [[*map(float, lam), int(m)] for lam, m in zip(lams, member)]
     header = [f"lambda_{i+1}" for i in range(d.k)] + ["member"]
-    _write_rows(rows, header, out_path)
+    line = "{:.12g}," * d.k + "{:d}\n"
+    _write_csv(header, map(line.format, *lams.T.tolist(), member.tolist()), out_path)
 
 
-@cli.group(name="phi-ribbon")
-def phi_ribbon():
-    """Search-based region queries for general convex Phi."""
-
-
-@phi_ribbon.command("check")
-@click.option("--dist", "dist_path", required=True)
-@click.option("--phi", "phi_name", required=True)
-@click.option("--lambda", "lam_text", required=True)
-@click.option("--normalized", is_flag=True)
-@click.option("--restarts", default=64, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-def phi_ribbon_check(dist_path, phi_name, lam_text, normalized, restarts, seed):
+@_command(
+    "phi-ribbon check", _DIST, _PHI, _LAMBDA,
+    ("--normalized", {"action": "store_true"}),
+    ("--restarts", {"type": int, "default": 64, "help": "default: 64"}),
+    _SEED,
+)
+def _phi_ribbon_check(dist_path, phi_name, lam_text, normalized, restarts, seed):
     """Search for a witness f with a negative gap.  A "violated" verdict
     reports the gap of the first witness found below the search's exit
     threshold, re-checked from scratch, not the deepest gap reachable; a
@@ -247,35 +252,36 @@ def phi_ribbon_check(dist_path, phi_name, lam_text, normalized, restarts, seed):
     _emit_json(out)
 
 
-@phi_ribbon.command("trace")
-@click.option("--dist", "dist_path", required=True)
-@click.option("--phi", "phi_name", required=True)
-@click.option(
-    "--directions", type=click.IntRange(min=1), default=32, show_default=True,
-    help="Rays to bisect. For k = 3 the rays are the m(m+1)/2 points of a simplex "
-    "lattice with m = max(2, ceil(sqrt(DIRECTIONS))): 32 gives 21 rays.",
+@_command(
+    "phi-ribbon trace", _DIST, _PHI,
+    ("--directions", {"type": _count(1), "default": 32,
+                      "help": "Rays to bisect (default: 32). For k = 3 the rays are the "
+                      "m(m+1)/2 points of a simplex lattice with "
+                      "m = max(2, ceil(sqrt(DIRECTIONS))): 32 gives 21 rays."}),
+    _SEED, _OUT,
 )
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--out", "out_path", default=None)
-def phi_ribbon_trace(dist_path, phi_name, directions, seed, out_path):
+def _phi_ribbon_trace(dist_path, phi_name, directions, seed, out_path):
+    """Region boundary along rays from lambda = 0; CSV of verdicts."""
     d = _load_dist(dist_path)
     phi = parse_phi(phi_name)
     trace = ribbon_phi.ribbon_boundary_trace(
         d, phi, directions, SearchOpts(restarts=12, max_iters=200, seed=seed)
     )
-    rows = []
-    for idx, (lam, verdict) in enumerate(trace):
-        rows.append([idx, *map(float, lam), verdict])
     header = ["direction_index"] + [f"lambda_{i+1}" for i in range(d.k)] + ["verdict"]
-    _write_rows(rows, header, out_path)
+    line = "{:d}," + "{:.12g}," * d.k + "{}\n"
+    rows = (line.format(i, *map(float, lam), verdict) for i, (lam, verdict) in enumerate(trace))
+    _write_csv(header, rows, out_path)
 
 
-@phi_ribbon.command("channel-test")
-@click.option("--dist", "dist_path", required=True)
-@click.option("--phi", "phi_name", required=True)
-@click.option("--channel", "channel_path", required=True)
-@click.option("--lambda", "lam_text", required=True)
-def phi_ribbon_channel_test(dist_path, phi_name, channel_path, lam_text):
+@_command(
+    "phi-ribbon channel-test", _DIST, _PHI,
+    ("--channel", {"dest": "channel_path", "required": True}),
+    _LAMBDA,
+)
+def _phi_ribbon_channel_test(dist_path, phi_name, channel_path, lam_text):
+    """Mutual-information test of one channel from X to U.  The gap is
+    I_Phi(U; X) - sum_i lambda_i I_Phi(U; X_i); a negative gap puts lambda
+    outside the region."""
     d = _load_dist(dist_path)
     phi = parse_phi(phi_name)
     ch = channel_from_json_dict(_load_json(channel_path, "channel file"))
@@ -287,38 +293,27 @@ def phi_ribbon_channel_test(dist_path, phi_name, channel_path, lam_text):
     )
 
 
-@cli.group()
-def gaussian():
-    """Region queries that only need a correlation matrix."""
-
-
-@gaussian.command("check")
-@click.option("--R", "r_path", required=True)
-@click.option("--lambda", "lam_text", required=True)
-def gaussian_check(r_path, lam_text):
+@_command("gaussian check", ("--R", {"dest": "r_path", "required": True}), _LAMBDA)
+def _gaussian_check(r_path, lam_text):
+    """Quadratic-case membership from a correlation matrix alone."""
     obj = _load_json(r_path, "correlation matrix")
     try:
         R = np.asarray(obj["matrix"], dtype=float)
     except (KeyError, TypeError, ValueError) as e:
-        raise click.UsageError(f"cannot read correlation matrix {r_path}: {e}")
+        raise _UsageError(f"cannot read correlation matrix {r_path}: {e}")
     if R.ndim != 2:
-        raise click.UsageError(f"correlation matrix in {r_path} must be 2-D")
+        raise _UsageError(f"correlation matrix in {r_path} must be 2-D")
     lam = _parse_lambda(lam_text, R.shape[0])
     member = ribbon_mc.gaussian_mc_membership(R, lam)
     _emit_json({"lambda": lam, "member": member})
 
 
-@cli.group(name="oracle")
-def oracle_group():
-    """Brute-force evaluators for tiny instances."""
-
-
-@oracle_group.command("min-gap")
-@click.option("--dist", "dist_path", required=True)
-@click.option("--phi", "phi_name", required=True)
-@click.option("--lambda", "lam_text", required=True)
-@click.option("--resolution", default=21, show_default=True)
-def oracle_min_gap(dist_path, phi_name, lam_text, resolution):
+@_command(
+    "oracle min-gap", _DIST, _PHI, _LAMBDA,
+    ("--resolution", {"type": int, "default": 21, "help": "default: 21"}),
+)
+def _oracle_min_gap(dist_path, phi_name, lam_text, resolution):
+    """Exhaustive minimum of the ribbon objective over gridded f values."""
     d = _load_dist(dist_path)
     phi = parse_phi(phi_name)
     lam = _parse_lambda(lam_text, d.k)
@@ -410,50 +405,72 @@ def _suite_rows(name: str, seed: int):
             disagree += sum(rp.violated != rs.violated for rp, rs in pairs)
         rows.append(("power:1.5 vs sym:1.5 disagreements", float(disagree), 0.0, 0.5))
     else:
-        raise click.UsageError(f"unknown suite {name!r}")
+        raise _UsageError(f"unknown suite {name!r}")
     return rows
 
 
-@cli.command()
-@click.argument("name")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-def suite(name, seed):
+@_command("suite", ("name", {}), _SEED)
+def _suite(name, seed):
     """Run a named reproduction bundle and print a pass/fail table."""
     rows = _suite_rows(name, seed)
     all_ok = True
-    header = f"{'case':40s} {'measured':>16s} {'expected':>16s}  status"
-    click.echo(header, file=sys.stdout)
+    sys.stdout.write(f"{'case':40s} {'measured':>16s} {'expected':>16s}  status\n")
     for case, measured, expected, tol in rows:
         if tol is None:
             ok = measured == expected
         else:
             ok = abs(measured - expected) <= tol
         all_ok &= ok
-        click.echo(
+        sys.stdout.write(
             f"{case:40s} {measured:16.10g} {expected:16.10g}  "
-            + ("pass" if ok else "FAIL"),
-            file=sys.stdout,
+            + ("pass" if ok else "FAIL") + "\n"
         )
     if not all_ok:
         sys.exit(1)
 
 
+def _listing(group: tuple) -> str:
+    """Help text for ``phiribbon GROUP``: each command under it, with the
+    first sentence of its help."""
+    lines = [f"usage: phiribbon {' '.join(group + ('COMMAND',))} [OPTIONS]", "",
+             _DESCRIPTION, "", "commands:"]
+    for words, (parser, _) in _COMMANDS.items():
+        if words[: len(group)] == group:
+            summary = " ".join(parser.description.partition(".")[0].split())
+            lines.append(f"  {' '.join(words):25s} {summary}.")
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None):
+    """Run one command and return its exit code: 0 on success, 2 for a usage
+    or input error (reported as ``error: ...`` on stderr), 1 for an internal
+    error.  The first one or two words of ``argv`` (default ``sys.argv[1:]``)
+    pick the command; that command's parser alone reads the rest.  ``--help``
+    prints to the current stdout and exits 0."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cli.main(args=argv, standalone_mode=False)
+        n = 2 if tuple(argv[:2]) in _COMMANDS else 1
+        entry = _COMMANDS.get(tuple(argv[:n]))
+        if entry is None:  # no command: the top level or a group like "ribbon"
+            group = tuple(argv[:1]) if any(w[:1] == tuple(argv[:1]) for w in _COMMANDS) else ()
+            rest = argv[len(group):]
+            if rest[:1] in (["-h"], ["--help"]):
+                sys.stdout.write(_listing(group))
+                return 0
+            what = "missing command"
+            if rest:
+                what = f"no such command {' '.join(argv[: len(group) + 1])!r}"
+            raise _UsageError(f"{what}\n\n{_listing(group)}")
+        parser, handler = entry
+        handler(**vars(parser.parse_args(argv[n:])))
         return 0
-    except click.exceptions.Exit as e:
-        return e.exit_code
-    except SystemExit as e:
+    except SystemExit as e:  # --help, and a failing suite
         return int(e.code or 0)
-    except click.UsageError as e:
-        click.echo(f"error: {e.format_message()}", file=sys.stderr)
-        return 2
-    except PhiRibbonError as e:
-        click.echo(f"error: {e}", file=sys.stderr)
+    except (_UsageError, PhiRibbonError) as e:
+        sys.stderr.write(f"error: {e}\n")
         return 2
     except Exception as e:  # internal failure
-        click.echo(f"internal error: {e}", file=sys.stderr)
+        sys.stderr.write(f"internal error: {e}\n")
         return 1
 
 

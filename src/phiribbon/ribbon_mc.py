@@ -306,11 +306,15 @@ def gaussian_mc_membership(R: np.ndarray, lam) -> bool:
     """
     R = np.asarray(R, dtype=float)
     k = R.shape[0]
-    if R.shape != (k, k) or not np.allclose(R, R.T, atol=1e-9):
+    if R.shape != (k, k):
         raise NotCorrelationMatrix("R must be symmetric")
-    if not np.all(np.isfinite(R)):
+    if not np.isfinite(R).all():
         raise NotCorrelationMatrix("R must be finite")
-    if not np.allclose(np.diag(R), 1.0, atol=1e-9):
+    # np.allclose's tolerances (rtol 1e-5, atol 1e-9), written out: it costs
+    # more than the eigenvalue tests on a small R
+    if (np.abs(R - R.T) > 1e-9 + 1e-5 * np.abs(R.T)).any():
+        raise NotCorrelationMatrix("R must be symmetric")
+    if (np.abs(np.diagonal(R) - 1.0) > 1e-9 + 1e-5).any():
         raise NotCorrelationMatrix("R must have unit diagonal")
     if np.linalg.eigvalsh(R)[0] < -PSD_TOL:
         raise NotCorrelationMatrix("R must be positive semidefinite")

@@ -6,15 +6,31 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phiribbon.cli
 from phiribbon.cli import main
+from phiribbon.correlation import SearchOpts
 from phiribbon.dist import canonical, dist_to_json, make_joint
+from phiribbon.phi import parse_phi
+from phiribbon.ribbon_mc import membership_verdicts
+from phiribbon.ribbon_phi import ribbon_boundary_trace
+
+# every command that runs: its words before the options
+_LEAVES = [
+    ["rho"], ["eta"], ["gram"], ["ribbon", "check"], ["ribbon", "trace"],
+    ["phi-ribbon", "check"], ["phi-ribbon", "trace"], ["phi-ribbon", "channel-test"],
+    ["gaussian", "check"], ["oracle", "min-gap"], ["suite"],
+]
 
 
 @pytest.fixture
@@ -238,8 +254,9 @@ def test_ribbon_check_output_is_strict_json(tmp_path, dsbs05, capsys, kind):
         (["ribbon", "check", "--lambda", "0.5", "--dist", "{}"], contextlib.redirect_stderr),
         (["--help"], contextlib.redirect_stdout),
         (["ribbon", "--help"], contextlib.redirect_stdout),
-    ],
-    ids=["check-stdout", "trace-stdout", "error-stderr", "help", "group-help"],
+    ] + [(words + ["--help"], contextlib.redirect_stdout) for words in _LEAVES],
+    ids=["check-stdout", "trace-stdout", "error-stderr", "help", "group-help"]
+    + ["-".join(words) + "-help" for words in _LEAVES],
 )
 def test_main_frees_redirected_stream(dsbs05, argv, redirect):
     buf = io.StringIO()
@@ -250,6 +267,102 @@ def test_main_frees_redirected_stream(dsbs05, argv, redirect):
     del buf
     gc.collect()
     assert ref() is None
+
+
+def test_help_lists_and_describes_every_command(capsys):
+    code, out = run_cli(capsys, "--help")
+    assert code == 0
+    for words in _LEAVES:
+        assert f"  {' '.join(words)} " in out, words
+        code, help_text = run_cli(capsys, *words, "--help")
+        assert code == 0, words
+        assert help_text.startswith(f"usage: phiribbon {' '.join(words)} "), words
+
+
+def test_usage_errors_exit_2_with_the_message_on_stderr(dsbs05, capsys):
+    check = ["ribbon", "check", "--dist", dsbs05]
+    for argv in (
+        [],  # no command
+        ["ribbon"],  # a group, not a command
+        ["ribbon", "bogus"],
+        ["bogus"],
+        # an abbreviated option is unknown, not completed
+        ["ribbon", "check", "--dis", dsbs05, "--lambda", "0.5,0.5"],
+        check + ["--lambda", "0.5,0.5", "--kin", "mc"],
+        # a value that begins with "-" needs --lambda=VALUE; either way it is refused
+        check + ["--lambda", "-1,0.5"],
+        check + ["--lambda", "-0.5,0.5"],
+        check + ["--lambda=-0.5,0.5"],
+        ["oracle", "min-gap", "--dist", dsbs05, "--phi", "square", "--lambda", "-1,-1"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error:"), argv
+
+
+def test_a_repeated_option_keeps_its_last_value(dsbs05, capsys):
+    code, out = run_cli(
+        capsys, "ribbon", "check", "--dist", dsbs05, "--lambda", "0.9,0.9", "--lambda", "0.5,0.5"
+    )
+    assert code == 0
+    assert json.loads(out)["lambda"] == [0.5, 0.5]
+
+
+def _csv_reference(header, rows):
+    """The CSV that csv.writer prints, floats at 12 significant digits."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("sizes, grid", [([2, 2], 12), ([2, 2, 2], 7), ([3, 2], 1)])
+def test_ribbon_trace_csv_matches_csv_writer(tmp_path, capsys, sizes, grid):
+    d = make_joint(sizes, np.random.default_rng(grid).dirichlet(np.ones(math.prod(sizes))))
+    path = tmp_path / "d.json"
+    path.write_text(dist_to_json(d))
+    axes = [np.linspace(0, 1, grid)] * d.k
+    lams = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d.k)
+    for kind in ("mc", "tilde"):
+        member = membership_verdicts(d, kind, lams)
+        ref = _csv_reference(
+            [f"lambda_{i + 1}" for i in range(d.k)] + ["member"],
+            [[*map(float, lam), int(m)] for lam, m in zip(lams, member)],
+        )
+        argv = ["ribbon", "trace", "--dist", str(path), "--grid", str(grid), "--kind", kind]
+        assert run_cli(capsys, *argv) == (0, ref)
+        out_path = tmp_path / "trace.csv"
+        assert run_cli(capsys, *argv, "--out", str(out_path)) == (0, "")
+        assert out_path.read_text() == ref
+
+
+def test_phi_ribbon_trace_csv_matches_csv_writer(tmp_path, capsys):
+    path = tmp_path / "xor.json"
+    d = canonical("xor_triple")
+    path.write_text(dist_to_json(d))
+    trace = ribbon_boundary_trace(
+        d, parse_phi("binent"), 5, SearchOpts(restarts=12, max_iters=200, seed=3)
+    )
+    ref = _csv_reference(
+        ["direction_index", "lambda_1", "lambda_2", "lambda_3", "verdict"],
+        [[i, *map(float, lam), verdict] for i, (lam, verdict) in enumerate(trace)],
+    )
+    code, out = run_cli(
+        capsys, "phi-ribbon", "trace", "--dist", str(path), "--phi", "binent",
+        "--directions", "5", "--seed", "3",
+    )
+    assert (code, out) == (0, ref)
+
+
+def test_importing_the_cli_loads_no_click():
+    src = str(Path(phiribbon.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, phiribbon.cli; sys.exit('click' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
 
 
 def test_phi_ribbon_check_xor(tmp_path, capsys):

@@ -253,6 +253,22 @@ def test_eta_phi_at_least_rho_squared():
         assert est.value >= est.lower_bound_rho2 - 1e-6
 
 
+@pytest.mark.parametrize("name", ["square"] + _NON_SQUARE)
+def test_eta_phi_is_at_most_dobrushins_coefficient(name):
+    # every convex Phi contracts at least as much as total variation does:
+    # eta_Phi <= theta = max over x, x' of TV(P(Y|x), P(Y|x'))
+    # (Cohen, Kemperman and Zbaganu 1993; Raginsky 2016)
+    phi = parse_phi(name)
+    rng = np.random.default_rng(20)
+    for shape in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4)):
+        for weight in (0.3, 1.0, 5.0):
+            d = make_joint(list(shape), rng.dirichlet(np.full(shape[0] * shape[1], weight)))
+            K = d.probs / d.probs.sum(axis=1, keepdims=True)
+            theta = 0.5 * np.abs(K[:, None, :] - K[None, :, :]).sum(axis=2).max()
+            est = eta_phi(d, phi, opts=SearchOpts(4, 100, int(rng.integers(2**31))))
+            assert est.value <= theta + 1e-9, (shape, weight, est.value, theta)
+
+
 def test_eta_phi_deterministic_given_seed():
     d = canonical("dsbs", lam=0.5)
     a = eta_phi(d, binent(), opts=SearchOpts(restarts=6, seed=5))

@@ -255,7 +255,7 @@ def _phi_ribbon_check(dist_path, phi_name, lam_text, normalized, restarts, seed)
 @_command(
     "phi-ribbon trace", _DIST, _PHI,
     ("--directions", {"type": _count(1), "default": 32,
-                      "help": "Rays to bisect (default: 32). For k = 3 the rays are the "
+                      "help": "Rays to trace (default: 32). For k = 3 the rays are the "
                       "m(m+1)/2 points of a simplex lattice with "
                       "m = max(2, ceil(sqrt(DIRECTIONS))): 32 gives 21 rays."}),
     _SEED, _OUT,

@@ -168,24 +168,26 @@ class _FlatProblem:
         """Per row of F, the terms G of its gap: ``gap(f, lambda) = G @ [1, lambda]``."""
         return (self.phi.safe_eval(F @ self.A) * self.w) @ np.vstack([self.V0, self.V]).T
 
-    def ratio(self, F: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-        """``H(E_0 f) / H(f)`` and its gradient per row of F (one averaging
-        map), -inf (gradient 0) where ``H(f) <= floor``.  Both are plain
-        Bregman sums ``E[Phi(v) - Phi(m) - Phi'(m)(v - m)]`` at ``m = E f``,
-        which lose digits near a constant: callers certify what they report."""
+    def ratio(self, F: np.ndarray, W: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+        """``sum_i W_i H(E_i f) / H(f)`` and its gradient per row of F, the
+        weights in that row of W (or one row for all), -inf (gradient 0) where
+        ``H(f) <= floor``.  Both are plain Bregman sums ``E[Phi(v) - Phi(m) -
+        Phi'(m)(v - m)]`` at ``m = E f``, which lose digits near a constant:
+        callers certify what they report."""
         n = self.n
         X = F @ self.A
         V, D = self.phi.safe_eval(X), self.phi.deriv(1, X)
         m, dm = X[:, n : n + 1], D[:, n : n + 1]
         B = V - V[:, n : n + 1] - dm * (X - m)  # 0 in the E f column
-        den, num = B[:, :n] @ self.p, B[:, n:] @ self.w[n:]
+        C = -(W @ self.V)[:, n:]  # W_i on the columns of E_i f
+        den, num = B[:, :n] @ self.p, (B[:, n:] * C) @ self.w[n:]
         D -= dm
         defined = den.min() > floor  # every ratio defined (a NaN fails the test)
         if not defined:
             ok = den > floor
             den = np.where(ok, den, 1.0)
         ratio = num / den
-        grad = (D[:, n:] @ self.T - ratio[:, None] * D[:, :n]) * (self.p / den[:, None])
+        grad = ((D[:, n:] * C) @ self.T - ratio[:, None] * D[:, :n]) * (self.p / den[:, None])
         if defined:
             return ratio, grad
         return np.where(ok, ratio, -np.inf), np.where(ok[:, None], grad, 0.0)
@@ -366,9 +368,10 @@ def eta_phi(
     prob = _FlatProblem(px, [P / px[:, None]], phi)  # one map: the channel rows P(y|x)
     # the objective's rounding error scales with Phi, so its floor does too
     floor = _VAR_FLOOR * max(1.0, *np.abs(phi.safe_eval(np.array([lo, hi]))))
+    weight = np.ones((1, 1))  # the one map's weight in the ratio
 
     def neg_ratio(F, rows):
-        ratio, grad = prob.ratio(F, floor)
+        ratio, grad = prob.ratio(F, weight, floor)
         return -ratio, -grad
 
     # restart 0 follows the quadratic-case witness, the others are uniform

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import correlation
-from .correlation import SearchOpts, _box, _pgd, _sweep
+from .correlation import _VAR_FLOOR, SearchOpts, _box, _pgd, _sweep, eta_phi
 from .dist import Channel, JointDist, JointFunction, make_joint
 from .errors import BadShape, PhiNotClassF
-from .phi import PhiSpec, cond_phi_entropies, phi_mutual_information
-from .ribbon_mc import PSD_TOL, _check_lambda, _rays
+from .phi import PhiSpec, _entropy_rows, cond_phi_entropies, phi_mutual_information
+from .ribbon_mc import PSD_TOL, _check_lambda, _rays, mc_boundary_trace
 
 _VIOLATION_TOL = 1e-9  # a certified gap must be below -this to prove a violation, not noise
 # a search row whose gap falls below this ends its point's search at once: ten
@@ -267,59 +267,66 @@ def i_phi_channel_test(
     return gap
 
 
+def _ray_exits(d: JointDist, phi: PhiSpec, v: np.ndarray, opts: SearchOpts, extra=()):
+    """Per ray ``t u`` (u a row of v), with ``R(f) = sum_i u_i H(E[f|X_i]) / H(f)``
+    and so ``gap(f, t u) = H(f) (1 - t R(f))``: the best R, the least proven exit
+    ``t_c = (H(f) + 2 tol) / (R(f) H(f))`` (inf if none lies in the cube) and its
+    witness.  ``_seeds`` rows (for one ray, also the joint values in ``extra``)
+    climb R in one ``_pgd`` call; the ends, and ``_sweep`` along them and each
+    ray's quadratic-case direction, are certified through the entropy module."""
+    prob, n = _FlatProblem(d, phi), d.support_mask.sum()  # n support atoms
+    seeds, lo, hi = _seeds(prob, v, np.random.default_rng(opts.seed), opts.restarts)
+    starts = np.vstack([seeds, *(np.ravel(e)[prob.sup] for e in extra)])
+    W = np.repeat(v, len(starts) // len(v), axis=0)
+    floor = _VAR_FLOOR * max(1.0, *np.abs(phi.safe_eval(np.array([lo, hi]))))
+    E = _pgd(lambda F, rows: [-x for x in prob.ratio(F, W[rows], floor)], starts, lo, hi, opts)[1]
+    E = E.reshape(len(v), -1, n)
+    U = np.concatenate([prob.directions(v)[0][:, None], E - (E @ prob.p)[..., None]], axis=1)
+    sweeps = _sweep(U.reshape(-1, n), 0.45 * (hi - lo) * 0.5 ** np.arange(16), phi)
+    F = np.concatenate([E, sweeps.reshape(len(v), -1, n)], axis=1)
+    X, W = F.reshape(-1, n) @ prob.A, np.repeat(v, F.shape[1], axis=0)
+    num = sum(w * _entropy_rows(phi, prob.w[c], X[:, c]) for w, c in zip(W.T, prob.V < 0))
+    H = np.maximum(_entropy_rows(phi, prob.p, X[:, :n]), _VAR_FLOOR)  # a floor only lowers R
+    R = (num / H).reshape(len(v), -1)
+    T = ((H + 2 * _VIOLATION_TOL) / np.maximum(num, 1e-300)).reshape(R.shape)  # gap -2 tol at T u
+    j = np.arange(len(v)), T.argmin(axis=1)
+    f = [prob.to_joint(x) for x in F[j]]
+    t = [s if s * u.max() <= 1 and definition_gap(d, phi, s * u, g) <= -_VIOLATION_TOL else np.inf
+         for s, u, g in zip(T[j], v, f)]
+    return R.max(axis=1), np.array(t), f
+
+
 def eta_from_ribbon(
     d: JointDist, phi: PhiSpec, opts: SearchOpts | None = None
 ) -> float:
-    """Recover the SDPI constant as ``inf (1 - l1)/l2`` over the region.
-
-    Along the ray ``(l1, l2) = (1 - t mu, t)`` the objective is constantly
-    ``mu``, so the infimum is the smallest mu whose ray meets the region;
-    found by bisection, with one stacked search over five t values per mu.
+    """The SDPI constant from the region: ``(1 - l1)/l2`` at the exit of the ray
+    ``t (1, s)``, s = 1e-3, is ``(sup_f R - 1)/s`` (capped to [0, 1]), non-decreasing
+    in s with limit ``eta_phi`` as s -> 0.  The ascent also starts from the ``eta_phi``
+    witness (same ``opts``; NotBipartite unless k = 2), so the answer is at least its ratio.
     """
-    if d.k != 2:
-        raise BadShape("eta_from_ribbon needs a bipartite distribution")
     opts = opts or SearchOpts(restarts=12, max_iters=200)
-    ts = np.array([0.25, 0.1, 0.02, 0.005, 0.001])
-
-    def feasible(mu: float) -> bool:
-        lams = np.column_stack([1.0 - ts * mu, ts])
-        return not all(r.violated for r in _search(d, phi, lams, opts))
-
-    lo, hi = 0.0, 1.0
-    if feasible(0.0):
-        return 0.0
-    for _ in range(14):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    lift = np.broadcast_to(eta_phi(d, phi, None, opts).witness.values[:, None], d.alphabet_sizes)
+    R = _ray_exits(d, phi, np.array([[1.0, 1e-3]]), opts, [lift])[0][0]
+    return float(np.clip((R - 1) / 1e-3, 0.0, 1.0))  # R < 1 where X has one atom
 
 
 def ribbon_boundary_trace(
     d: JointDist, phi: PhiSpec, directions: int = 32, opts: SearchOpts | None = None
 ) -> list[tuple[np.ndarray, str]]:
-    """Bisect membership along rays from the origin of the lambda cube.
+    """Trace the region's boundary along rays from the origin of the lambda cube.
 
-    The region is down-closed toward the origin (the inequality is linear
-    in lambda with non-negative coefficients), so ray bisection is sound;
-    all rays bisect in lockstep, one stacked search per step.  The rays (k = 2
-    or 3) are ``mc_boundary_trace``'s.  Returns one (lambda, verdict-at-full-ray)
-    entry per ray.
+    The region is down-closed toward the origin (its inequality is linear in
+    lambda with non-negative coefficients), so a ray ``t v`` leaves it once, at
+    ``1 / sup_f R`` (see ``_ray_exits``); the rays are ``mc_boundary_trace``'s.
+    Per ray: ``lambda = min(1/R, mc exit, 1) v``, an outer estimate of the exit
+    (not a bisected point; the ``mc`` exit bounds it by the quadratic case's
+    inclusion), and "violated" where a witness proves the exit inside the cube.
     """
     v = _rays(d.k, directions)
     opts = opts or SearchOpts(restarts=12, max_iters=200)
-
-    def violated(lams):
-        return np.array([r.violated for r in _search(d, phi, lams, opts)])
-
-    bad = violated(v)
-    t, width = np.where(bad, 0.0, 1.0), 1.0  # bisect [t, t + width] on every violated ray
-    while width > 1e-3:
-        width /= 2
-        t[bad] += np.where(violated((t[bad] + width)[:, None] * v[bad]), 0.0, width)
-    return [(s * u, "violated" if b else "holds_up_to_search") for s, u, b in zip(t, v, bad)]
+    mc = [lam.max() for lam, _ in mc_boundary_trace(d, directions)]
+    return [(min(m, 1 / max(r, 1.0)) * u, "violated" if t <= 1 else "holds_up_to_search")
+            for u, m, r, t in zip(v, mc, *_ray_exits(d, phi, v, opts)[:2])]
 
 
 def _transported(d: JointDist, phi: PhiSpec, lam, cands, tol: float) -> RibbonVerdict | None:

@@ -23,6 +23,7 @@ from phiribbon.oracle import GridSpec, brute_min_objective
 from phiribbon.phi import (
     binent,
     cond_phi_entropy,
+    parse_phi,
     phi_entropy,
     phi_mutual_information,
     power_alpha,
@@ -31,6 +32,7 @@ from phiribbon.phi import (
     xlogx,
 )
 from phiribbon.ribbon_mc import (
+    _rays,
     gaussian_mc_membership,
     mc_boundary_trace,
     mc_membership,
@@ -41,9 +43,11 @@ from phiribbon.ribbon_mc import (
     tilde_membership,
 )
 from phiribbon.ribbon_phi import (
+    _ray_exits,
     _search,
     alpha_equivalent_membership,
     definition_gap,
+    eta_from_ribbon,
     lift_witness_to_product,
     phi_ribbon_membership,
     ribbon_boundary_trace,
@@ -303,15 +307,46 @@ def test_criterion_14_hc_ribbon_is_the_xlogx_ribbon():
     # exits at the least root of v1 v2 (1 - rho^2) t^2 - (v1 + v2) t + 1 = 0
     opts = SearchOpts(restarts=12, max_iters=200)
     for rho in (0.3, 0.5, 0.8):
-        trace = ribbon_boundary_trace(canonical("dsbs", lam=rho), xlogx(), 8, opts)
+        d = canonical("dsbs", lam=rho)
+        trace = ribbon_boundary_trace(d, xlogx(), 8, opts)
+        _, proven, _ = _ray_exits(d, xlogx(), _rays(2, 8), opts)
         assert len(trace) == 8
-        for lam, verdict in trace:
+        for (lam, verdict), t_c in zip(trace, proven):
             assert verdict == "violated", (rho, lam)
             v = lam / lam.max()  # the ray, scaled to leave the cube at t = 1
             a, b = v[0] * v[1] * (1 - rho * rho), v[0] + v[1]
             t_exact = (b - math.sqrt(b * b - 4 * a)) / (2 * a)
-            # the trace bisects t to 2^-10 = 9.8e-4
-            assert abs(lam.max() - t_exact) <= 1e-3, (rho, lam.tolist(), t_exact)
+            # the proven exit lies past the true one by its certification margin
+            assert t_exact <= t_c <= t_exact + 1e-5, (rho, lam.tolist(), t_c, t_exact)
+            assert abs(lam.max() - t_exact) <= 1e-6, (rho, lam.tolist(), t_exact)
+
+
+@pytest.mark.parametrize("phi_name", ["binent", "xlogx:0.05,4", "power:1.5", "sym:1.5"])
+def test_criterion_16_eta_from_ribbon_meets_eta_phi(phi_name):
+    # (1 - l1)/l2 at the exit of the ray t (1, s) is at least the ratio of the
+    # eta_phi witness, one of its ascent's starts, and exceeds eta_Phi only by
+    # the finite-s bias
+    opts = SearchOpts(12, 200)
+    phi = parse_phi(phi_name)
+    laws = [make_joint([2, 3], np.random.default_rng(3).dirichlet(np.ones(6)))]
+    laws += [_random_dist(np.random.default_rng(s), shape) for s, shape in
+             ((4, [2, 3]), (5, [3, 3]), (6, [3, 3]))]
+    for d in laws:
+        eta = eta_phi(d, phi, None, opts).value
+        assert eta - 1e-9 <= eta_from_ribbon(d, phi, opts) <= eta + 1e-3
+
+
+def test_criterion_16_ray_ascent_never_exceeds_eta_phi():
+    # from the region search's seeds alone, with no eta start, the ray t (1, s)
+    # finds no ratio R with (R - 1)/s beyond eta_Phi plus the finite-s bias:
+    # a crossing would be a bug or a better eta witness than eta_phi's
+    s, opts = 1e-3, SearchOpts(12, 200)
+    rng = np.random.default_rng(16)
+    for trial in range(20):
+        d = _random_dist(rng, [2, 3])
+        phi = parse_phi(("binent", "xlogx:0.05,4", "power:1.5", "sym:1.5")[trial % 4])
+        R = _ray_exits(d, phi, np.array([[1.0, s]]), opts)[0][0]
+        assert (R - 1) / s <= eta_phi(d, phi, None, SearchOpts(restarts=64)).value + s, trial
 
 
 def _lift_second(g, dx, dy):

@@ -29,6 +29,7 @@ from phiribbon.phi import (
     PhiSpec,
     _entropy_rows,
     binent,
+    cond_phi_entropies,
     marginal_phi_entropy,
     parse_phi,
     square,
@@ -328,7 +329,7 @@ def test_ratio_and_grad_match_two_entropy_evaluations(phi_name):
     assert ok.sum() >= 20
     # the objective's plain Bregman sums resolve the ratio at amplitudes 1 and 0.1
     wide = np.arange(len(F)) < 12
-    ratio, grad = _eta_problem(P, px, phi).ratio(F[wide], _VAR_FLOOR)
+    ratio, grad = _eta_problem(P, px, phi).ratio(F[wide], [[1.0]], _VAR_FLOOR)
     assert np.array_equal(np.isfinite(ratio), ok[wide]) and ok[wide].all()
     np.testing.assert_allclose(ratio, want[wide], rtol=1e-9, atol=0)
     assert np.all(np.abs(grad - want_grad[wide]) <= 1e-10 * size[wide])
@@ -337,6 +338,22 @@ def test_ratio_and_grad_match_two_entropy_evaluations(phi_name):
     cert = correlation._certified_ratio(F, P, px, py, phi)
     assert np.array_equal(np.isfinite(cert), ok)
     np.testing.assert_allclose(cert[ok], want[ok], rtol=1e-9, atol=0)
+    # a k = 3 law with a weight row per f: sum_i W_i H(E[f|X_i]) / H(f) against
+    # the entropy module, and its gradient against central differences
+    d = make_joint([2, 3, 2], rng.dirichlet(np.ones(12)))
+    prob = _LawProblem(d, phi)
+    F = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), size=(6, prob.n))
+    W = rng.uniform(0.0, 1.0, size=(6, 3))
+    ratio, grad = prob.ratio(F, W, _VAR_FLOOR)
+    for f, w, r in zip(F, W, ratio):
+        total, *conds = cond_phi_entropies(d, phi, prob.to_joint(f), [(), (0,), (1,), (2,)])
+        assert r == pytest.approx(w @ (total - np.array(conds)) / total, rel=1e-9)
+    h = 1e-6 * (hi - lo)
+    for a in range(prob.n):
+        step = h * (np.arange(prob.n) == a)
+        up, down = (prob.ratio(F + sign * step, W, _VAR_FLOOR)[0] for sign in (1, -1))
+        diff = (up - down) / (2 * h)
+        np.testing.assert_allclose(grad[:, a], diff, rtol=1e-5, atol=1e-7 * np.abs(grad).max())
 
 
 @pytest.mark.parametrize("phi_name", ["power:1.5", "sym:1.5", "binent", "xlogx", "xlogx:0,4"])
@@ -371,7 +388,7 @@ def test_eta_objective_runs_no_quadrature(monkeypatch, phi_name):
         F = rng.uniform(lo + amp, hi - amp, size=(8, 1))
         F = F + amp * rng.uniform(-1, 1, size=(8, shape[0]))
         other_rows.clear()
-        _eta_problem(P, px, phi).ratio(F, _VAR_FLOOR)
+        _eta_problem(P, px, phi).ratio(F, [[1.0]], _VAR_FLOOR)
         correlation._certified_ratio(F, P, px, py, phi)
         assert sum(other_rows) > len(F)  # most of the 2 * 8 entropies cancel
         eta_phi(d, phi, opts=SearchOpts(restarts=4, max_iters=20))
@@ -573,7 +590,7 @@ def test_eta_phi_ascent_keeps_off_near_constant_noise():
     P, px, py, _, _ = _bipartite_matrices(d)
     gaps = np.geomspace(4e-5, 1e-4, 8)  # H(f) from 1.2e-12 to 7.7e-12
     F = correlation._box(phi)[1] - np.vstack([np.c_[0 * gaps, gaps], np.c_[gaps, 0 * gaps]])
-    noisy = _eta_problem(P, px, phi).ratio(F, _VAR_FLOOR)[0]
+    noisy = _eta_problem(P, px, phi).ratio(F, [[1.0]], _VAR_FLOOR)[0]
     exact = correlation._certified_ratio(F, P, px, py, phi)
     assert np.isfinite(noisy).all() and np.abs(noisy - exact).max() > exact.max()
 
@@ -783,7 +800,7 @@ def _engine_problems():
         lo, hi = a + 1e-9 * (b - a), b - 1e-9 * (b - a)
 
         def neg_ratio(X, rows, prob=prob):
-            ratio, grad = prob.ratio(X, _VAR_FLOOR)
+            ratio, grad = prob.ratio(X, [[1.0]], _VAR_FLOOR)
             return -ratio, -grad
 
         starts = rng.uniform(lo, hi, size=(6, shape[0]))

@@ -14,11 +14,13 @@ from phiribbon.dist import (
     make_joint,
     pair_product,
 )
-from phiribbon.errors import BadParameter, BadShape, PhiNotClassF
+from phiribbon.errors import BadParameter, BadShape, NotBipartite, PhiNotClassF
 from phiribbon.phi import PhiSpec, binent, cond_phi_entropy, parse_phi, phi_entropy, square, xlogx
 from phiribbon.ribbon_phi import (
+    _VIOLATION_TOL,
     _FlatProblem,
     _project_density,
+    _ray_exits,
     _search,
     _seeds,
     alpha_equivalent_membership,
@@ -31,7 +33,7 @@ from phiribbon.ribbon_phi import (
     phi_ribbon_membership,
     ribbon_boundary_trace,
 )
-from phiribbon.ribbon_mc import _check_lambda, mc_def_gap, mc_membership
+from phiribbon.ribbon_mc import _check_lambda, _rays, gram_matrix, mc_def_gap, mc_membership
 
 OPTS = SearchOpts(restarts=16, seed=0)
 
@@ -411,9 +413,46 @@ def test_i_phi_channel_test_trivial_channel_is_zero():
 
 
 def test_eta_from_ribbon_dsbs_square():
-    d = canonical("dsbs", lam=0.5)
+    # for Phi = t^2, R on the ray t (1, s) is a Rayleigh quotient with supremum
+    # lambda_max(S M S), S = diag(sqrt(1, s)) over the Gram blocks, so the
+    # answer is (lambda_max - 1)/s in closed form: 0.25018759376 for DSBS(0.5)
+    d, s = canonical("dsbs", lam=0.5), 1e-3
+    g = gram_matrix(d)
+    scale = np.sqrt(np.repeat([1.0, s], g.block_dims))
+    want = (np.linalg.eigvalsh(scale[:, None] * g.M * scale).max() - 1) / s
+    assert want == pytest.approx(0.25018759376, abs=1e-10)
     got = eta_from_ribbon(d, square(), SearchOpts(restarts=8, max_iters=150))
-    assert got == pytest.approx(0.25, abs=5e-3)
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_eta_from_ribbon_needs_a_bipartite_law():
+    with pytest.raises(NotBipartite):
+        eta_from_ribbon(canonical("xor_triple"), binent())
+
+
+def test_eta_from_ribbon_is_zero_where_x_has_one_atom():
+    # no non-constant f of X, so eta_Phi is 0; the ray's best R is then below
+    # 1 (a function of Y alone gives R = s), and (R - 1)/s would read -999
+    opts = SearchOpts(restarts=4, max_iters=50)
+    for probs in ([0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]):
+        assert eta_from_ribbon(make_joint([2, 2], probs), binent(), opts) == 0.0
+
+
+@pytest.mark.parametrize("phi_name", ["binent", "xlogx:0.05,4", "power:1.5"])
+def test_ribbon_boundary_trace_certifies_its_violations(phi_name):
+    # every "violated" ray's proven exit t_c v has a certified negative gap,
+    # and no ray's witness refutes its own traced lambda, an outer estimate
+    d = make_joint([2, 2, 2], np.random.default_rng(7).dirichlet(np.ones(8)))
+    phi, opts = parse_phi(phi_name), SearchOpts(restarts=12, max_iters=200)
+    trace = ribbon_boundary_trace(d, phi, 16, opts)
+    v = _rays(3, 16)
+    _, proven, witnesses = _ray_exits(d, phi, v, opts)
+    assert any(verdict == "violated" for _, verdict in trace)
+    for u, (lam, verdict), t_c, f in zip(v, trace, proven, witnesses):
+        assert (verdict == "violated") == (t_c <= 1)
+        if verdict == "violated":
+            assert definition_gap(d, phi, t_c * u, f) <= -_VIOLATION_TOL, (u, t_c)
+        assert definition_gap(d, phi, lam, f) > -_VIOLATION_TOL, (u, lam)
 
 
 def test_ribbon_boundary_trace_square_matches_quadratic_region():

@@ -1,13 +1,13 @@
 """Scalar correlation measures, and the engine and row evaluator of all searches.
 
 Maximal correlation is spectral (second singular value of the normalized
-joint matrix).  The SDPI constant ``eta_phi`` is a supremum of entropy
-ratios with no closed form in general, so it is estimated by multi-start
-projected gradient ascent plus a small-amplitude sweep; every reported
-value is re-evaluated at its witness through the entropy module, so it is a
-certified lower bound.  The ascent and the region searches of ``ribbon_phi``
-share one engine, :func:`_pgd`, which moves every restart of a search as one
-row of a matrix, and one row evaluator, :class:`_FlatProblem`.
+joint matrix).  The SDPI constant ``eta_phi`` and a region ray's exit are
+suprema of one entropy ratio, estimated by :func:`_ascend`: multi-start
+projected gradient ascent plus small-amplitude sweeps, every row re-evaluated
+through the entropy module, so what they report is certified.  The ascent and
+the region searches of ``ribbon_phi`` share one engine, :func:`_pgd`, which
+moves every restart of a search as one row of a matrix, and one row
+evaluator, :class:`_FlatProblem`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ _NO_MOVE = _RUNGS[-1] * _SHRINK  # that step factor in one: a power of two, so t
 # still creep along a flat ridge do not run out their whole move budget
 _STALL_PASSES = 10
 _STALL_RTOL = 1e-10
+# the most restarts a search takes: a search allocates their rows before any
+# other work, where a count numpy cannot allocate would fail as an internal error
+_MAX_RESTARTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,8 @@ class SearchOpts:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
                 raise BadParameter(f"{name} must be an integer >= {least}, got {v!r}")
+        if self.restarts > _MAX_RESTARTS:
+            raise BadParameter(f"restarts must be at most {_MAX_RESTARTS}, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -133,14 +138,15 @@ def _box(phi: PhiSpec) -> tuple[float, float]:
 
 class _FlatProblem:
     """Row-stacked Phi-entropy terms over function values f on atoms of
-    probabilities p, with averaging maps given as tables ``t_i[a, c] =
-    P(cell c | atom a)``.  Phi and Phi' are evaluated once per call, on
-    ``X = F @ A = [f, E f, E_0 f, E_1 f, ...]``; w holds each column's cell
-    probability and T the averaged columns' tables (E f's is all ones), so
-    ``A[a, n + c] w[n + c] = p[a] T[c, a]``."""
+    probabilities p, each averaging map given by its joint masses ``M[a, c] =
+    P(atom a, cell c)``.  Phi and Phi' are evaluated once per call, on ``X = F
+    @ A = [f, E f, E_0 f, ...]``; w holds each column's cell probability and T
+    the tables ``M / p`` (E f's all ones), so ``A[a, n + c] w[n + c] = p[a] T[c, a]``."""
 
-    def __init__(self, p: np.ndarray, tables: list[np.ndarray], phi: PhiSpec):
+    def __init__(self, p: np.ndarray, maps: list[np.ndarray], phi: PhiSpec):
         self.p, self.phi, self.n = p, phi, len(p)
+        self.maps = [(M, M.sum(axis=0)) for M in maps]  # with each map's cell masses
+        tables = [M / p[:, None] for M in maps]
         # owner marks the columns of f (-2), of E f (-1) and of E_i f (i)
         blocks, owner = [np.eye(self.n), p[:, None]], [-2] * self.n + [-1]
         for i, t in enumerate(tables):
@@ -168,18 +174,17 @@ class _FlatProblem:
         """Per row of F, the terms G of its gap: ``gap(f, lambda) = G @ [1, lambda]``."""
         return (self.phi.safe_eval(F @ self.A) * self.w) @ np.vstack([self.V0, self.V]).T
 
-    def ratio(self, F: np.ndarray, W: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-        """``sum_i W_i H(E_i f) / H(f)`` and its gradient per row of F, the
-        weights in that row of W (or one row for all), -inf (gradient 0) where
-        ``H(f) <= floor``.  Both are plain Bregman sums ``E[Phi(v) - Phi(m) -
-        Phi'(m)(v - m)]`` at ``m = E f``, which lose digits near a constant:
-        callers certify what they report."""
+    def ratio(self, F: np.ndarray, C: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+        """``sum_i W_i H(E_i f) / H(f)`` and its gradient per row of F, the map
+        weights spread as ``C = -(W @ V)[:, n:]`` in that row of C (or one row
+        for all), -inf (gradient 0) where ``H(f) <= floor``.  Both are plain
+        Bregman sums ``E[Phi(v) - Phi(m) - Phi'(m)(v - m)]`` at ``m = E f``,
+        which lose digits near a constant: callers certify what they report."""
         n = self.n
         X = F @ self.A
         V, D = self.phi.safe_eval(X), self.phi.deriv(1, X)
         m, dm = X[:, n : n + 1], D[:, n : n + 1]
         B = V - V[:, n : n + 1] - dm * (X - m)  # 0 in the E f column
-        C = -(W @ self.V)[:, n:]  # W_i on the columns of E_i f
         den, num = B[:, :n] @ self.p, (B[:, n:] * C) @ self.w[n:]
         D -= dm
         defined = den.min() > floor  # every ratio defined (a NaN fails the test)
@@ -191,6 +196,13 @@ class _FlatProblem:
         if defined:
             return ratio, grad
         return np.where(ok, ratio, -np.inf), np.where(ok[:, None], grad, 0.0)
+
+    def certified(self, F: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``sum_i W_i H(E_i f)`` and ``H(f)`` per row of F, the map weights in
+        that row of W, re-evaluated through the entropy module; ``E_i f`` sums
+        over atoms in order, as ``dist.cond_expectation`` does."""
+        H = [_entropy_rows(self.phi, c, (M * F[:, :, None]).sum(axis=1) / c) for M, c in self.maps]
+        return (W * np.column_stack(H)).sum(axis=1), _entropy_rows(self.phi, self.p, F)
 
 
 def _box_projected(G, F, lo, hi):
@@ -309,16 +321,6 @@ def _pgd(
     return vals, F, converged
 
 
-def _certified_ratio(F, P, px, py, phi) -> np.ndarray:
-    """``H_phi(E[f|Y]) / H_phi(f)`` per row of F from one ``_entropy_rows`` call
-    per entropy, -inf where ``H_phi(f) <= _VAR_FLOOR``; E[f|Y] sums over x in
-    order, as ``dist.cond_expectation`` does."""
-    den = _entropy_rows(phi, px, F)
-    ok = den > _VAR_FLOOR
-    gy = (P * F[:, :, None]).sum(axis=1) / py
-    return np.where(ok, _entropy_rows(phi, py, gy) / np.where(ok, den, 1.0), -np.inf)
-
-
 def _sweep(U, amps, phi) -> np.ndarray:
     """Rows ``c + amp * u / max|u|`` about the domain's midpoint c, for every
     row u of U and every amplitude, clipped to the box and row-major by
@@ -330,6 +332,31 @@ def _sweep(U, amps, phi) -> np.ndarray:
     return np.clip(F, *_box(phi)).reshape(-1, U.shape[1])
 
 
+def _ascend(prob: _FlatProblem, starts, W, U, opts: SearchOpts, stall_exit=False):
+    """Climb ``prob.ratio`` in one ``_pgd`` call from the rows of ``starts``,
+    in equal groups, one per row of W (map weights) and of U (a
+    quadratic-case direction), then certify in one ``prob.certified`` call
+    each group's ends and its ``_sweep`` from 0.45 (b - a) down to just above
+    1e-5 (b - a) along its direction and every end, centred twice: the
+    supremum often sits in that small-amplitude limit, a Rayleigh quotient.
+    Returns, with a leading axis per group, the stack, its ``sum_i W_i H(E_i
+    f)`` and ``H(f)`` (at least ``_VAR_FLOOR``), and which ends converged."""
+    G, n = len(W), prob.n
+    a, b = prob.phi.domain
+    lo, hi = _box(prob.phi)
+    # the objective's rounding error scales with Phi, so its floor does too
+    floor = _VAR_FLOOR * max(1.0, *np.abs(prob.phi.safe_eval(np.array([lo, hi]))))
+    C = np.repeat(-(W @ prob.V)[:, n:], len(starts) // G, axis=0)  # built once, not per call
+    _, ends, conv = _pgd(lambda F, rows: [-x for x in prob.ratio(F, C[rows], floor)],
+                         starts, lo, hi, opts, stall_exit=stall_exit)
+    E = ends - (ends @ prob.p)[:, None]
+    D = np.concatenate([U[:, None], E.reshape(G, -1, n)], axis=1).reshape(-1, n)
+    sweeps = _sweep(D - (D @ prob.p)[:, None], 0.45 * (b - a) * 0.5 ** np.arange(16), prob.phi)
+    F = np.concatenate([ends.reshape(G, -1, n), sweeps.reshape(G, -1, n)], axis=1)
+    num, H = prob.certified(F.reshape(-1, n), np.repeat(W, F.shape[1], axis=0))
+    return F, num.reshape(G, -1), np.maximum(H, _VAR_FLOOR).reshape(G, -1), conv.reshape(G, -1)
+
+
 def eta_phi(
     d: JointDist,
     phi: PhiSpec,
@@ -339,21 +366,19 @@ def eta_phi(
     """Estimate the SDPI constant ``eta_Phi = sup_f H_phi(E[f|Y]) / H_phi(f)``
     over non-constant f on X, capped at 1.
 
-    The ascent climbs ``_FlatProblem.ratio``.  Its restarts' ends and the
-    small-amplitude sweeps along the maximal-correlation direction and every
-    end are re-evaluated through the entropy module as one stack, whose best
-    row (the first on a tie) is the witness of the reported lower bound; with
-    no positive ratio the value is 0.  ``psi`` is a retired slot: it accepts
-    only ``None`` or ``phi`` itself, and anything else raises
-    ``BadParameter``.  For ``Phi = t^2`` the ratio is
-    ``Var E[f|Y] / Var f``, whose supremum rho^2 the maximal-correlation
-    witness attains, so that witness, mapped affinely into the box, is the
-    answer and no ascent runs.
+    This is the one-map case of the ratio :func:`_ascend` climbs, swept along
+    the maximal-correlation direction: the best certified row of its stack
+    (the first on a tie) is the witness of the reported lower bound; with no
+    positive ratio the value is 0.  ``psi`` is a retired slot: it accepts only
+    ``None`` or ``phi`` itself, and anything else raises ``BadParameter``.
+    For ``Phi = t^2`` the ratio is ``Var E[f|Y] / Var f``, whose supremum
+    rho^2 the maximal-correlation witness attains, so that witness, mapped
+    affinely into the box, is the answer and no ascent runs.
     """
     if psi is not None and psi is not phi:
         raise BadParameter("eta_Phi has one Phi: psi must be None or phi itself")
     opts = opts or SearchOpts()
-    P, px, py, sx, _ = _bipartite_matrices(d)
+    P, px, _, sx, _ = _bipartite_matrices(d)
     a, b = phi.domain
     lo, hi = _box(phi)
 
@@ -364,35 +389,16 @@ def eta_phi(
         full[sx] = 0.5 * (a + b) + 0.45 * (b - a) * svd_dir / np.max(np.abs(svd_dir))
         return EtaEstimate(rho**2, MarginalFunction(0, full), rho**2, converged=True)
 
-    rng = np.random.default_rng(opts.seed)
-    prob = _FlatProblem(px, [P / px[:, None]], phi)  # one map: the channel rows P(y|x)
-    # the objective's rounding error scales with Phi, so its floor does too
-    floor = _VAR_FLOOR * max(1.0, *np.abs(phi.safe_eval(np.array([lo, hi]))))
-    weight = np.ones((1, 1))  # the one map's weight in the ratio
-
-    def neg_ratio(F, rows):
-        ratio, grad = prob.ratio(F, weight, floor)
-        return -ratio, -grad
-
+    prob = _FlatProblem(px, [P], phi)  # one map: the joint masses P(x, y)
     # restart 0 follows the quadratic-case witness, the others are uniform
     starts = np.vstack([
         np.clip(0.5 * (a + b) + 0.2 * (b - a) * svd_dir, lo, hi),
-        rng.uniform(lo, hi, size=(opts.restarts - 1, len(px))),
+        np.random.default_rng(opts.seed).uniform(lo, hi, size=(opts.restarts - 1, len(px))),
     ])
-    _, ends, conv = _pgd(neg_ratio, starts, lo, hi, opts, stall_exit=True)
-    # the supremum often sits in the small-amplitude limit around a constant,
-    # where the ratio is a Rayleigh quotient: sweep eps from 0.45 (b - a) down
-    # to just above 1e-5 (b - a) along the SVD direction and every end's; the
-    # ends are centred twice, the second pass clearing the first's rounding
-    U = np.vstack([svd_dir, ends - (ends @ px)[:, None]])
-    eps = 0.45 * (b - a) * 0.5 ** np.arange(16)
-    F = np.vstack([ends, _sweep(U - (U @ px)[:, None], eps, phi)])
-    vals = _certified_ratio(F, P, px, py, phi)
+    stack = _ascend(prob, starts, np.ones((1, 1)), svd_dir[None], opts, stall_exit=True)
+    F, num, H, conv = (x[0] for x in stack)  # the one group
+    vals = np.where(H > _VAR_FLOOR, num / H, -np.inf)
     j = int(np.argmax(vals))
     full[sx] = F[j]
-    return EtaEstimate(
-        value=float(np.clip(vals[j], 0.0, 1.0)),
-        witness=MarginalFunction(0, full),
-        lower_bound_rho2=rho**2,
-        converged=bool(vals[j] > 0.0 and (j >= len(ends) or conv[j])),
-    )
+    return EtaEstimate(float(np.clip(vals[j], 0.0, 1.0)), MarginalFunction(0, full), rho**2,
+                       converged=bool(vals[j] > 0.0 and (j >= len(conv) or conv[j])))

@@ -130,6 +130,8 @@ class Channel:
 
 def make_joint(sizes: Sequence[int], probs: Sequence[float]) -> JointDist:
     """Build a validated :class:`JointDist` from a flat row-major vector."""
+    if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in sizes):
+        raise ShapeMismatch(f"alphabet sizes must be integers, got {sizes!r}")
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 1 or any(s < 1 for s in sizes):
         raise ShapeMismatch("need k >= 1 coordinates with alphabet sizes >= 1")

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import correlation
-from .correlation import _VAR_FLOOR, SearchOpts, _box, _pgd, _sweep, eta_phi
+from .correlation import SearchOpts, _ascend, _box, _pgd, _sweep, eta_phi
 from .dist import Channel, JointDist, JointFunction, make_joint
 from .errors import BadShape, PhiNotClassF
-from .phi import PhiSpec, _entropy_rows, cond_phi_entropies, phi_mutual_information
+from .phi import PhiSpec, cond_phi_entropies, phi_mutual_information
 from .ribbon_mc import PSD_TOL, _check_lambda, _rays, mc_boundary_trace
 
 _VIOLATION_TOL = 1e-9  # a certified gap must be below -this to prove a violation, not noise
@@ -97,8 +97,8 @@ class _FlatProblem(correlation._FlatProblem):
         # each atom's symbol of every X_i, one-hot over the alphabets
         symbols = np.array(np.unravel_index(self.sup, d.alphabet_sizes))
         hits = 1.0 * (symbols[:, :, None] == np.arange(max(d.alphabet_sizes)))
-        cells = [h.compress(h.any(axis=0), axis=1) for h in hits]  # each atom's cell of X_i
-        super().__init__(d.probs.ravel()[self.sup], cells, phi)
+        p = d.probs.ravel()[self.sup]  # each map: each atom's mass in its cell of X_i
+        super().__init__(p, [p[:, None] * h.compress(h.any(axis=0), axis=1) for h in hits], phi)
 
     def directions(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row of L, the minimiser of the Phi = t^2 gap ``u Q u`` per unit
@@ -271,29 +271,18 @@ def _ray_exits(d: JointDist, phi: PhiSpec, v: np.ndarray, opts: SearchOpts, extr
     """Per ray ``t u`` (u a row of v), with ``R(f) = sum_i u_i H(E[f|X_i]) / H(f)``
     and so ``gap(f, t u) = H(f) (1 - t R(f))``: the best R, the least proven exit
     ``t_c = (H(f) + 2 tol) / (R(f) H(f))`` (inf if none lies in the cube) and its
-    witness.  ``_seeds`` rows (for one ray, also the joint values in ``extra``)
-    climb R in one ``_pgd`` call; the ends, and ``_sweep`` along them and each
-    ray's quadratic-case direction, are certified through the entropy module."""
-    prob, n = _FlatProblem(d, phi), d.support_mask.sum()  # n support atoms
-    seeds, lo, hi = _seeds(prob, v, np.random.default_rng(opts.seed), opts.restarts)
+    witness, from ``correlation._ascend``'s certified stack: R climbed from each
+    ray's ``_seeds`` rows (one ray may add the joint values in ``extra``)."""
+    prob = _FlatProblem(d, phi)
+    seeds = _seeds(prob, v, np.random.default_rng(opts.seed), opts.restarts)[0]
     starts = np.vstack([seeds, *(np.ravel(e)[prob.sup] for e in extra)])
-    W = np.repeat(v, len(starts) // len(v), axis=0)
-    floor = _VAR_FLOOR * max(1.0, *np.abs(phi.safe_eval(np.array([lo, hi]))))
-    E = _pgd(lambda F, rows: [-x for x in prob.ratio(F, W[rows], floor)], starts, lo, hi, opts)[1]
-    E = E.reshape(len(v), -1, n)
-    U = np.concatenate([prob.directions(v)[0][:, None], E - (E @ prob.p)[..., None]], axis=1)
-    sweeps = _sweep(U.reshape(-1, n), 0.45 * (hi - lo) * 0.5 ** np.arange(16), phi)
-    F = np.concatenate([E, sweeps.reshape(len(v), -1, n)], axis=1)
-    X, W = F.reshape(-1, n) @ prob.A, np.repeat(v, F.shape[1], axis=0)
-    num = sum(w * _entropy_rows(phi, prob.w[c], X[:, c]) for w, c in zip(W.T, prob.V < 0))
-    H = np.maximum(_entropy_rows(phi, prob.p, X[:, :n]), _VAR_FLOOR)  # a floor only lowers R
-    R = (num / H).reshape(len(v), -1)
-    T = ((H + 2 * _VIOLATION_TOL) / np.maximum(num, 1e-300)).reshape(R.shape)  # gap -2 tol at T u
+    F, num, H, _ = _ascend(prob, starts, v, prob.directions(v)[0], opts)  # H floored: lowers R
+    T = (H + 2 * _VIOLATION_TOL) / np.maximum(num, 1e-300)  # gap -2 tol at T u
     j = np.arange(len(v)), T.argmin(axis=1)
     f = [prob.to_joint(x) for x in F[j]]
     t = [s if s * u.max() <= 1 and definition_gap(d, phi, s * u, g) <= -_VIOLATION_TOL else np.inf
          for s, u, g in zip(T[j], v, f)]
-    return R.max(axis=1), np.array(t), f
+    return (num / H).max(axis=1), np.array(t), f
 
 
 def eta_from_ribbon(

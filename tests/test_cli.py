@@ -89,6 +89,12 @@ def test_bad_distribution_is_input_error(tmp_path, capsys):
         path.write_text('{"alphabet_sizes": [2, 2], "probs": %s}' % probs)
         code, _ = run_cli(capsys, "rho", "--dist", str(path))
         assert code == 2, probs
+    # alphabet sizes that are not integers, though int() would read each one
+    for sizes in ("[2.7, 2]", "[true, 4]", '["2", 2]'):
+        path.write_text('{"alphabet_sizes": %s, "probs": [0.25, 0.25, 0.25, 0.25]}' % sizes)
+        for command in ("rho", "gram"):
+            code, _ = run_cli(capsys, command, "--dist", str(path))
+            assert code == 2, (command, sizes)
 
 
 def test_unknown_flag_is_input_error(dsbs05, capsys):
@@ -122,6 +128,10 @@ def test_eta_takes_one_phi(dsbs05, capsys):
         ["phi-ribbon", "trace", "--dist", dsbs05, "--phi", "square", "--directions",
          "100000000000"],
         ["phi-ribbon", "trace", "--dist", dsbs05, "--phi", "square", "--seed", "-1"],
+        # more restarts than any machine could hold: refused before allocating
+        ["eta", "--dist", dsbs05, "--phi", "xlogx", "--restarts", str(10**18)],
+        ["phi-ribbon", "check", "--dist", dsbs05, "--phi", "binent", "--lambda", "0.5,0.5",
+         "--restarts", str(10**18)],
     ):
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv

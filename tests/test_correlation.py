@@ -8,6 +8,7 @@ from phiribbon.correlation import (
     _ACCEPT,
     _GRAD_TOL,
     _GROW,
+    _MAX_RESTARTS,
     _RUNGS,
     _SHRINK,
     _STALL_PASSES,
@@ -48,10 +49,13 @@ def test_search_opts_validation():
         {"restarts": 2.5},
         {"restarts": True},
         {"seed": -1},
+        {"restarts": _MAX_RESTARTS + 1},
+        {"restarts": 10**18},
     ):
         with pytest.raises(BadParameter):
             SearchOpts(**bad)
     SearchOpts(max_iters=0, seed=np.int64(3))
+    SearchOpts(restarts=np.int64(_MAX_RESTARTS))
 
 
 def test_maximal_correlation_needs_bipartite():
@@ -302,8 +306,22 @@ def _ratio_and_grad_reference(F, P, px, py, phi):
 
 
 def _eta_problem(P, px, phi):
-    """``eta_phi``'s objective: one averaging map, the channel rows P(y|x)."""
-    return _FlatProblem(px, [P / px[:, None]], phi)
+    """``eta_phi``'s objective: one averaging map, the joint masses P(x, y)."""
+    return _FlatProblem(px, [P], phi)
+
+
+def _eta_ratio(P, px, phi, F):
+    """``eta_phi``'s objective, the ratio and its gradient, with the one map's
+    weight 1 spread over the averaged columns as the ascent spreads it."""
+    prob = _eta_problem(P, px, phi)
+    return prob.ratio(F, -(np.ones((1, 1)) @ prob.V)[:, prob.n :], _VAR_FLOOR)
+
+
+def _certified(F, P, px, phi):
+    """``eta_phi``'s certified ratio per row of F, from ``_FlatProblem.certified``:
+    -inf where ``H_phi(f) <= _VAR_FLOOR``."""
+    num, den = _eta_problem(P, px, phi).certified(F, np.ones((len(F), 1)))
+    return np.where(den > _VAR_FLOOR, num / np.maximum(den, _VAR_FLOOR), -np.inf)
 
 
 # ids name the Phi of the ratio's numerator and denominator, which are one Phi
@@ -329,13 +347,13 @@ def test_ratio_and_grad_match_two_entropy_evaluations(phi_name):
     assert ok.sum() >= 20
     # the objective's plain Bregman sums resolve the ratio at amplitudes 1 and 0.1
     wide = np.arange(len(F)) < 12
-    ratio, grad = _eta_problem(P, px, phi).ratio(F[wide], [[1.0]], _VAR_FLOOR)
+    ratio, grad = _eta_ratio(P, px, phi, F[wide])
     assert np.array_equal(np.isfinite(ratio), ok[wide]) and ok[wide].all()
     np.testing.assert_allclose(ratio, want[wide], rtol=1e-9, atol=0)
     assert np.all(np.abs(grad - want_grad[wide]) <= 1e-10 * size[wide])
     # below that they lose digits to cancellation, so eta_phi re-evaluates
     # its answers through the entropy module: that certifier holds every row
-    cert = correlation._certified_ratio(F, P, px, py, phi)
+    cert = _certified(F, P, px, phi)
     assert np.array_equal(np.isfinite(cert), ok)
     np.testing.assert_allclose(cert[ok], want[ok], rtol=1e-9, atol=0)
     # a k = 3 law with a weight row per f: sum_i W_i H(E[f|X_i]) / H(f) against
@@ -344,14 +362,16 @@ def test_ratio_and_grad_match_two_entropy_evaluations(phi_name):
     prob = _LawProblem(d, phi)
     F = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), size=(6, prob.n))
     W = rng.uniform(0.0, 1.0, size=(6, 3))
-    ratio, grad = prob.ratio(F, W, _VAR_FLOOR)
-    for f, w, r in zip(F, W, ratio):
+    C = -(W @ prob.V)[:, prob.n :]  # the weights spread over the averaged columns
+    ratio, grad = prob.ratio(F, C, _VAR_FLOOR)
+    for f, w, r, cert in zip(F, W, ratio, np.transpose(prob.certified(F, W))):
         total, *conds = cond_phi_entropies(d, phi, prob.to_joint(f), [(), (0,), (1,), (2,)])
         assert r == pytest.approx(w @ (total - np.array(conds)) / total, rel=1e-9)
+        assert cert == pytest.approx([w @ (total - np.array(conds)), total], rel=1e-9)
     h = 1e-6 * (hi - lo)
     for a in range(prob.n):
         step = h * (np.arange(prob.n) == a)
-        up, down = (prob.ratio(F + sign * step, W, _VAR_FLOOR)[0] for sign in (1, -1))
+        up, down = (prob.ratio(F + sign * step, C, _VAR_FLOOR)[0] for sign in (1, -1))
         diff = (up - down) / (2 * h)
         np.testing.assert_allclose(grad[:, a], diff, rtol=1e-5, atol=1e-7 * np.abs(grad).max())
 
@@ -384,12 +404,12 @@ def test_eta_objective_runs_no_quadrature(monkeypatch, phi_name):
     amp = 1e-4 * (hi - lo)
     for shape in ((2, 2), (3, 4), (4, 3)):
         d = make_joint(shape, rng.dirichlet(np.ones(np.prod(shape))))
-        P, px, py, _, _ = _bipartite_matrices(d)
+        P, px, _, _, _ = _bipartite_matrices(d)
         F = rng.uniform(lo + amp, hi - amp, size=(8, 1))
         F = F + amp * rng.uniform(-1, 1, size=(8, shape[0]))
         other_rows.clear()
-        _eta_problem(P, px, phi).ratio(F, [[1.0]], _VAR_FLOOR)
-        correlation._certified_ratio(F, P, px, py, phi)
+        _eta_ratio(P, px, phi, F)
+        _certified(F, P, px, phi)
         assert sum(other_rows) > len(F)  # most of the 2 * 8 entropies cancel
         eta_phi(d, phi, opts=SearchOpts(restarts=4, max_iters=20))
     assert objective_rows == []
@@ -587,15 +607,15 @@ def test_eta_phi_ascent_keeps_off_near_constant_noise():
     phi = xlogx()
     est = eta_phi(d, phi, opts=SearchOpts(restarts=4, max_iters=100, seed=323210680))
     assert est.value == pytest.approx(0.0059188978975, abs=1e-11)
-    P, px, py, _, _ = _bipartite_matrices(d)
+    P, px, _, _, _ = _bipartite_matrices(d)
     gaps = np.geomspace(4e-5, 1e-4, 8)  # H(f) from 1.2e-12 to 7.7e-12
     F = correlation._box(phi)[1] - np.vstack([np.c_[0 * gaps, gaps], np.c_[gaps, 0 * gaps]])
-    noisy = _eta_problem(P, px, phi).ratio(F, [[1.0]], _VAR_FLOOR)[0]
-    exact = correlation._certified_ratio(F, P, px, py, phi)
+    noisy = _eta_ratio(P, px, phi, F)[0]
+    exact = _certified(F, P, px, phi)
     assert np.isfinite(noisy).all() and np.abs(noisy - exact).max() > exact.max()
 
 
-def _sweep_reference(directions, P, px, py, phi):
+def _sweep_reference(directions, P, px, phi):
     """The best certified row of the 16-amplitude sweep along ``directions``,
     as the sweep was run before it joined the stack, kept as its reference."""
     a, b = phi.domain
@@ -603,20 +623,20 @@ def _sweep_reference(directions, P, px, py, phi):
     U /= np.maximum(np.max(np.abs(U), axis=1), 1e-300)[:, None]
     eps = 0.45 * (b - a) * 0.5 ** np.arange(16)
     F = np.clip(0.5 * (a + b) + eps[None, :, None] * U[:, None, :], *correlation._box(phi))
-    return correlation._certified_ratio(F.reshape(-1, U.shape[1]), P, px, py, phi).max()
+    return _certified(F.reshape(-1, U.shape[1]), P, px, phi).max()
 
 
 def _selection_reference(d, phi, ends):
     """The best value of the selection ``eta_phi`` made before its stack, from
     the ascent's ends: the ends certified, then the sweep along the
     maximal-correlation direction and along the best end with a positive ratio."""
-    P, px, py, sx, _ = _bipartite_matrices(d)
-    vals = correlation._certified_ratio(ends, P, px, py, phi)
+    P, px, _, sx, _ = _bipartite_matrices(d)
+    vals = _certified(ends, P, px, phi)
     j = int(np.argmax(vals))
     directions = [mc_witness(d)[0][sx]]
     if vals[j] > 0.0:
         directions.append(ends[j] - px @ ends[j])
-    return max(vals[j], _sweep_reference(np.array(directions), P, px, py, phi))
+    return max(vals[j], _sweep_reference(np.array(directions), P, px, phi))
 
 
 def _eta_laws():
@@ -794,13 +814,14 @@ def _engine_problems():
     for shape, name in (((2, 2), "xlogx"), ((3, 3), "sym:1.5"), ((4, 4), "power:1.5")):
         d = make_joint(shape, rng.dirichlet(np.ones(int(np.prod(shape)))))
         phi = parse_phi(name)
-        P, px, py, _, _ = _bipartite_matrices(d)
+        P, px, _, _, _ = _bipartite_matrices(d)
         prob = _eta_problem(P, px, phi)
+        C = -(np.ones((1, 1)) @ prob.V)[:, prob.n :]
         a, b = phi.domain
         lo, hi = a + 1e-9 * (b - a), b - 1e-9 * (b - a)
 
-        def neg_ratio(X, rows, prob=prob):
-            ratio, grad = prob.ratio(X, [[1.0]], _VAR_FLOOR)
+        def neg_ratio(X, rows, prob=prob, C=C):
+            ratio, grad = prob.ratio(X, C, _VAR_FLOOR)
             return -ratio, -grad
 
         starts = rng.uniform(lo, hi, size=(6, shape[0]))

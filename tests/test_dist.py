@@ -45,6 +45,15 @@ def test_make_joint_rejects_negative():
             make_joint([2, 2], [bad, 0.5, 0.25, 0.25])
 
 
+def test_make_joint_rejects_non_integer_sizes():
+    # int() would read these as (2, 2), (1, 4) and (2, 2)
+    for sizes in ([2.7, 2], [True, 4], ["2", 2]):
+        with pytest.raises(ShapeMismatch):
+            make_joint(sizes, [0.25] * 4)
+    d = make_joint([np.int64(2), np.int32(2)], [0.25] * 4)
+    assert d.alphabet_sizes == (2, 2) and all(type(s) is int for s in d.alphabet_sizes)
+
+
 def test_make_joint_rejects_unnormalized():
     with pytest.raises(NotNormalized):
         make_joint([2], [0.6, 0.6])

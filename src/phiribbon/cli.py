@@ -257,7 +257,9 @@ def _phi_ribbon_check(dist_path, phi_name, lam_text, normalized, restarts, seed)
     ("--directions", {"type": _count(1), "default": 32,
                       "help": "Rays to trace (default: 32). For k = 3 the rays are the "
                       "m(m+1)/2 points of a simplex lattice with "
-                      "m = max(2, ceil(sqrt(DIRECTIONS))): 32 gives 21 rays."}),
+                      "m = max(2, ceil(sqrt(DIRECTIONS))): 32 gives 21 rays. Each ray "
+                      "takes 12 start rows, and a trace at most 100000, so at most 8333 "
+                      "rays."}),
     _SEED, _OUT,
 )
 def _phi_ribbon_trace(dist_path, phi_name, directions, seed, out_path):

@@ -252,7 +252,7 @@ def _pgd(
     step = _STEP_INIT * (hi - lo)
     # the running rows, kept compact: indices into F, rows, values,
     # directions, steps and accepted moves; vals reads +inf until they stop
-    live = np.isfinite(vals) & ~converged & (step > step_floor) & (opts.max_iters > 0)
+    live = np.isfinite(vals) & ~converged & (opts.max_iters > 0)
     early = stop_below > -np.inf  # without a threshold (an ascent) no group exits early
     if early:
         groups = np.zeros(len(F), dtype=int) if groups is None else groups
@@ -332,10 +332,12 @@ def _sweep(U, amps, phi) -> np.ndarray:
     return np.clip(F, *_box(phi)).reshape(-1, U.shape[1])
 
 
-def _ascend(prob: _FlatProblem, starts, W, U, opts: SearchOpts, stall_exit=False):
-    """Climb ``prob.ratio`` in one ``_pgd`` call from the rows of ``starts``,
-    in equal groups, one per row of W (map weights) and of U (a
-    quadratic-case direction), then certify in one ``prob.certified`` call
+def _ascend(prob: _FlatProblem, W, U, opts: SearchOpts, extra=(), stall_exit=False):
+    """Climb ``prob.ratio`` in one ``_pgd`` call from a group of start rows per
+    row of W (map weights) and of U (a quadratic-case direction): restart 0 at
+    0.2 (b - a) along the direction, clipped to the box, then ``opts.restarts
+    - 1`` uniform rows of ``default_rng(opts.seed)`` and the rows of ``extra``,
+    the same in every group.  Then certify in one ``prob.certified`` call
     each group's ends and its ``_sweep`` from 0.45 (b - a) down to just above
     1e-5 (b - a) along its direction and every end, centred twice: the
     supremum often sits in that small-amplitude limit, a Rayleigh quotient.
@@ -344,6 +346,9 @@ def _ascend(prob: _FlatProblem, starts, W, U, opts: SearchOpts, stall_exit=False
     G, n = len(W), prob.n
     a, b = prob.phi.domain
     lo, hi = _box(prob.phi)
+    rest = [np.random.default_rng(opts.seed).uniform(lo, hi, size=(opts.restarts - 1, n)), *extra]
+    first = np.clip(0.5 * (a + b) + 0.2 * (b - a) * U, lo, hi)
+    starts = np.hstack([first, np.tile(np.vstack(rest).ravel(), (G, 1))]).reshape(-1, n)
     # the objective's rounding error scales with Phi, so its floor does too
     floor = _VAR_FLOOR * max(1.0, *np.abs(prob.phi.safe_eval(np.array([lo, hi]))))
     C = np.repeat(-(W @ prob.V)[:, n:], len(starts) // G, axis=0)  # built once, not per call
@@ -366,22 +371,20 @@ def eta_phi(
     """Estimate the SDPI constant ``eta_Phi = sup_f H_phi(E[f|Y]) / H_phi(f)``
     over non-constant f on X, capped at 1.
 
-    This is the one-map case of the ratio :func:`_ascend` climbs, swept along
-    the maximal-correlation direction: the best certified row of its stack
-    (the first on a tie) is the witness of the reported lower bound; with no
-    positive ratio the value is 0.  ``psi`` is a retired slot: it accepts only
-    ``None`` or ``phi`` itself, and anything else raises ``BadParameter``.
-    For ``Phi = t^2`` the ratio is ``Var E[f|Y] / Var f``, whose supremum
-    rho^2 the maximal-correlation witness attains, so that witness, mapped
-    affinely into the box, is the answer and no ascent runs.
+    This is the one-map case of the ratio :func:`_ascend` climbs, started and
+    swept along the maximal-correlation direction: the best certified row of
+    its stack (the first on a tie) is the witness of the reported lower
+    bound; with no positive ratio the value is 0.  ``psi`` is a retired slot:
+    it accepts only ``None`` or ``phi`` itself, and anything else raises
+    ``BadParameter``.  For ``Phi = t^2`` the ratio is ``Var E[f|Y] / Var f``,
+    whose supremum rho^2 the maximal-correlation witness attains, so that
+    witness, mapped affinely into the box, is the answer and no ascent runs.
     """
     if psi is not None and psi is not phi:
         raise BadParameter("eta_Phi has one Phi: psi must be None or phi itself")
     opts = opts or SearchOpts()
     P, px, _, sx, _ = _bipartite_matrices(d)
     a, b = phi.domain
-    lo, hi = _box(phi)
-
     fwit, _, rho = mc_witness(d)
     svd_dir = fwit[sx]
     full = np.zeros(d.alphabet_sizes[0])
@@ -390,12 +393,7 @@ def eta_phi(
         return EtaEstimate(rho**2, MarginalFunction(0, full), rho**2, converged=True)
 
     prob = _FlatProblem(px, [P], phi)  # one map: the joint masses P(x, y)
-    # restart 0 follows the quadratic-case witness, the others are uniform
-    starts = np.vstack([
-        np.clip(0.5 * (a + b) + 0.2 * (b - a) * svd_dir, lo, hi),
-        np.random.default_rng(opts.seed).uniform(lo, hi, size=(opts.restarts - 1, len(px))),
-    ])
-    stack = _ascend(prob, starts, np.ones((1, 1)), svd_dir[None], opts, stall_exit=True)
+    stack = _ascend(prob, np.ones((1, 1)), svd_dir[None], opts, stall_exit=True)
     F, num, H, conv = (x[0] for x in stack)  # the one group
     vals = np.where(H > _VAR_FLOOR, num / H, -np.inf)
     j = int(np.argmax(vals))

@@ -55,6 +55,8 @@ class JointDist:
 
     def marginal_vector(self, coord: int) -> np.ndarray:
         """1-D marginal ``p(x_coord)``."""
+        if not 0 <= coord < self.k:
+            raise BadCoordinate(f"coordinate {coord} out of range for k={self.k}")
         axes = tuple(a for a in range(self.k) if a != coord)
         return self.probs.sum(axis=axes) if axes else self.probs
 
@@ -101,8 +103,12 @@ class MarginalFunction:
 
     def lift(self, d: JointDist) -> JointFunction:
         """View this function as a function of the full joint outcome."""
+        if not 0 <= self.coord < d.k:
+            raise BadCoordinate(f"coordinate {self.coord} out of range for k={d.k}")
         shape = [1] * d.k
         shape[self.coord] = d.alphabet_sizes[self.coord]
+        if self.values.shape != (shape[self.coord],):
+            raise ShapeMismatch("function shape does not match the coordinate's alphabet")
         vals = np.broadcast_to(self.values.reshape(shape), d.alphabet_sizes)
         return JointFunction(vals.copy())
 
@@ -185,18 +191,12 @@ def pair_product(dx: JointDist, dy: JointDist) -> JointDist:
     """Coordinate-wise product distribution of independent ``X`` and ``Y``.
 
     Coordinate ``i`` of the result is the pair ``(X_i, Y_i)`` with alphabet
-    ``|X_i| * |Y_i|``, flat index ``x_i * |Y_i| + y_i``.
+    ``|X_i| * |Y_i|``, flat index ``x_i * |Y_i| + y_i``: ``np.kron(p, q)``.
     """
     if dx.k != dy.k:
         raise ArityMismatch(f"arity mismatch: {dx.k} vs {dy.k}")
-    k = dx.k
-    outer = np.multiply.outer(dx.probs, dy.probs)
-    # axes (x_1..x_k, y_1..y_k) -> (x_1, y_1, x_2, y_2, ...)
-    perm = [a for i in range(k) for a in (i, k + i)]
-    interleaved = np.transpose(outer, perm)
-    sizes = tuple(a * b for a, b in zip(dx.alphabet_sizes, dy.alphabet_sizes))
-    tensor = interleaved.reshape(sizes)
-    return JointDist(sizes, _frozen(tensor), _frozen(tensor > 0))
+    tensor = np.kron(dx.probs, dy.probs)
+    return JointDist(tensor.shape, _frozen(tensor), _frozen(tensor > 0))
 
 
 def apply_channels(d: JointDist, chans: Sequence[Channel]) -> JointDist:

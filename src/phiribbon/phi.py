@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dist import JointDist, JointFunction, MarginalFunction
-from .errors import BadParameter, DomainViolation, NotIndependent
+from .errors import BadCoordinate, BadParameter, DomainViolation, NotIndependent, ShapeMismatch
 
 _CLAMP = 1e-12
 # an entropy's Bregman sum below this share of Phi's scale, max |Phi(v)| + |Phi(m)|,
@@ -354,6 +354,8 @@ def phi_entropy(d: JointDist, phi: PhiSpec, f: JointFunction) -> EntropyValue:
 def marginal_phi_entropy(d: JointDist, phi: PhiSpec, g: MarginalFunction) -> EntropyValue:
     """H_phi of a single-coordinate function under the marginal law."""
     p = d.marginal_vector(g.coord)
+    if g.values.shape != p.shape:
+        raise ShapeMismatch("function shape does not match the coordinate's alphabet")
     phi.check_in_domain(g.values, p > 0)
     return EntropyValue(float(_entropy_rows(phi, np.where(p > 0, p, 0.0), g.values[None])[0]))
 
@@ -376,10 +378,14 @@ def cond_phi_entropies(
     longest cell (the whole law when a set is empty).  With one set nothing
     is padded.  Zero-weight atoms never reach Phi.
     """
+    if f.values.shape != d.probs.shape:
+        raise ShapeMismatch("function shape does not match distribution")
     phi.check_in_domain(f.values, d.support_mask)
     blocks = []
     for coords in coord_sets:
         coords = sorted(set(int(c) for c in coords))
+        if coords and not 0 <= coords[0] <= coords[-1] < d.k:
+            raise BadCoordinate(f"coordinates {coords} out of range for k={d.k}")
         order = coords + [a for a in range(d.k) if a not in coords]
         probs = np.transpose(d.probs, order).reshape(
             math.prod(d.alphabet_sizes[c] for c in coords), -1

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import correlation
 from .correlation import SearchOpts, _ascend, _box, _pgd, _sweep, eta_phi
-from .dist import Channel, JointDist, JointFunction, make_joint
-from .errors import BadShape, PhiNotClassF
+from .dist import Channel, JointDist, JointFunction, make_joint, marginal
+from .errors import ArityMismatch, BadParameter, BadShape, PhiNotClassF, ShapeMismatch
 from .phi import PhiSpec, cond_phi_entropies, phi_mutual_information
 from .ribbon_mc import PSD_TOL, _check_lambda, _rays, mc_boundary_trace
 
@@ -231,18 +231,6 @@ def normalized_phi_ribbon_membership(
     return _search(d, phi, [lam], opts, lambda V: _project_density(V, p, floor, top))[0]
 
 
-def _joint_with_u(d: JointDist, channel: Channel) -> JointDist:
-    """Joint law of (X flattened, U) for a channel on the whole outcome."""
-    W = channel.matrix
-    flat = d.probs.ravel()
-    if W.shape[0] != flat.size:
-        raise BadShape(
-            f"channel expects {W.shape[0]} input symbols, joint has {flat.size}"
-        )
-    q = flat[:, None] * W
-    return make_joint([flat.size, W.shape[1]], q.ravel())
-
-
 def i_phi_channel_test(
     d: JointDist, phi: PhiSpec, lam, channel: Channel
 ) -> float:
@@ -252,18 +240,16 @@ def i_phi_channel_test(
     certifies that lambda is outside the mutual-information region.
     """
     lam = _check_lambda(lam, d.k)
-    big = _joint_with_u(d, channel)
-    gap = phi_mutual_information(big, phi)
-    nu = channel.matrix.shape[1]
-    q = big.probs.reshape(*d.alphabet_sizes, nu)
-    for i in range(d.k):
-        if lam[i] == 0:
-            continue
-        axes = tuple(a for a in range(d.k) if a != i)
-        qi = q.sum(axis=axes)
-        gap -= lam[i] * phi_mutual_information(
-            make_joint([d.alphabet_sizes[i], nu], qi.ravel()), phi
-        )
+    W = channel.matrix
+    n, nu = W.shape
+    if n != d.probs.size:
+        raise BadShape(f"channel expects {n} input symbols, joint has {d.probs.size}")
+    # the law of (X_1, ..., X_k, U): (X, U) is its flattened view, each (X_i, U) a marginal
+    big = make_joint([*d.alphabet_sizes, nu], (d.probs.reshape(n, 1) * W).ravel())
+    flat = JointDist((n, nu), big.probs.reshape(n, nu), big.support_mask.reshape(n, nu))
+    gap = phi_mutual_information(flat, phi)
+    for i in np.flatnonzero(lam):
+        gap -= lam[i] * phi_mutual_information(marginal(big, [i, d.k]), phi)
     return gap
 
 
@@ -271,12 +257,12 @@ def _ray_exits(d: JointDist, phi: PhiSpec, v: np.ndarray, opts: SearchOpts, extr
     """Per ray ``t u`` (u a row of v), with ``R(f) = sum_i u_i H(E[f|X_i]) / H(f)``
     and so ``gap(f, t u) = H(f) (1 - t R(f))``: the best R, the least proven exit
     ``t_c = (H(f) + 2 tol) / (R(f) H(f))`` (inf if none lies in the cube) and its
-    witness, from ``correlation._ascend``'s certified stack: R climbed from each
-    ray's ``_seeds`` rows (one ray may add the joint values in ``extra``)."""
+    witness, from ``correlation._ascend``'s certified stack: R climbed from the
+    ascent's own starts along each ray's quadratic-case direction, plus the
+    joint values in ``extra`` as further starts of every ray."""
     prob = _FlatProblem(d, phi)
-    seeds = _seeds(prob, v, np.random.default_rng(opts.seed), opts.restarts)[0]
-    starts = np.vstack([seeds, *(np.ravel(e)[prob.sup] for e in extra)])
-    F, num, H, _ = _ascend(prob, starts, v, prob.directions(v)[0], opts)  # H floored: lowers R
+    extra = [np.ravel(e)[prob.sup] for e in extra]
+    F, num, H, _ = _ascend(prob, v, prob.directions(v)[0], opts, extra)  # H floored: lowers R
     T = (H + 2 * _VIOLATION_TOL) / np.maximum(num, 1e-300)  # gap -2 tol at T u
     j = np.arange(len(v)), T.argmin(axis=1)
     f = [prob.to_joint(x) for x in F[j]]
@@ -310,9 +296,14 @@ def ribbon_boundary_trace(
     Per ray: ``lambda = min(1/R, mc exit, 1) v``, an outer estimate of the exit
     (not a bisected point; the ``mc`` exit bounds it by the quadratic case's
     inclusion), and "violated" where a witness proves the exit inside the cube.
+    The ascent takes ``opts.restarts`` start rows per ray, so a trace is one
+    search: more than ``correlation._MAX_RESTARTS`` rows raise ``BadParameter``.
     """
     v = _rays(d.k, directions)
     opts = opts or SearchOpts(restarts=12, max_iters=200)
+    if len(v) * opts.restarts > correlation._MAX_RESTARTS:
+        raise BadParameter(f"{len(v)} rays x {opts.restarts} restarts exceed the "
+                           f"{correlation._MAX_RESTARTS} start rows of one search")
     mc = [lam.max() for lam, _ in mc_boundary_trace(d, directions)]
     return [(min(m, 1 / max(r, 1.0)) * u, "violated" if t <= 1 else "holds_up_to_search")
             for u, m, r, t in zip(v, mc, *_ray_exits(d, phi, v, opts)[:2])]
@@ -369,19 +360,14 @@ def alpha_equivalent_membership(d: JointDist, alpha: float, lam, opts: SearchOpt
 def lift_witness_to_product(
     f: JointFunction, dx: JointDist, dy: JointDist
 ) -> JointFunction:
-    """View a witness on dx as a function on the coordinate-wise product.
-
-    The lifted function ignores the second factor, so its gap on the
-    product equals the original gap exactly.
-    """
-    k = dx.k
-    shape = [s for pair in zip(dx.alphabet_sizes, dy.alphabet_sizes) for s in pair]
-    vals = np.broadcast_to(
-        f.values.reshape([s if i % 2 == 0 else 1 for i, s in enumerate(shape)]),
-        shape,
-    )
-    merged = [a * b for a, b in zip(dx.alphabet_sizes, dy.alphabet_sizes)]
-    return JointFunction(vals.reshape(merged).copy())
+    """View a witness on dx as a function on ``dist.pair_product(dx, dy)``:
+    ``np.kron(f, ones)``, in the product's layout.  It ignores the second
+    factor, so its gap on the product equals the original gap exactly."""
+    if dx.k != dy.k:
+        raise ArityMismatch(f"arity mismatch: {dx.k} vs {dy.k}")
+    if f.values.shape != dx.probs.shape:
+        raise ShapeMismatch("witness shape does not match the first factor")
+    return JointFunction(np.kron(f.values, np.ones(dy.alphabet_sizes)))
 
 
 def lift_witness_through_channels(

@@ -337,7 +337,7 @@ def test_criterion_16_eta_from_ribbon_meets_eta_phi(phi_name):
 
 
 def test_criterion_16_ray_ascent_never_exceeds_eta_phi():
-    # from the region search's seeds alone, with no eta start, the ray t (1, s)
+    # from the ascent's own starts alone, with no eta start, the ray t (1, s)
     # finds no ratio R with (R - 1)/s beyond eta_Phi plus the finite-s bias:
     # a crossing would be a bug or a better eta witness than eta_phi's
     s, opts = 1e-3, SearchOpts(12, 200)

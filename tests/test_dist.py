@@ -9,6 +9,7 @@ import pytest
 from phiribbon.dist import (
     Channel,
     JointFunction,
+    MarginalFunction,
     apply_channels,
     bsc_channel,
     canonical,
@@ -91,6 +92,18 @@ def test_marginal_rejects_bad_coords():
         marginal(d, [1, 0])
     with pytest.raises(BadCoordinate):
         marginal(d, [2])
+    for coord in (2, 7, -1, -2):  # no negative index: -1 would name the last coordinate
+        with pytest.raises(BadCoordinate):
+            d.marginal_vector(coord)
+        with pytest.raises(BadCoordinate):
+            MarginalFunction(coord, [1.0, 2.0]).lift(d)
+
+
+def test_lift_rejects_values_of_the_wrong_length():
+    d = make_joint([2, 3], np.random.default_rng(1).dirichlet(np.ones(6)))
+    for coord, values in ((0, [1.0, 2.0, 3.0]), (1, [1.0, 2.0]), (1, [[1.0, 2.0, 3.0]])):
+        with pytest.raises(ShapeMismatch):
+            MarginalFunction(coord, values).lift(d)
 
 
 def test_cond_expectation_idempotent():

@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 
 import phiribbon.phi as phi_module
-from phiribbon.dist import JointFunction, canonical, cond_expectation, make_joint
-from phiribbon.errors import BadParameter, DomainViolation, NotIndependent
+from phiribbon.dist import JointFunction, MarginalFunction, canonical, cond_expectation, make_joint
+from phiribbon.errors import (
+    BadCoordinate,
+    BadParameter,
+    DomainViolation,
+    NotIndependent,
+    ShapeMismatch,
+)
 from phiribbon.phi import (
     PhiSpec,
     _entropy_rows,
@@ -243,6 +249,30 @@ def test_entropy_rows_match_one_row_calls(name):
         scale = np.abs(phi.safe_eval(V)).max(axis=1) + np.abs(phi.safe_eval(m))
         assert np.all(want < phi_module._CANCEL * scale)  # the rows take the quadrature
         np.testing.assert_allclose(_entropy_rows(phi, W, V), want, rtol=1e-14, atol=0)
+
+
+_F23 = JointFunction(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda d, p: marginal_phi_entropy(d, p, MarginalFunction(7, [0.3, -0.7])), BadCoordinate),
+        (lambda d, p: marginal_phi_entropy(d, p, MarginalFunction(-2, [0.3, -0.7])), BadCoordinate),
+        (lambda d, p: marginal_phi_entropy(d, p, MarginalFunction(1, [0.3, -0.7])), ShapeMismatch),
+        (lambda d, p: phi_entropy(d, p, JointFunction(np.zeros((3, 2)))), ShapeMismatch),
+        (lambda d, p: phi_entropy(d, p, JointFunction(np.zeros(6))), ShapeMismatch),
+        (lambda d, p: cond_phi_entropy(d, p, _F23, [5]), BadCoordinate),
+        (lambda d, p: cond_phi_entropy(d, p, _F23, [0, -1]), BadCoordinate),
+        (lambda d, p: cond_phi_entropies(d, p, _F23, [(), (2,)]), BadCoordinate),
+    ],
+    ids=["coord-7", "coord-minus-2", "marginal-length", "f-transposed", "f-flat", "cond-5",
+         "cond-minus-1", "second-set"],
+)
+def test_entropies_reject_bad_coordinates_and_shapes(call, error):
+    # each raised a raw numpy error, or answered for another coordinate
+    with pytest.raises(error):
+        call(make_joint([2, 3], np.random.default_rng(1).dirichlet(np.ones(6))), binent())
 
 
 def test_marginal_phi_entropy_matches_lift():

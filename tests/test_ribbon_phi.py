@@ -6,15 +6,25 @@ import warnings
 import numpy as np
 import pytest
 
-from phiribbon.correlation import SearchOpts
+from phiribbon import correlation, ribbon_phi
+from phiribbon.cli import main
+from phiribbon.correlation import SearchOpts, eta_phi
 from phiribbon.dist import (
     Channel,
     JointFunction,
     canonical,
+    dist_to_json,
     make_joint,
     pair_product,
 )
-from phiribbon.errors import BadParameter, BadShape, NotBipartite, PhiNotClassF
+from phiribbon.errors import (
+    ArityMismatch,
+    BadParameter,
+    BadShape,
+    NotBipartite,
+    PhiNotClassF,
+    ShapeMismatch,
+)
 from phiribbon.phi import PhiSpec, binent, cond_phi_entropy, parse_phi, phi_entropy, square, xlogx
 from phiribbon.ribbon_phi import (
     _VIOLATION_TOL,
@@ -412,6 +422,14 @@ def test_i_phi_channel_test_trivial_channel_is_zero():
     assert gap == pytest.approx(0.0, abs=1e-12)
 
 
+def test_i_phi_channel_test_rejects_a_channel_of_the_wrong_size():
+    # the channel reads the flattened outcome: 4 input symbols for a (2, 2) law
+    d = canonical("dsbs", lam=0.5)
+    for rows in (2, 3, 8):
+        with pytest.raises(BadShape):
+            i_phi_channel_test(d, xlogx(0.0, 64.0), [1.0, 1.0], Channel(0, np.full((rows, 2), 0.5)))
+
+
 def test_eta_from_ribbon_dsbs_square():
     # for Phi = t^2, R on the ray t (1, s) is a Rayleigh quotient with supremum
     # lambda_max(S M S), S = diag(sqrt(1, s)) over the Gram blocks, so the
@@ -453,6 +471,54 @@ def test_ribbon_boundary_trace_certifies_its_violations(phi_name):
         if verdict == "violated":
             assert definition_gap(d, phi, t_c * u, f) <= -_VIOLATION_TOL, (u, t_c)
         assert definition_gap(d, phi, lam, f) > -_VIOLATION_TOL, (u, lam)
+
+
+@pytest.mark.parametrize(
+    "phi_name, exit_bound",
+    # a one-atom indicator has power:1.5 ratio 3 (sqrt 2 - 1); near the box
+    # edge binent behaves like t log t, whose diagonal exit here is 2/3, since
+    # U = X in the mutual-information form gives sum_i I(U; X_i) / I(U; X) = 3/2
+    [("power:1.5", (math.sqrt(2) + 1) / 3 + 1e-6), ("binent", 2 / 3 + 1e-4)],
+)
+def test_ribbon_boundary_trace_beyond_the_quadratic_case(phi_name, exit_bound):
+    # on xor_triple the Gram matrix is the identity, so the mc exit caps no
+    # ray and the trace reads large-amplitude witnesses alone; "holds" on the
+    # other rays is only evidence, so only the diagonal ray (1, 1, 1) is checked
+    trace = ribbon_boundary_trace(canonical("xor_triple"), parse_phi(phi_name), 16,
+                                  SearchOpts(12, 200))
+    [(lam, verdict)] = [(lam, verdict) for lam, verdict in trace if np.all(lam == lam[0])]
+    assert verdict == "violated"
+    assert lam[0] <= exit_bound
+
+
+def test_ray_ascents_draw_their_own_starts(monkeypatch):
+    # the rays climb from the ascent's own starts, not the region search's seed pool
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ray ascent built the region search's seeds")
+
+    monkeypatch.setattr(ribbon_phi, "_seeds", refuse)
+    d, opts = canonical("dsbs", lam=0.5), SearchOpts(restarts=4, max_iters=50)
+    assert len(ribbon_boundary_trace(d, binent(), 4, opts)) == 4
+    assert eta_from_ribbon(d, binent(), opts) >= eta_phi(d, binent(), None, opts).value - 1e-9
+
+
+def test_ribbon_boundary_trace_counts_as_one_search(monkeypatch, tmp_path):
+    # the ascent takes opts.restarts start rows per ray, so a trace is bounded
+    # as one search's restarts are, before anything sized by the rays is built
+    monkeypatch.setattr(correlation, "_MAX_RESTARTS", 100)
+    d, opts = canonical("dsbs", lam=0.5), SearchOpts(restarts=12, max_iters=20)
+    assert len(ribbon_boundary_trace(d, binent(), 8, opts)) == 8  # 96 start rows
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a trace over the bound started")
+
+    monkeypatch.setattr(ribbon_phi, "mc_boundary_trace", unreachable)
+    with pytest.raises(BadParameter):
+        ribbon_boundary_trace(d, binent(), 9, opts)  # 108 start rows
+    path = tmp_path / "dsbs05.json"
+    path.write_text(dist_to_json(d))
+    argv = ["phi-ribbon", "trace", "--dist", str(path), "--phi", "binent", "--directions", "9"]
+    assert main(argv) == 2
 
 
 def test_ribbon_boundary_trace_square_matches_quadratic_region():
@@ -506,6 +572,17 @@ def test_alpha_equivalent_membership_clear_cases():
     assert not inside[0].violated and not inside[1].violated
     outside = alpha_equivalent_membership(d, 1.5, [1.0, 1.0], SearchOpts(restarts=6))
     assert outside[0].violated and outside[1].violated
+
+
+def test_definition_gap_and_the_product_lift_reject_misshaped_witnesses():
+    d = canonical("dsbs", lam=0.5)
+    with pytest.raises(ShapeMismatch):
+        definition_gap(d, binent(), [0.5, 0.5], JointFunction(np.zeros(4)))
+    dx, dy = make_joint([2], [0.5, 0.5]), make_joint([3], [0.2, 0.3, 0.5])
+    with pytest.raises(ArityMismatch):  # it returned a (4,) function for a (2,) x (2, 2) pair
+        lift_witness_to_product(JointFunction([0.1, 0.9]), dx, d)
+    with pytest.raises(ShapeMismatch):
+        lift_witness_to_product(JointFunction([0.1, 0.2, 0.9]), dx, dy)
 
 
 def test_lift_witness_to_product_preserves_gap():

@@ -83,12 +83,8 @@ def _round12(x):
         return x
     if isinstance(x, dict):
         return {k: _round12(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, list):
         return [_round12(v) for v in x]
-    if isinstance(x, np.floating):
-        return _round12(float(x))
-    if isinstance(x, np.ndarray):
-        return _round12(x.tolist())
     return x
 
 
@@ -276,7 +272,9 @@ def _phi_ribbon_trace(dist_path, phi_name, directions, seed, out_path):
 
 
 @_command(
-    "phi-ribbon channel-test", _DIST, _PHI,
+    "phi-ribbon channel-test", _DIST,
+    ("--phi", {**_PHI[1], "help": "a Phi defined on ratios above 1, which any U that "
+               "depends on X has: binent and sym:A are refused"}),
     ("--channel", {"dest": "channel_path", "required": True}),
     _LAMBDA,
 )

@@ -29,6 +29,9 @@ from .errors import (
 )
 
 _NORM_TOL = 1e-9
+# entries within this of the product of the marginals read as independent: far
+# above the rounding of the marginal sums, so a numerical test, not a proof
+_INDEPENDENCE_TOL = 1e-10
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -41,13 +44,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class JointDist:
     """Joint distribution of ``k`` finite-alphabet random variables.
 
-    ``probs`` has shape ``alphabet_sizes`` and sums to exactly 1 after the
-    renormalization performed by :func:`make_joint`.
+    ``probs`` sums to exactly 1 after the renormalization performed by
+    :func:`make_joint`; ``alphabet_sizes`` (its shape) and ``support_mask``
+    are read off it once, and it is frozen.
     """
 
-    alphabet_sizes: tuple[int, ...]
     probs: np.ndarray
-    support_mask: np.ndarray = field(compare=False)
+    alphabet_sizes: tuple[int, ...] = field(init=False)
+    support_mask: np.ndarray = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "probs", _frozen(self.probs))
+        object.__setattr__(self, "alphabet_sizes", self.probs.shape)
+        object.__setattr__(self, "support_mask", _frozen(self.probs > 0))
 
     @property
     def k(self) -> int:
@@ -153,8 +162,7 @@ def make_joint(sizes: Sequence[int], probs: Sequence[float]) -> JointDist:
     total = flat.sum()
     if abs(total - 1.0) > _NORM_TOL:
         raise NotNormalized(f"probabilities sum to {total!r}, not 1")
-    tensor = (flat / total).reshape(sizes)
-    return JointDist(sizes, _frozen(tensor), _frozen(tensor > 0))
+    return JointDist((flat / total).reshape(sizes))
 
 
 def marginal(d: JointDist, coords: Sequence[int]) -> JointDist:
@@ -165,9 +173,7 @@ def marginal(d: JointDist, coords: Sequence[int]) -> JointDist:
     if coords[0] < 0 or coords[-1] >= d.k:
         raise BadCoordinate(f"coords {coords} out of range for k={d.k}")
     drop = tuple(a for a in range(d.k) if a not in coords)
-    tensor = d.probs.sum(axis=drop) if drop else d.probs.copy()
-    sizes = tuple(d.alphabet_sizes[c] for c in coords)
-    return JointDist(sizes, _frozen(tensor), _frozen(tensor > 0))
+    return JointDist(d.probs.sum(axis=drop) if drop else d.probs.copy())
 
 
 def cond_expectation(d: JointDist, f: JointFunction, coord: int) -> MarginalFunction:
@@ -195,8 +201,7 @@ def pair_product(dx: JointDist, dy: JointDist) -> JointDist:
     """
     if dx.k != dy.k:
         raise ArityMismatch(f"arity mismatch: {dx.k} vs {dy.k}")
-    tensor = np.kron(dx.probs, dy.probs)
-    return JointDist(tensor.shape, _frozen(tensor), _frozen(tensor > 0))
+    return JointDist(np.kron(dx.probs, dy.probs))
 
 
 def apply_channels(d: JointDist, chans: Sequence[Channel]) -> JointDist:
@@ -204,23 +209,19 @@ def apply_channels(d: JointDist, chans: Sequence[Channel]) -> JointDist:
     if len(chans) != d.k:
         raise ShapeMismatch(f"need {d.k} channels, got {len(chans)}")
     tensor = d.probs
-    sizes = list(d.alphabet_sizes)
     seen = set()
     for ch in chans:
         i = ch.coord
         if i in seen or not 0 <= i < d.k:
             raise BadCoordinate(f"bad channel coordinate {i}")
         seen.add(i)
-        if ch.matrix.shape[0] != sizes[i]:
+        if ch.matrix.shape[0] != d.alphabet_sizes[i]:
             raise ShapeMismatch(
                 f"channel on coordinate {i} expects input size "
-                f"{ch.matrix.shape[0]}, alphabet is {sizes[i]}"
+                f"{ch.matrix.shape[0]}, alphabet is {d.alphabet_sizes[i]}"
             )
         tensor = np.moveaxis(np.tensordot(tensor, ch.matrix, axes=([i], [0])), -1, i)
-        sizes[i] = ch.matrix.shape[1]
-    sizes = tuple(sizes)
-    tensor = np.ascontiguousarray(tensor)
-    return JointDist(sizes, _frozen(tensor), _frozen(tensor > 0))
+    return JointDist(np.ascontiguousarray(tensor))
 
 
 def identity_channel(coord: int, size: int) -> Channel:
@@ -244,7 +245,7 @@ def canonical(name: str, **params) -> JointDist:
         Joint law of ``(S_n, S_m)`` for i.i.d. Bernoulli(q) summands,
         coordinate 0 being ``S_n``.
     ``equal_copies(k, base)``
-        ``k`` identical copies of a single-coordinate distribution.
+        ``k`` identical copies of one variable with probability vector ``base``.
     ``tilde_degenerate(a, b)``
         Three-atom binary triple ``p(000)=a, p(110)=b, p(101)=1-a-b``.
     """
@@ -274,19 +275,13 @@ def canonical(name: str, **params) -> JointDist:
         return make_joint([n + 1, m + 1], t.ravel())
     if name == "equal_copies":
         k = int(params["k"])
-        base = params["base"]
-        if isinstance(base, JointDist):
-            if base.k != 1:
-                raise BadParameter("equal_copies base must be single-coordinate")
-            base_p = base.probs
-        else:
-            base_p = np.asarray(base, dtype=float)
+        base = np.asarray(params["base"], dtype=float)
         if k < 1:
             raise BadParameter("equal_copies requires k >= 1")
-        n = len(base_p)
+        n = len(base)
         t = np.zeros((n,) * k)
         for s in range(n):
-            t[(s,) * k] = base_p[s]
+            t[(s,) * k] = base[s]
         return make_joint([n] * k, t.ravel())
     if name == "tilde_degenerate":
         a, b = float(params["a"]), float(params["b"])
@@ -300,14 +295,15 @@ def canonical(name: str, **params) -> JointDist:
     raise BadParameter(f"unknown canonical family {name!r}")
 
 
-def is_fully_independent(d: JointDist, tol: float = 1e-10) -> bool:
-    """True when the tensor factorizes into its single-coordinate marginals."""
+def is_fully_independent(d: JointDist) -> bool:
+    """True when the tensor factorizes into its single-coordinate marginals,
+    entry by entry to within ``_INDEPENDENCE_TOL``."""
     prod = np.ones(())
     for i in range(d.k):
         shape = [1] * d.k
         shape[i] = d.alphabet_sizes[i]
         prod = prod * d.marginal_vector(i).reshape(shape)
-    return bool(np.max(np.abs(prod - d.probs)) <= tol)
+    return bool(np.max(np.abs(prod - d.probs)) <= _INDEPENDENCE_TOL)
 
 
 def dist_to_json(d: JointDist) -> str:

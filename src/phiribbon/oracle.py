@@ -41,7 +41,6 @@ _CAP = 10_000_000
 @dataclass(frozen=True)
 class GridSpec:
     resolution: int
-    domain: tuple[float, float] | None = None  # default: phi.domain
 
     def __post_init__(self):
         res = self.resolution
@@ -50,14 +49,6 @@ class GridSpec:
             raise BadParameter(f"resolution must be an integer, got {res!r}")
         if not 3 <= res <= _CAP:
             raise BadParameter(f"resolution must be in [3, {_CAP}], got {res}")
-        if self.domain is not None:
-            bad = BadParameter(f"domain must be finite with lo < hi: {self.domain!r}")
-            try:
-                lo, hi = (float(v) for v in self.domain)
-            except (TypeError, ValueError):
-                raise bad from None
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise bad
 
     def points(self, lo: float, hi: float) -> np.ndarray:
         """Uniform grid containing both endpoints and the exact midpoint."""
@@ -106,17 +97,15 @@ def _outer_sum(rows: np.ndarray, atoms, digits: tuple, span: slice, width: int):
 def brute_min_objective(
     d: JointDist, phi: PhiSpec, lam, grid: GridSpec
 ) -> tuple[float, JointFunction]:
-    """Exhaustive minimum of the ribbon objective over gridded f values.
-
-    Every grid point must lie in Phi's domain (``[0, T]`` for ``xlogx:0,T``,
-    whose formula takes ``0 log 0 := 0``); otherwise ``DomainViolation`` is raised.
+    """Exhaustive minimum of the ribbon objective over f values gridded on
+    Phi's domain, both ends included (``[0, T]`` for ``xlogx:0,T``, whose
+    formula takes ``0 log 0 := 0``).
     """
     lam = np.asarray(lam, dtype=float)
     # NaN fails both comparisons, so it is rejected along with inf
     if lam.shape != (d.k,) or not np.all((lam >= 0) & (lam <= 1)):
         raise BadLambda(f"lambda must have {d.k} entries in [0, 1]")
-    pts = grid.points(*(grid.domain or phi.domain))
-    phi.check_in_domain(pts)
+    pts = grid.points(*phi.domain)
     sup = np.flatnonzero(d.support_mask.ravel())
     p = d.probs.ravel()[sup]
     n, r = len(sup), len(pts)
@@ -169,9 +158,9 @@ def brute_maximal_correlation(d: JointDist, grid: GridSpec) -> float:
 
     Grids the function g on the Y support; for each g the optimal partner
     is f = E[g|X] (the correlation-maximizing choice), evaluated exactly.
-    ``grid.domain`` is not read: g is gridded on [-1, 1], correlation is
-    invariant under affine maps of g, and any other interval's grid, midpoint
-    included, is an affine image of this one, so no domain changes the answer.
+    g is gridded on [-1, 1]: correlation is invariant under affine maps of
+    g, and any other interval's grid, midpoint included, is an affine image
+    of this one, so no other interval changes the answer.
     """
     if d.k != 2:
         raise NotBipartite("brute_maximal_correlation needs k = 2")

@@ -72,13 +72,14 @@ class PhiSpec:
             w = np.array([-1, 16, -30, 16, -1]) / (12 * h * h)
         elif order == 3:
             w = np.array([-1, 2, 0, -2, 1]) / (2 * h**3)
-        elif order == 4:
+        else:  # order 4: deriv admits no other
             w = np.array([1, -4, 6, -4, 1]) / h**4
-        else:  # pragma: no cover
-            raise BadParameter(f"derivative order {order} unsupported")
         return np.tensordot(w, samples, axes=(0, 0))
 
     def deriv(self, order: int, t) -> np.ndarray:
+        """The derivative of order 1 to 4 at t; any other order raises ``BadParameter``."""
+        if order not in (1, 2, 3, 4):
+            raise BadParameter(f"derivative order {order!r} is not in 1..4")
         fn = (self.d1, self.d2, self.d3, self.d4)[order - 1]
         t = np.asarray(t, dtype=float)
         if fn is not None:

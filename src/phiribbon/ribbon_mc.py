@@ -217,9 +217,7 @@ def tilde_membership(d: JointDist, lam, g: GramMatrix | None = None) -> Membersh
     return _membership("tilde", d, lam, g)
 
 
-def membership_verdicts(
-    d: JointDist, kind: str, lams, g: GramMatrix | None = None
-) -> np.ndarray:
+def membership_verdicts(d: JointDist, kind: str, lams) -> np.ndarray:
     """Verdicts of one ``kind`` of membership at each row of ``lams``.
 
     Stacked ``eigh`` solves of the single-point functions' test matrices,
@@ -229,7 +227,7 @@ def membership_verdicts(
     if kind not in KINDS:
         raise BadParameter(f"kind must be one of {KINDS}")
     lams = _check_lambda(lams, d.k, ndim=2)
-    g = g or gram_matrix(d)
+    g = gram_matrix(d)
     out = np.ones(len(lams), dtype=bool)
     for start in range(0, len(lams), _STACK_ROWS):
         rows = slice(start, start + _STACK_ROWS)
@@ -322,7 +320,7 @@ def gaussian_mc_membership(R: np.ndarray, lam) -> bool:
     return bool(np.linalg.eigh(A[0])[0].min(initial=np.inf) >= -PSD_TOL)
 
 
-def detect_structure(d: JointDist, g: GramMatrix | None = None) -> dict:
+def detect_structure(d: JointDist) -> dict:
     """Flags readable directly off the Gram spectrum.
 
     ``pairwise_independent``: all cross blocks vanish.  ``common_part``:
@@ -330,7 +328,7 @@ def detect_structure(d: JointDist, g: GramMatrix | None = None) -> dict:
     coordinate).  ``tilde_degenerate``: M is singular, i.e. some zero-mean
     single-coordinate functions, not all zero, sum to the zero function.
     """
-    g = g or gram_matrix(d)
+    g = gram_matrix(d)
     k = d.k
     off = g.M - np.eye(len(g.M))  # cross blocks only: the diagonal blocks are I
     w, V = np.linalg.eigh(g.M) if len(g.M) else (np.array([1.0]), None)
@@ -366,9 +364,7 @@ def _rays(k: int, directions) -> np.ndarray:
     return v / v.max(axis=1, keepdims=True)
 
 
-def mc_boundary_trace(
-    d: JointDist, directions: int = 64, g: GramMatrix | None = None
-) -> list[tuple[np.ndarray, bool]]:
+def mc_boundary_trace(d: JointDist, directions: int = 64) -> list[tuple[np.ndarray, bool]]:
     """Exit points of the ``_rays`` from the origin, in closed form.
 
     Along ``t v`` the "mc" test matrix is ``I - t S M S`` with
@@ -379,7 +375,7 @@ def mc_boundary_trace(
     each ray together with membership of the full-length point.
     """
     v = _rays(d.k, directions)
-    g = g or gram_matrix(d)
+    g = gram_matrix(d)
     s = np.sqrt(np.repeat(v, g.block_dims, axis=1))
     top = np.linalg.eigvalsh(s[:, :, None] * g.M * s[:, None, :]).max(axis=1, initial=1)
     return [(u, True) if t <= 1 + PSD_TOL else (u / t, False) for u, t in zip(v, top)]

@@ -30,13 +30,17 @@ from .correlation import SearchOpts, _ascend, _box, _pgd, _sweep, eta_phi
 from .dist import Channel, JointDist, JointFunction, make_joint, marginal
 from .errors import ArityMismatch, BadParameter, BadShape, PhiNotClassF, ShapeMismatch
 from .phi import PhiSpec, cond_phi_entropies, phi_mutual_information
-from .ribbon_mc import PSD_TOL, _check_lambda, _rays, mc_boundary_trace
+from .ribbon_mc import PSD_TOL, _check_lambda, _rays
 
 _VIOLATION_TOL = 1e-9  # a certified gap must be below -this to prove a violation, not noise
 # a search row whose gap falls below this ends its point's search at once: ten
 # times the certification margin, so the first such witness still clears
 # -_VIOLATION_TOL when definition_gap re-evaluates it in another summation order
 _EXIT_BELOW = -10 * _VIOLATION_TOL
+# margins for a witness carried between an alpha pair's sides: they only keep
+# rounding out, far under _VIOLATION_TOL, because each transport shrinks the gap
+_TO_POWER_TOL = 1e-15  # sym -> power is exact but scales it by (2^alpha - 2) / 2^(alpha+1)
+_TO_SYM_TOL = 1e-13  # power -> sym maps f to eps f - 1, shrinking it like eps^alpha
 
 __all__ = [
     "SearchOpts",
@@ -102,14 +106,15 @@ class _FlatProblem(correlation._FlatProblem):
 
     def directions(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row of L, the minimiser of the Phi = t^2 gap ``u Q u`` per unit
-        ``Var u``, with ``Q = A diag(w (V0 + lambda V)) A^T``, and whether that
-        gap is negative (the quadratic test rejects).  Q kills constants, so
-        this is the least eigenvector of ``D^-1/2 Q D^-1/2``, ``D = diag(p)``,
-        times ``D^-1/2``: one stacked solve for all rows."""
+        ``Var u``, with ``Q = A diag(w (V0 + lambda V)) A^T``, and that least
+        gap e: ``min(0, 1 - lambda_max(S M S))`` in ``ribbon_mc``'s terms, so the
+        quadratic test rejects where ``e < -PSD_TOL``.  Q kills constants, so
+        this is the least eigenpair of ``D^-1/2 Q D^-1/2``, ``D = diag(p)``,
+        the vector times ``D^-1/2``: one stacked solve for all rows."""
         S = self.A / np.sqrt(self.p)[:, None]
         C = self.w * (self.V0 + L @ self.V)
         ev, U = np.linalg.eigh((S * C[:, None, :]) @ S.T)
-        return U[:, :, 0] / np.sqrt(self.p), ev[:, 0] < -PSD_TOL
+        return U[:, :, 0] / np.sqrt(self.p), ev[:, 0]
 
     def to_joint(self, f: np.ndarray) -> JointFunction:
         vals = np.zeros(math.prod(self.d.alphabet_sizes))
@@ -127,7 +132,8 @@ def _seeds(prob: _FlatProblem, lams: np.ndarray, rng, restarts: int, project=Non
     (lo, hi), c = _box(prob.phi), 0.5 * (a + b)
     eps = np.array([0.45, 0.2, 0.05, 0.01, 1e-3])  # amplitudes along the quadratic-case direction
     P, n, m = len(lams), prob.n, len(eps)
-    u, rejected = prob.directions(lams)
+    u, e = prob.directions(lams)
+    rejected = e < -PSD_TOL
     sweeps = _sweep(u, (b - a) * eps, prob.phi)
     bits = np.arange(2**n if n <= 10 else 0)[:, None] >> np.arange(n) & 1
     # every corner of the box, at two sizes
@@ -237,8 +243,12 @@ def i_phi_channel_test(
     """Gap ``I_phi(U; X_all) - sum_i lambda_i I_phi(U; X_i)``.
 
     ``channel`` maps the flattened joint outcome to U.  A negative gap
-    certifies that lambda is outside the mutual-information region.
+    certifies that lambda is outside the mutual-information region.  The ratios
+    ``p(x, u) / (p(x) p(u))`` average to 1, so a U that depends on X has one above
+    1: a Phi undefined there (``binent``, ``sym:A``) raises ``BadParameter``.
     """
+    if (phi.nat_domain or phi.domain)[1] <= 1:
+        raise BadParameter(f"{phi.name} is undefined on the ratios above 1 that a dependent U has")
     lam = _check_lambda(lam, d.k)
     W = channel.matrix
     n, nu = W.shape
@@ -246,8 +256,7 @@ def i_phi_channel_test(
         raise BadShape(f"channel expects {n} input symbols, joint has {d.probs.size}")
     # the law of (X_1, ..., X_k, U): (X, U) is its flattened view, each (X_i, U) a marginal
     big = make_joint([*d.alphabet_sizes, nu], (d.probs.reshape(n, 1) * W).ravel())
-    flat = JointDist((n, nu), big.probs.reshape(n, nu), big.support_mask.reshape(n, nu))
-    gap = phi_mutual_information(flat, phi)
+    gap = phi_mutual_information(JointDist(big.probs.reshape(n, nu)), phi)
     for i in np.flatnonzero(lam):
         gap -= lam[i] * phi_mutual_information(marginal(big, [i, d.k]), phi)
     return gap
@@ -256,19 +265,22 @@ def i_phi_channel_test(
 def _ray_exits(d: JointDist, phi: PhiSpec, v: np.ndarray, opts: SearchOpts, extra=()):
     """Per ray ``t u`` (u a row of v), with ``R(f) = sum_i u_i H(E[f|X_i]) / H(f)``
     and so ``gap(f, t u) = H(f) (1 - t R(f))``: the best R, the least proven exit
-    ``t_c = (H(f) + 2 tol) / (R(f) H(f))`` (inf if none lies in the cube) and its
-    witness, from ``correlation._ascend``'s certified stack: R climbed from the
-    ascent's own starts along each ray's quadratic-case direction, plus the
-    joint values in ``extra`` as further starts of every ray."""
+    ``t_c = (H(f) + 2 tol) / (R(f) H(f))`` (inf if none lies in the cube), its
+    witness, and the ``mc`` exit: ``1 / (1 - e)`` where ``e < -PSD_TOL``, else 1,
+    e from the solve that gives the ray's quadratic-case direction.  R and t_c
+    come from ``correlation._ascend``'s certified stack: R climbed from the
+    ascent's own starts along that direction, plus the joint values in
+    ``extra`` as further starts of every ray."""
     prob = _FlatProblem(d, phi)
-    extra = [np.ravel(e)[prob.sup] for e in extra]
-    F, num, H, _ = _ascend(prob, v, prob.directions(v)[0], opts, extra)  # H floored: lowers R
+    extra = [np.ravel(x)[prob.sup] for x in extra]
+    u, e = prob.directions(v)
+    F, num, H, _ = _ascend(prob, v, u, opts, extra)  # H floored: lowers R
     T = (H + 2 * _VIOLATION_TOL) / np.maximum(num, 1e-300)  # gap -2 tol at T u
     j = np.arange(len(v)), T.argmin(axis=1)
     f = [prob.to_joint(x) for x in F[j]]
     t = [s if s * u.max() <= 1 and definition_gap(d, phi, s * u, g) <= -_VIOLATION_TOL else np.inf
          for s, u, g in zip(T[j], v, f)]
-    return (num / H).max(axis=1), np.array(t), f
+    return (num / H).max(axis=1), np.array(t), f, np.where(e < -PSD_TOL, 1 / (1 - e), 1.0)
 
 
 def eta_from_ribbon(
@@ -304,9 +316,9 @@ def ribbon_boundary_trace(
     if len(v) * opts.restarts > correlation._MAX_RESTARTS:
         raise BadParameter(f"{len(v)} rays x {opts.restarts} restarts exceed the "
                            f"{correlation._MAX_RESTARTS} start rows of one search")
-    mc = [lam.max() for lam, _ in mc_boundary_trace(d, directions)]
-    return [(min(m, 1 / max(r, 1.0)) * u, "violated" if t <= 1 else "holds_up_to_search")
-            for u, m, r, t in zip(v, mc, *_ray_exits(d, phi, v, opts)[:2])]
+    R, t, _, mc = _ray_exits(d, phi, v, opts)
+    return [(min(m, 1 / max(r, 1.0)) * u, "violated" if s <= 1 else "holds_up_to_search")
+            for u, m, r, s in zip(v, mc, R, t)]
 
 
 def _transported(d: JointDist, phi: PhiSpec, lam, cands, tol: float) -> RibbonVerdict | None:
@@ -322,9 +334,9 @@ def alpha_equivalent_membership(d: JointDist, alpha: float, lam, opts: SearchOpt
     The two regions coincide: ``Phi_alpha(t)`` is an affine combination of
     ``phi_alpha((1+t)/2)`` and ``phi_alpha((1-t)/2)``, which transports any
     symmetric-side witness to the power side exactly; in the reverse
-    direction ``f -> eps f - 1`` shrinks the violation like ``eps^alpha``,
-    so transported gaps are certified at whatever (tiny) magnitude they
-    reach rather than at the absolute search tolerance.  A witness that only
+    direction ``f -> eps f - 1`` shrinks the violation like ``eps^alpha``, so a
+    transported "violated" is certified only to ``_TO_POWER_TOL`` or ``_TO_SYM_TOL``,
+    which a check at 1e-9 may reject.  A witness that only
     just crossed the search's exit threshold is too shallow to survive that,
     so the points violated on the power side alone are searched again there
     without the early exit, and that deeper verdict is reported.  ``lam`` is one
@@ -347,12 +359,12 @@ def alpha_equivalent_membership(d: JointDist, alpha: float, lam, opts: SearchOpt
     for point, rp, rs in zip(lams, power, sym):
         if rs.violated and not rp.violated:
             f = rs.witness.values
-            rp = _transported(d, pw, point, [(1.0 + f) / 2.0, (1.0 - f) / 2.0], 1e-15) or rp
+            rp = _transported(d, pw, point, [(1.0 + f) / 2.0, (1.0 - f) / 2.0], _TO_POWER_TOL) or rp
         elif rp.violated and not rs.violated:
             g = np.clip(rp.witness.values, 0.0, 1.0)
             eps = (0.5, 0.1, 1e-2, 1e-3, 1e-4)
             cands = [c for e in eps for c in (e * g - 1.0, 1.0 - e * g)]
-            rs = _transported(d, sm, point, cands, 1e-13) or rs
+            rs = _transported(d, sm, point, cands, _TO_SYM_TOL) or rs
         pairs.append((rp, rs))
     return pairs if stacked else pairs[0]
 

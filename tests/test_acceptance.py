@@ -92,7 +92,7 @@ def test_criterion_03_sums_of_iid_bernoulli():
 def test_criterion_04_mc_ribbon_representation_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(42)
-    grid = GridSpec(resolution=5, domain=(-1.0, 1.0))
+    grid = GridSpec(resolution=5)  # on square's domain [-1, 1]
     brute_checked = 0
     for _ in range(500):
         k = int(rng.integers(2, 4))
@@ -309,7 +309,7 @@ def test_criterion_14_hc_ribbon_is_the_xlogx_ribbon():
     for rho in (0.3, 0.5, 0.8):
         d = canonical("dsbs", lam=rho)
         trace = ribbon_boundary_trace(d, xlogx(), 8, opts)
-        _, proven, _ = _ray_exits(d, xlogx(), _rays(2, 8), opts)
+        _, proven, _, _ = _ray_exits(d, xlogx(), _rays(2, 8), opts)
         assert len(trace) == 8
         for (lam, verdict), t_c in zip(trace, proven):
             assert verdict == "violated", (rho, lam)

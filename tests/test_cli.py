@@ -408,6 +408,22 @@ def test_phi_ribbon_channel_test(tmp_path, capsys):
     assert obj["gap"] == pytest.approx(-np.log(2), abs=1e-9)
 
 
+def test_phi_ribbon_channel_test_refuses_binent(tmp_path, capsys):
+    # binent is undefined on the ratios above 1 that a dependent U has: refused
+    # as an input error whether the channel is informative or not
+    path = tmp_path / "dsbs.json"
+    path.write_text(dist_to_json(canonical("dsbs", lam=0.5)))
+    for matrix in (np.ones((4, 1)), np.eye(4)):
+        chan = tmp_path / "chan.json"
+        chan.write_text(json.dumps({"coord": 0, "matrix": matrix.tolist()}))
+        code, out = run_cli(
+            capsys, "phi-ribbon", "channel-test", "--dist", str(path),
+            "--phi", "binent", "--channel", str(chan), "--lambda", "1,1",
+        )
+        assert code == 2
+        assert out == ""
+
+
 def test_phi_ribbon_channel_test_rejects_a_fractional_coord(tmp_path, capsys):
     path = tmp_path / "dsbs.json"
     path.write_text(dist_to_json(canonical("dsbs", lam=0.5)))

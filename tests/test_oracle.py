@@ -13,7 +13,6 @@ from phiribbon.dist import canonical, make_joint
 from phiribbon.errors import (
     BadLambda,
     BadParameter,
-    DomainViolation,
     GridTooLarge,
     NotBipartite,
 )
@@ -26,21 +25,7 @@ def test_gridspec_validation():
     for bad in (2, -1, 4.5, 5.0, math.nan, True, "5", None, oracle._CAP + 1):
         with pytest.raises(BadParameter):
             GridSpec(resolution=bad)
-    for bad in ((1.0, -1.0), (0.0, 0.0), (0.0, math.inf), (math.nan, 1.0), (0.0,), "ab", 3):
-        with pytest.raises(BadParameter):
-            GridSpec(resolution=5, domain=bad)
-    assert GridSpec(resolution=np.int64(5), domain=(0, 1)).points(0.0, 1.0).size == 5
-
-
-def test_brute_min_objective_rejects_grid_outside_phi_domain():
-    d = canonical("dsbs", lam=0.5)
-    with pytest.raises(DomainViolation):
-        brute_min_objective(d, parse_phi("xlogx:0.05,4"), [0.5, 0.5], GridSpec(5, (-1.0, 1.0)))
-    with pytest.raises(DomainViolation):
-        brute_min_objective(d, parse_phi("xlogx:0.05,4"), [0.5, 0.5], GridSpec(5, (0.0, 4.0)))
-    # 0 is in the domain of xlogx:0,4, so it stays on the grid
-    gap, f = brute_min_objective(d, parse_phi("xlogx:0,4"), [0.5, 0.5], GridSpec(5, (0.0, 4.0)))
-    assert math.isfinite(gap) and np.all(np.isfinite(f.values))
+    assert GridSpec(resolution=np.int64(5)).points(0.0, 1.0).size == 5
 
 
 def test_gridspec_points_include_endpoints_and_midpoint():
@@ -160,7 +145,7 @@ def _min_objective_reference(d, phi, lam, grid):
     sup, p, cond_tables, marg = _tables_reference(d)
     lam = np.asarray(lam, float)
     best, best_row = math.inf, None
-    for F in _product_blocks(grid.points(*(grid.domain or phi.domain)), len(sup)):
+    for F in _product_blocks(grid.points(*phi.domain), len(sup)):
         G = _objective_rows_reference(p, cond_tables, marg, phi, lam, F)
         j = int(np.argmin(G))
         if G[j] < best:
@@ -210,17 +195,17 @@ _REFERENCE_CASES = {
         _law([2, 2, 2], 8, zero_atoms=[0, 7]), "square", [0.8, 0.8, 0.8], GridSpec(5)
     ),
     # 0 on the grid, where xlogx:0,4 takes 0 log 0 := 0
-    "allow-zero": (_law([2, 2], 9), "xlogx:0,4", [0.9, 0.8], GridSpec(9, (0.0, 4.0))),
-    "allow-zero-domain": (_law([2, 2], 10), "xlogx:0,4", [0.9, 0.8], GridSpec(5, (0.0, 1.0))),
+    "allow-zero": (_law([2, 2], 9), "xlogx:0,4", [0.9, 0.8], GridSpec(9)),
+    "allow-zero-domain": (_law([2, 2], 10), "xlogx:0,4", [0.9, 0.8], GridSpec(5)),
     # lambda with zero entries skips those cells
     "lam-0x": (_law([2, 3], 11), "xlogx:0.05,4", [0.0, 0.9], GridSpec(7)),
     "lam-x00": (_law([2, 2, 2], 12), "binent", [0.9, 0.0, 0.0], GridSpec(3)),
     "lam-00": (_law([2, 2], 13), "power:1.5", [0.0, 0.0], GridSpec(9)),
     # an even resolution gets its midpoint inserted
     "even-resolution": (_law([2, 2], 14), "binent", [0.8, 0.8], GridSpec(8)),
-    # a custom domain inside Phi's
-    "domain-square": (_law([2, 2], 15), "square", [0.95, 0.9], GridSpec(11, (-0.5, 0.25))),
-    "domain-xlogx": (_law([2, 3], 16), "xlogx:0.05,4", [0.9, 0.9], GridSpec(6, (0.5, 2.0))),
+    # a finer square grid, and an even one that gets its midpoint on six atoms
+    "domain-square": (_law([2, 2], 15), "square", [0.95, 0.9], GridSpec(11)),
+    "domain-xlogx": (_law([2, 3], 16), "xlogx:0.05,4", [0.9, 0.9], GridSpec(6)),
 }
 
 
@@ -292,9 +277,7 @@ def test_brute_maximal_correlation_answer_does_not_depend_on_the_domain():
     for d in laws:
         want = brute_maximal_correlation(d, GridSpec(9))
         for domain in ((0.0, 0.001), (5.0, 6.0)):
-            got = brute_maximal_correlation(d, GridSpec(9, domain))
-            assert got == pytest.approx(want, rel=0, abs=1e-12), domain
-            # g gridded on the domain itself reaches the same correlation
+            # g gridded on another interval reaches the same correlation
             on_domain = _max_correlation_reference(d, GridSpec(9), domain)
             assert on_domain == pytest.approx(want, rel=0, abs=1e-12), domain
     # a binary Y: every non-constant g attains rho

@@ -72,6 +72,15 @@ def test_analytic_derivatives_match_finite_differences():
             assert np.allclose(got, fd, rtol=1e-6, atol=1e-6), (phi.name, order)
 
 
+def test_deriv_rejects_orders_outside_one_to_four():
+    # orders 0 and -1 once indexed from the end of (d1, d2, d3, d4), 5 past it
+    for phi in (binent(), PhiSpec("exp", (-1.0, 1.0), eval=np.exp)):
+        for order in (0, -1, 5, 2.5):
+            with pytest.raises(BadParameter):
+                phi.deriv(order, 0.3)
+    assert binent().deriv(4, 0.3) == pytest.approx(4.8628, abs=1e-4)
+
+
 def test_binent_is_in_bits():
     phi = binent()
     # Phi_1(1) = 1 - h(1) = 1 bit

@@ -389,7 +389,7 @@ def _trace_laws():
 def test_mc_boundary_trace_matches_bisection(name):
     d = _trace_laws()[name]
     g = gram_matrix(d)
-    trace = mc_boundary_trace(d, 64, g)
+    trace = mc_boundary_trace(d, 64)
     reference = _bisection_trace(d, 64, g)
     assert len(trace) == len(reference) == 64
     for (lam, member), (ref_lam, ref_member) in zip(trace, reference):
@@ -409,10 +409,10 @@ def test_mc_boundary_trace_three_coordinates(sizes):
     # each exit point is a member and the point 2e-3 further along its ray is not
     d = _random_dist(np.random.default_rng(41), sizes)
     g = gram_matrix(d)
-    trace = mc_boundary_trace(d, 32, g)
+    trace = mc_boundary_trace(d, 32)
     rays = ribbon_mc._rays(3, 32)
     assert len(trace) == len(rays) == 21
-    assert [m for _, m in trace] == membership_verdicts(d, "mc", rays, g).tolist()
+    assert [m for _, m in trace] == membership_verdicts(d, "mc", rays).tolist()
     exits = 0
     for (lam, member), v in zip(trace, rays):
         if member:
@@ -441,7 +441,7 @@ def test_membership_verdicts_match_single_point_tests(sizes, n, monkeypatch):
     lams = _grid(d.k, n)
     fns = {"mc": mc_membership, "sprime": mc_membership_sprime, "tilde": tilde_membership}
     for kind, fn in fns.items():
-        verdicts = membership_verdicts(d, kind, lams, g)
+        verdicts = membership_verdicts(d, kind, lams)
         assert verdicts.shape == (len(lams),)
         for lam, verdict in zip(lams, verdicts):
             assert verdict == fn(d, lam, g).verdict, (kind, lam.tolist())
@@ -585,7 +585,7 @@ def test_closed_forms_match_the_loop_references():
             else:
                 R = pearson_matrix(d)
                 assert np.allclose(R, R_ref, rtol=0, atol=1e-13)
-        stacked = membership_verdicts(d, "mc", lams, g)
+        stacked = membership_verdicts(d, "mc", lams)
         for lam, in_stack in zip(lams, stacked):
             if np.any((lam > 0) & (lam < 1e-3)):
                 continue
@@ -627,7 +627,7 @@ def test_mc_verdicts_at_small_lambda_match_exact_arithmetic():
     for d in laws:
         rho, g = maximal_correlation(d), gram_matrix(d)
         R = pearson_matrix(d) if d.alphabet_sizes == (2, 2) else None
-        for lam, in_stack in zip(lams, membership_verdicts(d, "mc", lams, g)):
+        for lam, in_stack in zip(lams, membership_verdicts(d, "mc", lams)):
             res = mc_membership(d, lam, g)
             if abs(res.min_eigenvalue) < 1e-9:
                 continue

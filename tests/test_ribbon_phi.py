@@ -43,7 +43,15 @@ from phiribbon.ribbon_phi import (
     phi_ribbon_membership,
     ribbon_boundary_trace,
 )
-from phiribbon.ribbon_mc import _check_lambda, _rays, gram_matrix, mc_def_gap, mc_membership
+from phiribbon.ribbon_mc import (
+    PSD_TOL,
+    _check_lambda,
+    _rays,
+    gram_matrix,
+    mc_boundary_trace,
+    mc_def_gap,
+    mc_membership,
+)
 
 OPTS = SearchOpts(restarts=16, seed=0)
 
@@ -160,8 +168,8 @@ def test_stacked_search_equals_per_point_calls():
         (copies, phi_n, [[0.9, 0.9], [0.3, 0.3], [0.0, 0.9]],
          lambda V: _project_density(V, p, 1e-12, top)),
     ]
-    rejected = _FlatProblem(cases[3][0], binent()).directions(np.array(cases[3][2], float))[1]
-    assert rejected.tolist() == [True, False, True, False]
+    least = _FlatProblem(cases[3][0], binent()).directions(np.array(cases[3][2], float))[1]
+    assert (least < -PSD_TOL).tolist() == [True, False, True, False]
     seen = set()
     for d, phi, lams, project in cases:
         # the public one-point searches are the one-row case
@@ -195,7 +203,8 @@ def _seeds_reference(prob, lams, rng, restarts, project=None):
     lo, hi, c = a + 1e-9 * (b - a), b - 1e-9 * (b - a), 0.5 * (a + b)
     eps = np.array([0.45, 0.2, 0.05, 0.01, 1e-3])
     P, n, m = len(lams), prob.n, len(eps)
-    u, rejected = prob.directions(lams)
+    u, least = prob.directions(lams)
+    rejected = least < -PSD_TOL
     sweeps = c + (b - a) * eps[:, None] * (u / np.max(np.abs(u), axis=1, keepdims=True))[:, None]
     bits = np.arange(2**n if n <= 10 else 0)[:, None] >> np.arange(n) & 1
     signs = np.repeat(2.0 * bits - 1, 2, axis=0)
@@ -383,7 +392,8 @@ def test_closed_form_direction_is_the_quadratic_witness(sizes):
         d = make_joint(list(sizes), rng.dirichlet(np.ones(math.prod(sizes))))
         lams = rng.uniform(size=(30, d.k)) * (rng.uniform(size=(30, d.k)) > 0.25)  # some zeros
         quad = _FlatProblem(d, square())
-        U, found = quad.directions(lams)
+        U, least = quad.directions(lams)
+        found = least < -PSD_TOL
         flats = [_FlatProblem(d, parse_phi(name)) for name in ("binent", "power:1.5", "xlogx:0.05,4")]
         for lam, u, has in zip(lams, U, found):
             res = mc_membership(d, lam)
@@ -420,6 +430,16 @@ def test_i_phi_channel_test_trivial_channel_is_zero():
     W = np.ones((4, 1))
     gap = i_phi_channel_test(d, xlogx(0.0, 64.0), [1.0, 1.0], Channel(0, W))
     assert gap == pytest.approx(0.0, abs=1e-12)
+
+
+def test_i_phi_channel_test_refuses_a_phi_undefined_above_one():
+    # any U that depends on X has a ratio p(x, u) / (p(x) p(u)) above 1, so
+    # binent and sym:A, defined up to 1, could only answer an independent U
+    d = canonical("dsbs", lam=0.5)
+    for W in (np.ones((4, 1)), np.eye(4)):
+        for phi in (binent(), parse_phi("sym:1.5")):
+            with pytest.raises(BadParameter, match="ratios above 1"):
+                i_phi_channel_test(d, phi, [1.0, 1.0], Channel(0, W))
 
 
 def test_i_phi_channel_test_rejects_a_channel_of_the_wrong_size():
@@ -464,7 +484,7 @@ def test_ribbon_boundary_trace_certifies_its_violations(phi_name):
     phi, opts = parse_phi(phi_name), SearchOpts(restarts=12, max_iters=200)
     trace = ribbon_boundary_trace(d, phi, 16, opts)
     v = _rays(3, 16)
-    _, proven, witnesses = _ray_exits(d, phi, v, opts)
+    _, proven, witnesses, _ = _ray_exits(d, phi, v, opts)
     assert any(verdict == "violated" for _, verdict in trace)
     for u, (lam, verdict), t_c, f in zip(v, trace, proven, witnesses):
         assert (verdict == "violated") == (t_c <= 1)
@@ -512,13 +532,34 @@ def test_ribbon_boundary_trace_counts_as_one_search(monkeypatch, tmp_path):
     def unreachable(*args, **kwargs):
         raise AssertionError("a trace over the bound started")
 
-    monkeypatch.setattr(ribbon_phi, "mc_boundary_trace", unreachable)
+    monkeypatch.setattr(ribbon_phi, "_ray_exits", unreachable)
     with pytest.raises(BadParameter):
         ribbon_boundary_trace(d, binent(), 9, opts)  # 108 start rows
     path = tmp_path / "dsbs05.json"
     path.write_text(dist_to_json(d))
     argv = ["phi-ribbon", "trace", "--dist", str(path), "--phi", "binent", "--directions", "9"]
     assert main(argv) == 2
+
+
+def test_ray_exits_quadratic_exit_is_mc_boundary_trace():
+    # the exit 1 / (1 - e) read off the solve that gives each ray's direction
+    # is mc_boundary_trace's, whose Gram-matrix solve the trace no longer makes
+    rng = np.random.default_rng(37)
+    laws = [canonical("dsbs", lam=0.3), canonical("dsbs", lam=0.8), canonical("xor_triple")]
+    for sizes in ((2, 3), (3, 3), (2, 2, 2), (3, 3, 3)):
+        for zero in (False, True):
+            probs = rng.dirichlet(np.ones(math.prod(sizes)))
+            if zero:
+                probs[rng.integers(len(probs))] = 0.0
+            laws.append(make_joint(sizes, probs / probs.sum()))
+    opts = SearchOpts(restarts=2, max_iters=5)
+    for d in laws:
+        for directions in (16, 64):
+            mc = mc_boundary_trace(d, directions)
+            exits = _ray_exits(d, binent(), _rays(d.k, directions), opts)[3]
+            want = [lam.max() for lam, _ in mc]
+            np.testing.assert_allclose(exits, want, rtol=0, atol=1e-12)
+            assert [m for _, m in mc] == (exits == 1.0).tolist()
 
 
 def test_ribbon_boundary_trace_square_matches_quadratic_region():

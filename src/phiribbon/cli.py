@@ -231,7 +231,9 @@ def _phi_ribbon_check(dist_path, phi_name, lam_text, normalized, restarts, seed)
     """Search for a witness f with a negative gap.  A "violated" verdict
     reports the gap of the first witness found below the search's exit
     threshold, re-checked from scratch, not the deepest gap reachable; a
-    "holds_up_to_search" verdict reports the least gap the search reached."""
+    "holds_up_to_search" verdict reports the least gap the search reached.
+    "proven" is true where sum(lambda) <= 1: every region contains those
+    points, so no search runs and the gap is its exact least value 0."""
     d = _load_dist(dist_path)
     phi = parse_phi(phi_name)
     lam = _parse_lambda(lam_text, d.k)
@@ -242,7 +244,8 @@ def _phi_ribbon_check(dist_path, phi_name, lam_text, normalized, restarts, seed)
         else ribbon_phi.phi_ribbon_membership
     )
     res = fn(d, phi, lam, opts)
-    out = {"phi": phi.name, "lambda": lam, "verdict": res.verdict, "gap": res.gap}
+    out = {"phi": phi.name, "lambda": lam, "verdict": res.verdict, "gap": res.gap,
+           "proven": res.proven}
     if res.witness is not None:
         out["witness"] = list(res.witness.values.ravel())
     _emit_json(out)

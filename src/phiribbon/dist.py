@@ -8,6 +8,9 @@ threads.
 
 Atoms with zero probability stay in the tensor but are excluded from every
 expectation and basis construction via ``support_mask``.
+
+The classes that hold arrays compare and hash by identity (``eq=False``): an
+array comparison has no single truth value, so a field-wise ``==`` would raise.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDist:
     """Joint distribution of ``k`` finite-alphabet random variables.
 
@@ -51,7 +54,7 @@ class JointDist:
 
     probs: np.ndarray
     alphabet_sizes: tuple[int, ...] = field(init=False)
-    support_mask: np.ndarray = field(init=False, compare=False)
+    support_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _frozen(self.probs))
@@ -85,7 +88,7 @@ class JointDist:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointFunction:
     """Real-valued function on the joint outcome space.
 
@@ -100,7 +103,7 @@ class JointFunction:
         object.__setattr__(self, "values", _frozen(np.asarray(self.values, dtype=float)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginalFunction:
     """Real-valued function of a single coordinate."""
 
@@ -122,7 +125,7 @@ class MarginalFunction:
         return JointFunction(vals.copy())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """Row-stochastic transition matrix acting on one coordinate."""
 

@@ -42,7 +42,7 @@ _STACK_ROWS = 4096  # lambda rows per stacked eigenvalue solve: bounds its memor
 _MAX_DIRECTIONS = 1_000_000  # rays one boundary trace may ask for (64 in the benchmark)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Block Gram matrix of per-coordinate orthonormal zero-mean bases;
     ``basis[i]`` holds coordinate i's basis functions as columns."""

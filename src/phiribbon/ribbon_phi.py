@@ -41,6 +41,10 @@ _EXIT_BELOW = -10 * _VIOLATION_TOL
 # rounding out, far under _VIOLATION_TOL, because each transport shrinks the gap
 _TO_POWER_TOL = 1e-15  # sym -> power is exact but scales it by (2^alpha - 2) / 2^(alpha+1)
 _TO_SYM_TOL = 1e-13  # power -> sym maps f to eps f - 1, shrinking it like eps^alpha
+# the least value of a density in the normalized search, which stands in for 0:
+# Phi' (-inf at 0 under xlogx) stays finite there for the descent, and 0 itself
+# adds nothing; a Phi whose domain starts above it cannot reach 0 at all
+_DENSITY_FLOOR = 1e-12
 
 __all__ = [
     "SearchOpts",
@@ -62,15 +66,21 @@ class RibbonVerdict:
     """A search verdict.  For "violated", ``gap`` is the gap of ``witness``
     re-checked through :func:`definition_gap`: the first witness the search
     found below its exit threshold, not the deepest one it could reach.  For
-    "holds_up_to_search", ``gap`` is the least gap the search reached."""
+    "holds_up_to_search", ``gap`` is the least gap the search reached, or,
+    with ``proven`` True, the exact least gap 0.0 of a point of the simplex
+    ``sum(lambda) <= 1``, which every region contains (see ``_search``)."""
 
     verdict: str  # "holds_up_to_search" | "violated"
     gap: float
     witness: JointFunction | None = None
+    proven: bool = False  # membership proven by theorem, no search run
 
     @property
     def violated(self) -> bool:
         return self.verdict == "violated"
+
+
+_PROVEN = RibbonVerdict("holds_up_to_search", 0.0, None, proven=True)
 
 
 def definition_gap(d: JointDist, phi: PhiSpec, lam, f: JointFunction) -> float:
@@ -163,7 +173,15 @@ def _search(d, phi, lams, opts, project=None, exit_below=_EXIT_BELOW) -> list[Ri
     as the rows of one ``_pgd`` call, each point's rows a group.  A point's
     search ends as soon as one of its rows has a gap below ``exit_below``, so
     a violated verdict carries that first witness, certified through
-    :func:`definition_gap`; ``exit_below=-inf`` runs every row out instead."""
+    :func:`definition_gap`; ``exit_below=-inf`` runs every row out instead.
+
+    A point of the simplex is answered without a search: conditional Jensen
+    gives ``H(E[f|X_i]) <= H(f)`` for convex Phi, so ``sum(lambda) <= 1``
+    leaves ``gap >= (1 - sum(lambda)) H(f) >= 0``, and a constant f reaches 0.
+    A sum rounded down by an ulp leaves ``gap >= -2.3e-16 H(f)``, far above
+    ``-_VIOLATION_TOL``.  The proof needs Phi convex, which the class check
+    includes, so a Phi that fails it is searched everywhere.  The random
+    starts are drawn once for all points, so the other points keep theirs."""
     if not phi.is_class_F:
         warnings.warn(
             f"{phi.name} failed the class conditions; tensorization "
@@ -171,8 +189,12 @@ def _search(d, phi, lams, opts, project=None, exit_below=_EXIT_BELOW) -> list[Ri
             PhiNotClassF,
         )
     lams, R = _check_lambda(lams, d.k, ndim=2), opts.restarts
-    if not len(lams):
-        return []
+    inside = (lams.sum(axis=1) <= 1.0) & phi.is_class_F
+    out = [_PROVEN if p else None for p in inside]
+    todo = np.flatnonzero(~inside)
+    if not len(todo):
+        return out
+    lams = lams[todo]
     prob = _FlatProblem(d, phi)
     starts, lo, hi = _seeds(prob, lams, np.random.default_rng(opts.seed), R, project)
     L = np.repeat(lams, R, axis=0)
@@ -180,16 +202,14 @@ def _search(d, phi, lams, opts, project=None, exit_below=_EXIT_BELOW) -> list[Ri
         lambda F, rows: prob.rows(F, L[rows]), starts, lo, hi, opts, project,
         stop_below=exit_below, groups=np.arange(len(L)) // R,
     )
-    out = []
-    for lam, v, E in zip(lams, vals.reshape(-1, R), ends.reshape(len(lams), R, -1)):
+    for i, lam, v, E in zip(todo, lams, vals.reshape(-1, R), ends.reshape(len(lams), R, -1)):
         j = int(np.argmin(v))
+        out[i] = RibbonVerdict("holds_up_to_search", float(v[j]))
         if v[j] < -_VIOLATION_TOL:
             witness = prob.to_joint(E[j])
             certified = definition_gap(d, phi, lam, witness)
             if certified <= -_VIOLATION_TOL:
-                out.append(RibbonVerdict("violated", float(certified), witness))
-                continue
-        out.append(RibbonVerdict("holds_up_to_search", float(v[j])))
+                out[i] = RibbonVerdict("violated", float(certified), witness)
     return out
 
 
@@ -225,16 +245,15 @@ def normalized_phi_ribbon_membership(
 ) -> RibbonVerdict:
     """Same search restricted to f >= 0 with E[f] = 1 (density-like f)."""
     opts = opts or SearchOpts(restarts=64)
-    if phi.domain[0] > 1e-12:
+    if phi.domain[0] > _DENSITY_FLOOR:
         raise BadShape(
             f"{phi.name} does not admit non-negative functions reaching 0"
         )
     top = _box(phi)[1]
     if top <= 1:  # then E f = 1 leaves only constants, or no f at all
         raise BadShape(f"{phi.name} has no non-constant f <= {top!r} with E f = 1")
-    floor = 1e-12  # keep Phi' finite for the descent; 0 itself adds nothing
     p = d.probs.ravel()[d.support_mask.ravel()]
-    return _search(d, phi, [lam], opts, lambda V: _project_density(V, p, floor, top))[0]
+    return _search(d, phi, [lam], opts, lambda V: _project_density(V, p, _DENSITY_FLOOR, top))[0]
 
 
 def i_phi_channel_test(

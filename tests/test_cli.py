@@ -386,6 +386,19 @@ def test_phi_ribbon_check_xor(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["verdict"] == "violated"
     assert obj["gap"] < -1e-6
+    assert obj["proven"] is False
+
+
+def test_phi_ribbon_check_proves_simplex_points(dsbs05, capsys):
+    for flags in ([], ["--normalized"]):
+        code, out = run_cli(
+            capsys, "phi-ribbon", "check", "--dist", dsbs05, "--phi", "xlogx:0,8",
+            "--lambda", "0.5,0.5", *flags,
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert (obj["verdict"], obj["gap"], obj["proven"]) == ("holds_up_to_search", 0.0, True)
+        assert "witness" not in obj
 
 
 def test_phi_ribbon_channel_test(tmp_path, capsys):

@@ -72,6 +72,19 @@ def test_support_mask_tracks_zero_atoms():
     assert d.expectation(f) == pytest.approx(1.5)
 
 
+def test_array_holders_compare_and_hash_by_identity():
+    # a field-wise == would compare arrays, which have no single truth value
+    for make in (
+        lambda: canonical("dsbs", lam=0.5),
+        lambda: JointFunction(np.ones((2, 2))),
+        lambda: MarginalFunction(0, np.ones(2)),
+        lambda: bsc_channel(0, 0.1),
+    ):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+
 def test_marginal_of_dsbs_is_uniform():
     d = canonical("dsbs", lam=0.3)
     assert np.allclose(d.marginal_vector(0), [0.5, 0.5])

@@ -62,6 +62,24 @@ def test_brute_min_objective_boundary_point_near_zero():
     assert abs(gap) <= 1e-3
 
 
+@pytest.mark.parametrize(
+    "name", ["square", "power:1.5", "sym:1.5", "binent", "xlogx", "xlogx:0.05,4"]
+)
+def test_simplex_points_lie_in_every_region(name):
+    # conditional Jensen gives H(E[f|X_i]) <= H(f), so sum(lambda) <= 1 leaves
+    # gap >= (1 - sum(lambda)) H(f) >= 0: the theorem by which the region
+    # searches answer simplex points, checked here by the oracle alone
+    phi, rng = parse_phi(name), np.random.default_rng(31)
+    for sizes, res in (((2, 2), 21), ((2, 3), 9), ((2, 2, 2), 5)):
+        k = len(sizes)
+        d = make_joint(list(sizes), rng.dirichlet(np.ones(math.prod(sizes))))
+        # inside, on the face sum(lambda) = 1, and a vertex
+        lams = [rng.dirichlet(np.ones(k + 1))[:k], rng.dirichlet(np.ones(k)), np.eye(k)[rng.integers(k)]]
+        for lam in lams:
+            gap, _ = brute_min_objective(d, phi, lam, GridSpec(res))
+            assert gap >= -1e-12, (sizes, lam.tolist(), gap)
+
+
 def test_brute_min_objective_deterministic():
     d = canonical("dsbs", lam=0.5)
     a = brute_min_objective(d, square(), [0.9, 0.9], GridSpec(resolution=9))

@@ -27,7 +27,9 @@ from phiribbon.errors import (
 )
 from phiribbon.phi import PhiSpec, binent, cond_phi_entropy, parse_phi, phi_entropy, square, xlogx
 from phiribbon.ribbon_phi import (
+    _DENSITY_FLOOR,
     _VIOLATION_TOL,
+    RibbonVerdict,
     _FlatProblem,
     _project_density,
     _ray_exits,
@@ -148,39 +150,89 @@ def test_stacked_search_equals_per_point_calls():
     # few moves per row, so each search ends near its own random starts
     opts = SearchOpts(restarts=6, max_iters=20, seed=1)
     dsbs = canonical("dsbs", lam=0.5)
-    axis = np.array([0.0, 0.4, 1.0])
+    # (0.4, 0.7) and (0.7, 0.4) lie outside the simplex, where the search runs, and hold
+    axis = np.array([0.0, 0.4, 0.7, 1.0])
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
     copies = canonical("equal_copies", k=2, base=[0.5, 0.5])
     phi_n = xlogx(0.0, 8.0)
     top = phi_n.domain[1] - 1e-9 * (phi_n.domain[1] - phi_n.domain[0])
     p = copies.probs.ravel()[copies.support_mask.ravel()]
     cases = [
-        (dsbs, binent(), grid, None),  # lambda_i = 0 rows included
-        # 12 atoms leave no box corners: the starts include each point's random draws
+        (dsbs, binent(), grid, None),  # simplex rows among searched ones
+        # 12 atoms leave no box corners: the starts include each point's random draws;
+        # (0.5, 0, 1) is a searched lambda_i = 0 row
         (make_joint([2, 2, 3], np.random.default_rng(8).dirichlet(np.ones(12))), binent(),
          [[1, 1, 1], [0.5, 0, 1], [0.2, 0.2, 0.2]], None),
         (make_joint([3, 4], np.outer([0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4]).ravel()), binent(),
-         [[1, 1], [0.5, 0.5]], None),  # independent: every start is a random draw
-        # 12 atoms, two points with a quadratic-case direction and two without:
-        # the points take different numbers of rows from the shared random pool
+         [[1, 1], [0.5, 0.5], [0.7, 0.6]], None),  # independent: every start is a random draw
+        # 12 atoms; of the points outside the simplex, two have a quadratic-case
+        # direction and two have none: the searched points take different
+        # numbers of rows from the shared random pool
         (make_joint([3, 4], np.random.default_rng(3).dirichlet(np.ones(12))), binent(),
-         [[1, 1], [0.2, 0.2], [0.9, 0.6], [0, 1]], None),
+         [[1, 1], [0.2, 0.2], [0.9, 0.6], [0, 1], [0.6, 0.5], [0.8, 0.3]], None),
         (copies, phi_n, [[0.9, 0.9], [0.3, 0.3], [0.0, 0.9]],
-         lambda V: _project_density(V, p, 1e-12, top)),
+         lambda V: _project_density(V, p, _DENSITY_FLOOR, top)),
     ]
-    least = _FlatProblem(cases[3][0], binent()).directions(np.array(cases[3][2], float))[1]
-    assert (least < -PSD_TOL).tolist() == [True, False, True, False]
+    lams = np.array(cases[3][2], float)
+    least = _FlatProblem(cases[3][0], binent()).directions(lams)[1]
+    assert (least < -PSD_TOL).tolist() == [True, False, True, False, False, False]
+    assert (lams.sum(axis=1) > 1).tolist() == [True, False, True, False, True, True]
     seen = set()
     for d, phi, lams, project in cases:
         # the public one-point searches are the one-row case
         single = phi_ribbon_membership if project is None else normalized_phi_ribbon_membership
         for lam, got in zip(lams, _search(d, phi, lams, opts, project)):
             want = single(d, phi, lam, opts)
-            assert got.verdict == want.verdict, (d.alphabet_sizes, lam)
+            assert (got.verdict, got.proven) == (want.verdict, want.proven), (d.alphabet_sizes, lam)
+            assert got.proven == (sum(lam) <= 1)
             assert got.gap == pytest.approx(want.gap, rel=0, abs=1e-12)
-            seen.add(got.verdict)
-    assert seen == {"violated", "holds_up_to_search"}
+            seen.add((got.verdict, got.proven))
+    assert seen == {("violated", False), ("holds_up_to_search", False), ("holds_up_to_search", True)}
     assert _search(dsbs, binent(), np.zeros((0, 2)), opts) == []
+
+
+def test_simplex_points_are_answered_without_a_search(monkeypatch):
+    # sum(lambda) <= 1 lies in every region: no engine call, the exact gap 0
+    calls = []
+    engine = ribbon_phi._pgd
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(ribbon_phi, "_pgd", counting)
+    d, opts = canonical("dsbs", lam=0.5), SearchOpts(restarts=4, max_iters=20)
+    proven = RibbonVerdict("holds_up_to_search", 0.0, None, proven=True)
+    searches = [
+        lambda lam: [phi_ribbon_membership(d, binent(), lam, opts)],
+        lambda lam: [normalized_phi_ribbon_membership(d, xlogx(0.0, 8.0), lam, opts)],
+        lambda lam: list(alpha_equivalent_membership(d, 1.5, lam, opts)),
+    ]
+    for search in searches:
+        for lam in ([0.0, 0.0], [0.3, 0.5], [1.0, 0.0], [0.5, 0.5]):
+            got = search(lam)
+            assert got == [proven] * len(got), lam
+        assert calls == []
+        for lam in ([0.5, 0.5 + 1e-9], [1.0, 1.0]):
+            got = search(lam)
+            assert calls and not any(r.proven for r in got), lam
+            calls.clear()
+    # in a stack, only the rows outside the simplex are searched: one group of
+    # opts.restarts rows per side
+    pairs = alpha_equivalent_membership(d, 1.5, [[0.2, 0.3], [0.6, 0.6], [0.0, 1.0]], opts)
+    assert calls == [opts.restarts, opts.restarts]
+    assert [rp.proven for rp, _ in pairs] == [True, False, True]
+    assert [rs.proven for _, rs in pairs] == [True, False, True]
+
+
+def test_verdicts_with_a_witness_compare_and_hash():
+    d = canonical("xor_triple")
+    res = phi_ribbon_membership(d, binent(), [1.0, 1.0, 1.0], OPTS)
+    assert res.violated and res == res and res in {res}
+    g = gram_matrix(canonical("dsbs", lam=0.5))
+    m = mc_membership(canonical("dsbs", lam=0.5), [1.0, 1.0], g)
+    assert not m.verdict and m.witness is not None
+    assert g == g and g in {g} and m == m and m in {m}
 
 
 def _flat_blocks_reference(prob):
@@ -243,7 +295,7 @@ def test_flat_setup_and_seeds_match_the_references():
         assert np.array_equal(prob.A, _flat_blocks_reference(prob))
         lams = rng.uniform(0.0, 1.0, size=(3, d.k)) * (rng.uniform(size=(3, d.k)) > 0.2)
         top = phi.domain[1] - 1e-9 * (phi.domain[1] - phi.domain[0])
-        project = (lambda V: _project_density(V, prob.p, 1e-12, top)) if name == "xlogx:0,4" else None
+        project = (lambda V: _project_density(V, prob.p, _DENSITY_FLOOR, top)) if name == "xlogx:0,4" else None
         got = _seeds(prob, lams, np.random.default_rng(t), 4, project)
         want = _seeds_reference(prob, lams, np.random.default_rng(t), 4, project)
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), (sizes, t)
@@ -610,7 +662,10 @@ def test_alpha_transport_uses_a_deep_power_witness():
 def test_alpha_equivalent_membership_clear_cases():
     d = canonical("dsbs", lam=0.5)
     inside = alpha_equivalent_membership(d, 1.5, [0.3, 0.3], SearchOpts(restarts=6))
-    assert not inside[0].violated and not inside[1].violated
+    assert inside[0].proven and inside[1].proven
+    # outside the simplex but inside the quadratic region, whose diagonal ends at 2/3
+    searched = alpha_equivalent_membership(d, 1.5, [0.6, 0.6], SearchOpts(restarts=6))
+    assert not any(r.violated or r.proven for r in searched)
     outside = alpha_equivalent_membership(d, 1.5, [1.0, 1.0], SearchOpts(restarts=6))
     assert outside[0].violated and outside[1].violated
 

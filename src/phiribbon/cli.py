@@ -228,12 +228,15 @@ def _ribbon_trace(dist_path, grid_n, kind, out_path):
     _SEED,
 )
 def _phi_ribbon_check(dist_path, phi_name, lam_text, normalized, restarts, seed):
-    """Search for a witness f with a negative gap.  A "violated" verdict
-    reports the gap of the first witness found below the search's exit
-    threshold, re-checked from scratch, not the deepest gap reachable; a
-    "holds_up_to_search" verdict reports the least gap the search reached.
-    "proven" is true where sum(lambda) <= 1: every region contains those
-    points, so no search runs and the gap is its exact least value 0."""
+    """Look for a witness f with a negative gap, in one of three ways.
+    Where sum(lambda) <= 1, "proven" is true: every region contains those
+    points, so no search runs and the gap is its exact least value 0.
+    Where the quadratic test rejects lambda, a sweep along its direction
+    usually certifies "violated" with no search, the gap being its deepest
+    row.  Any point left is searched: "violated" reports the first witness found
+    below its exit threshold, "holds_up_to_search" the least gap reached.
+    A "violated" gap is always its witness's, re-checked from scratch, and
+    not the deepest gap reachable."""
     d = _load_dist(dist_path)
     phi = parse_phi(phi_name)
     lam = _parse_lambda(lam_text, d.k)

@@ -40,6 +40,9 @@ _STALL_RTOL = 1e-10
 # the most restarts a search takes: a search allocates their rows before any
 # other work, where a count numpy cannot allocate would fail as an internal error
 _MAX_RESTARTS = 100_000
+# the sweep amplitudes, as shares of the domain width (b - a): 0.45 halved
+# fifteen times, down to about 1.4e-5; scaling by a power of two is exact
+_AMPLITUDES = 0.45 * 0.5 ** np.arange(16)
 
 
 @dataclass(frozen=True)
@@ -338,9 +341,9 @@ def _ascend(prob: _FlatProblem, W, U, opts: SearchOpts, extra=(), stall_exit=Fal
     0.2 (b - a) along the direction, clipped to the box, then ``opts.restarts
     - 1`` uniform rows of ``default_rng(opts.seed)`` and the rows of ``extra``,
     the same in every group.  Then certify in one ``prob.certified`` call
-    each group's ends and its ``_sweep`` from 0.45 (b - a) down to just above
-    1e-5 (b - a) along its direction and every end, centred twice: the
-    supremum often sits in that small-amplitude limit, a Rayleigh quotient.
+    each group's ends and its ``_sweep`` at the ``_AMPLITUDES`` times (b - a)
+    along its direction and every end, centred twice: the supremum often
+    sits in that small-amplitude limit, a Rayleigh quotient.
     Returns, with a leading axis per group, the stack, its ``sum_i W_i H(E_i
     f)`` and ``H(f)`` (at least ``_VAR_FLOOR``), and which ends converged."""
     G, n = len(W), prob.n
@@ -356,7 +359,7 @@ def _ascend(prob: _FlatProblem, W, U, opts: SearchOpts, extra=(), stall_exit=Fal
                          starts, lo, hi, opts, stall_exit=stall_exit)
     E = ends - (ends @ prob.p)[:, None]
     D = np.concatenate([U[:, None], E.reshape(G, -1, n)], axis=1).reshape(-1, n)
-    sweeps = _sweep(D - (D @ prob.p)[:, None], 0.45 * (b - a) * 0.5 ** np.arange(16), prob.phi)
+    sweeps = _sweep(D - (D @ prob.p)[:, None], (b - a) * _AMPLITUDES, prob.phi)
     F = np.concatenate([ends.reshape(G, -1, n), sweeps.reshape(G, -1, n)], axis=1)
     num, H = prob.certified(F.reshape(-1, n), np.repeat(W, F.shape[1], axis=0))
     return F, num.reshape(G, -1), np.maximum(H, _VAR_FLOOR).reshape(G, -1), conv.reshape(G, -1)

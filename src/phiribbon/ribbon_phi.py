@@ -12,9 +12,11 @@ makes one ``_pgd`` call per law, Phi and stack of points.
 The quadratic case is the second-order term of every Phi: near a constant
 c, ``gap(c + eps u) = Phi''(c)/2 eps^2 u Q u + O(eps^3)``, with ``u Q u`` the
 quadratic gap ``Var u - sum_i lambda_i Var E[u|X_i]``.  So where the
-quadratic test rejects a point, Q's least eigenvector seeds every Phi.
-Semantics are one-sided: a negative gap re-evaluated from scratch is a
-proof of non-membership; failure to find one is only evidence.
+quadratic test rejects a point, a sweep along Q's least eigenvector
+certifies a violation for every Phi before any search, and seeds the
+search of the few points it leaves.  Semantics are one-sided: a negative
+gap re-evaluated from scratch is a proof of non-membership; failure to find
+one is only evidence.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import correlation
-from .correlation import SearchOpts, _ascend, _box, _pgd, _sweep, eta_phi
+from .correlation import _AMPLITUDES, SearchOpts, _ascend, _box, _pgd, _sweep, eta_phi
 from .dist import Channel, JointDist, JointFunction, make_joint, marginal
 from .errors import ArityMismatch, BadParameter, BadShape, PhiNotClassF, ShapeMismatch
 from .phi import PhiSpec, cond_phi_entropies, phi_mutual_information
@@ -63,12 +65,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RibbonVerdict:
-    """A search verdict.  For "violated", ``gap`` is the gap of ``witness``
-    re-checked through :func:`definition_gap`: the first witness the search
-    found below its exit threshold, not the deepest one it could reach.  For
-    "holds_up_to_search", ``gap`` is the least gap the search reached, or,
-    with ``proven`` True, the exact least gap 0.0 of a point of the simplex
-    ``sum(lambda) <= 1``, which every region contains (see ``_search``)."""
+    """A region verdict, reached in one of three ways (see ``_search``).
+    Proven in the simplex ``sum(lambda) <= 1``, which every region contains:
+    "holds_up_to_search" with ``proven`` True and the exact least gap 0.0.
+    Certified from the quadratic case: "violated", ``gap`` the deepest row of
+    the sweep along the quadratic-case direction.  Searched: "violated" with
+    the first witness found below the exit threshold, or "holds_up_to_search"
+    with the least gap reached.  A "violated" ``gap`` is always that of
+    ``witness`` re-checked through :func:`definition_gap`, and not the
+    deepest gap reachable."""
 
     verdict: str  # "holds_up_to_search" | "violated"
     gap: float
@@ -132,17 +137,48 @@ class _FlatProblem(correlation._FlatProblem):
         return JointFunction(vals.reshape(self.d.alphabet_sizes))
 
 
-def _seeds(prob: _FlatProblem, lams: np.ndarray, rng, restarts: int, project=None):
+def _certify(prob: _FlatProblem, lams, u, e, project=None) -> list:
+    """Per lambda row, a "violated" verdict read off the quadratic case, or None.
+
+    Where the quadratic test rejects (``e < -PSD_TOL``), ``gap(c + eps u) =
+    Phi''(c)/2 eps^2 u Q u + O(eps^3)`` is negative for small eps, with u the
+    row's quadratic-case direction.  So the two-sided ``_sweep`` along +-u at
+    the ``_AMPLITUDES`` times (b - a), projected if ``project`` is given, is
+    scored in one ``gap_terms`` call, and each point's deepest row is
+    re-checked through :func:`definition_gap`: a gap at or below
+    ``-_VIOLATION_TOL`` is the verdict, with that row as its witness."""
+    out = [None] * len(lams)
+    rows = np.flatnonzero(e < -PSD_TOL)
+    if not len(rows):
+        return out
+    a, b = prob.phi.domain
+    amps = (b - a) * np.concatenate([_AMPLITUDES, -_AMPLITUDES])
+    F = _sweep(u[rows], amps, prob.phi)
+    if project is not None:
+        F = project(F)
+    G = prob.gap_terms(F).reshape(len(rows), len(amps), -1)
+    gaps = G[:, :, 0] + np.einsum("pjv,pv->pj", G[:, :, 1:], lams[rows])
+    deepest = np.argmin(np.fmin(gaps, np.inf), axis=1)  # NaN reads +inf
+    for i, f in zip(rows, F.reshape(len(rows), len(amps), -1)[np.arange(len(rows)), deepest]):
+        witness = prob.to_joint(f)
+        certified = definition_gap(prob.d, prob.phi, lams[i], witness)
+        if certified <= -_VIOLATION_TOL:
+            out[i] = RibbonVerdict("violated", float(certified), witness)
+    return out
+
+
+def _seeds(prob: _FlatProblem, lams: np.ndarray, rng, restarts: int, project=None, quad=None):
     """``restarts`` start rows per lambda row, point by point, ranked by raw gap:
     a ``_sweep`` along the quadratic-case direction where the quadratic test
     rejects, box corners (n <= 10), then the first of ``restarts`` uniform
     rows drawn once for all points, as a lone search would draw them.  The
-    gap is linear in lambda, so one evaluation of the pool ranks every point."""
+    gap is linear in lambda, so one evaluation of the pool ranks every point.
+    ``quad`` is ``prob.directions(lams)``, if the caller has solved it."""
     a, b = prob.phi.domain
     (lo, hi), c = _box(prob.phi), 0.5 * (a + b)
     eps = np.array([0.45, 0.2, 0.05, 0.01, 1e-3])  # amplitudes along the quadratic-case direction
     P, n, m = len(lams), prob.n, len(eps)
-    u, e = prob.directions(lams)
+    u, e = prob.directions(lams) if quad is None else quad
     rejected = e < -PSD_TOL
     sweeps = _sweep(u, (b - a) * eps, prob.phi)
     bits = np.arange(2**n if n <= 10 else 0)[:, None] >> np.arange(n) & 1
@@ -169,11 +205,16 @@ def _seeds(prob: _FlatProblem, lams: np.ndarray, rng, restarts: int, project=Non
 
 
 def _search(d, phi, lams, opts, project=None, exit_below=_EXIT_BELOW) -> list[RibbonVerdict]:
-    """One verdict per row of ``lams``; the restarts of every point descend
-    as the rows of one ``_pgd`` call, each point's rows a group.  A point's
-    search ends as soon as one of its rows has a gap below ``exit_below``, so
-    a violated verdict carries that first witness, certified through
-    :func:`definition_gap`; ``exit_below=-inf`` runs every row out instead.
+    """One verdict per row of ``lams``, answered in the first of three ways
+    that applies: proven in the simplex, certified from the quadratic case
+    (``_certify``), or searched.  The restarts of every searched point
+    descend as the rows of one ``_pgd`` call, each point's rows a group.  A
+    point's search ends as soon as one of its rows has a gap below
+    ``exit_below``, so a violated verdict carries that first witness,
+    certified through :func:`definition_gap`; ``exit_below=-inf`` runs every
+    row out instead, and skips the certificate, whose witness is only the
+    deepest of its sweep.  The one eigensolve of the quadratic-case
+    directions serves the certificate and the search's seeds.
 
     A point of the simplex is answered without a search: conditional Jensen
     gives ``H(E[f|X_i]) <= H(f)`` for convex Phi, so ``sum(lambda) <= 1``
@@ -196,7 +237,16 @@ def _search(d, phi, lams, opts, project=None, exit_below=_EXIT_BELOW) -> list[Ri
         return out
     lams = lams[todo]
     prob = _FlatProblem(d, phi)
-    starts, lo, hi = _seeds(prob, lams, np.random.default_rng(opts.seed), R, project)
+    u, e = prob.directions(lams)
+    if exit_below > -np.inf:  # a run without the early exit wants its deepest witness
+        verdicts = _certify(prob, lams, u, e, project)
+        for i, v in zip(todo, verdicts):
+            out[i] = v
+        left = np.array([v is None for v in verdicts])
+        if not left.any():
+            return out
+        todo, lams, u, e = todo[left], lams[left], u[left], e[left]
+    starts, lo, hi = _seeds(prob, lams, np.random.default_rng(opts.seed), R, project, (u, e))
     L = np.repeat(lams, R, axis=0)
     vals, ends, _ = _pgd(
         lambda F, rows: prob.rows(F, L[rows]), starts, lo, hi, opts, project,
@@ -216,7 +266,9 @@ def _search(d, phi, lams, opts, project=None, exit_below=_EXIT_BELOW) -> list[Ri
 def phi_ribbon_membership(
     d: JointDist, phi: PhiSpec, lam, opts: SearchOpts | None = None
 ) -> RibbonVerdict:
-    """Probe ``H_phi(f) >= sum lambda_i H_phi(E[f|X_i])`` over box-valued f."""
+    """Probe ``H_phi(f) >= sum lambda_i H_phi(E[f|X_i])`` over box-valued f:
+    proven where ``sum(lambda) <= 1``, certified along the quadratic-case
+    direction where the quadratic test rejects, else searched."""
     opts = opts or SearchOpts(restarts=64)
     return _search(d, phi, [lam], opts)[0]
 

@@ -213,16 +213,116 @@ def test_simplex_points_are_answered_without_a_search(monkeypatch):
             got = search(lam)
             assert got == [proven] * len(got), lam
         assert calls == []
-        for lam in ([0.5, 0.5 + 1e-9], [1.0, 1.0]):
-            got = search(lam)
-            assert calls and not any(r.proven for r in got), lam
-            calls.clear()
+        # the quadratic test rejects (1, 1): its sweep certifies, with no engine call
+        got = search([1.0, 1.0])
+        assert calls == [] and all(r.violated for r in got)
+        # just outside the simplex, where the quadratic test accepts: searched
+        got = search([0.5, 0.5 + 1e-9])
+        assert calls and not any(r.proven or r.violated for r in got)
+        calls.clear()
     # in a stack, only the rows outside the simplex are searched: one group of
     # opts.restarts rows per side
     pairs = alpha_equivalent_membership(d, 1.5, [[0.2, 0.3], [0.6, 0.6], [0.0, 1.0]], opts)
     assert calls == [opts.restarts, opts.restarts]
     assert [rp.proven for rp, _ in pairs] == [True, False, True]
     assert [rs.proven for _, rs in pairs] == [True, False, True]
+
+
+@pytest.fixture
+def pgd_rows(monkeypatch):
+    """The start rows of every ``_pgd`` call the region searches make."""
+    calls = []
+    engine = ribbon_phi._pgd
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(ribbon_phi, "_pgd", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name", ["square", "power:1.5", "sym:1.5", "binent", "xlogx", "xlogx:0.05,4"]
+)
+def test_quadratic_rejected_points_are_certified_without_a_search(name, pgd_rows):
+    # gap(c + eps u) = Phi''(c)/2 eps^2 u Q u + O(eps^3): where the quadratic
+    # test rejects, the sweep along its direction proves the violation
+    phi, rng, opts = parse_phi(name), np.random.default_rng(26), SearchOpts(restarts=4, max_iters=50)
+    rejected = 0
+    for sizes in ((2, 2), (2, 3), (2, 2, 2), (3, 3)):
+        for _ in range(3):
+            d = make_joint(list(sizes), rng.dirichlet(np.ones(math.prod(sizes))))
+            lams = rng.uniform(0.5, 1.0, size=(8, len(sizes)))
+            lams = lams[_FlatProblem(d, phi).directions(lams)[1] < -PSD_TOL]
+            rejected += len(lams)
+            for lam, got in zip(lams, _search(d, phi, lams, opts)):
+                assert got.violated, (sizes, lam.tolist())
+                assert got.gap == definition_gap(d, phi, lam, got.witness) <= -_VIOLATION_TOL
+    assert rejected >= 60 and pgd_rows == []
+    # without the early exit a search wants its deepest witness, so it runs
+    d = canonical("dsbs", lam=0.5)
+    assert _search(d, phi, [[1.0, 1.0]], opts, exit_below=-np.inf)[0].violated
+    assert pgd_rows == [opts.restarts]
+
+
+def test_a_mixed_stack_searches_only_its_quadratic_accepted_points(pgd_rows):
+    d, phi, opts = canonical("dsbs", lam=0.5), binent(), SearchOpts(restarts=6, max_iters=30, seed=2)
+    # in the simplex, rejected, accepted, rejected, accepted, in the simplex
+    lams = np.array([[0.3, 0.3], [1.0, 1.0], [0.6, 0.6], [0.9, 0.7], [0.3, 0.9], [1.0, 0.0]])
+    least = _FlatProblem(d, phi).directions(lams)[1]
+    assert (least < -PSD_TOL).tolist() == [False, True, False, True, False, False]
+    got = _search(d, phi, lams, opts)
+    assert [(r.verdict, r.proven) for r in got] == [
+        ("holds_up_to_search", True), ("violated", False), ("holds_up_to_search", False),
+        ("violated", False), ("holds_up_to_search", False), ("holds_up_to_search", True),
+    ]
+    assert pgd_rows == [2 * opts.restarts]
+    pgd_rows.clear()
+    for lam, r in zip(lams, got):
+        alone = phi_ribbon_membership(d, phi, lam, opts)
+        assert (alone.verdict, alone.proven) == (r.verdict, r.proven)
+        assert alone.gap == pytest.approx(r.gap, rel=0, abs=1e-12)
+    assert pgd_rows == [opts.restarts, opts.restarts]
+
+
+def test_normalized_certificate_is_a_density(pgd_rows):
+    # the sweep is projected before it is scored, so its witness has E f = 1
+    rng, phi = np.random.default_rng(11), xlogx(0.0, 8.0)
+    opts = SearchOpts(restarts=4, max_iters=50)
+    for sizes in ((2, 2), (2, 3), (3, 3)):
+        d = make_joint(list(sizes), rng.dirichlet(np.ones(math.prod(sizes))))
+        lam = np.ones(len(sizes))
+        assert _FlatProblem(d, phi).directions(lam[None])[1][0] < -PSD_TOL
+        got = normalized_phi_ribbon_membership(d, phi, lam, opts)
+        assert got.violated
+        f = got.witness.values[d.support_mask]
+        assert d.probs[d.support_mask] @ f == pytest.approx(1.0, rel=0, abs=1e-14)
+        assert f.min() >= _DENSITY_FLOOR
+    assert pgd_rows == []
+
+
+def test_normalized_search_finds_a_near_boundary_violation():
+    # query 1455 of the seed-18 phi_region benchmark stream: the quadratic test
+    # rejects by -3.2e-4, and a search from the one-sided seeds answered "holds"
+    d = make_joint([2, 2], [0.016912922838771882, 0.4852311826100754,
+                            0.1208143516986473, 0.37704154285250546])
+    lam = [0.40754259208337, 0.940851698336447]
+    got = normalized_phi_ribbon_membership(d, parse_phi("xlogx:0,4"), lam,
+                                           SearchOpts(4, 50, seed=1369976677))
+    assert got.violated and got.gap <= -1e-3
+    assert definition_gap(d, parse_phi("xlogx:0,4"), lam, got.witness) == got.gap
+
+
+def test_alpha_pair_finds_a_near_boundary_violation():
+    # query 263 of the seed-20 phi_region benchmark stream: the quadratic test
+    # rejects by -6.1e-6; the power side's sweep certifies on its -u side, and
+    # the symmetric side is proven by the deep power witness's transport
+    d = make_joint([2, 2], [0.4149614974399348, 0.02194138729507919,
+                            0.07368001457840562, 0.4894171006865803])
+    lam = [0.5445651164638496, 0.5588109941484987]
+    rp, rs = alpha_equivalent_membership(d, 1.5, lam, SearchOpts(4, 50, seed=1395573651))
+    assert rp.violated and rs.violated
 
 
 def test_verdicts_with_a_witness_compare_and_hash():

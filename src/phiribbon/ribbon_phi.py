@@ -13,10 +13,10 @@ The quadratic case is the second-order term of every Phi: near a constant
 c, ``gap(c + eps u) = Phi''(c)/2 eps^2 u Q u + O(eps^3)``, with ``u Q u`` the
 quadratic gap ``Var u - sum_i lambda_i Var E[u|X_i]``.  So where the
 quadratic test rejects a point, a sweep along Q's least eigenvector
-certifies a violation for every Phi before any search, and seeds the
-search of the few points it leaves.  Semantics are one-sided: a negative
-gap re-evaluated from scratch is a proof of non-membership; failure to find
-one is only evidence.
+certifies a violation for every Phi before any search; only the few points
+it leaves are searched.  Semantics are one-sided: a negative gap
+re-evaluated from scratch (``_violation``) is a proof of non-membership;
+failure to find one is only evidence.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import ArityMismatch, BadParameter, BadShape, PhiNotClassF, ShapeMi
 from .phi import PhiSpec, cond_phi_entropies, phi_mutual_information
 from .ribbon_mc import PSD_TOL, _check_lambda, _rays
 
-_VIOLATION_TOL = 1e-9  # a certified gap must be below -this to prove a violation, not noise
+_VIOLATION_TOL = 1e-9  # a certified gap at or below -this proves a violation, not noise
 # a search row whose gap falls below this ends its point's search at once: ten
 # times the certification margin, so the first such witness still clears
 # -_VIOLATION_TOL when definition_gap re-evaluates it in another summation order
@@ -105,6 +105,15 @@ def definition_gap(d: JointDist, phi: PhiSpec, lam, f: JointFunction) -> float:
     return g
 
 
+def _violation(
+    d: JointDist, phi: PhiSpec, lam, f: JointFunction, tol: float = _VIOLATION_TOL
+) -> RibbonVerdict | None:
+    """f re-checked through :func:`definition_gap`: "violated" with f as its
+    witness where the gap is at or below ``-tol``, else None."""
+    gap = definition_gap(d, phi, lam, f)
+    return RibbonVerdict("violated", float(gap), f) if gap <= -tol else None
+
+
 class _FlatProblem(correlation._FlatProblem):
     """Row-stacked gap evaluation over function values on the support of a
     law, with a lambda point per row: the atoms are the support's, and the
@@ -137,17 +146,18 @@ class _FlatProblem(correlation._FlatProblem):
         return JointFunction(vals.reshape(self.d.alphabet_sizes))
 
 
-def _certify(prob: _FlatProblem, lams, u, e, project=None) -> list:
+def _certify(prob: _FlatProblem, lams, project=None) -> list:
     """Per lambda row, a "violated" verdict read off the quadratic case, or None.
 
-    Where the quadratic test rejects (``e < -PSD_TOL``), ``gap(c + eps u) =
-    Phi''(c)/2 eps^2 u Q u + O(eps^3)`` is negative for small eps, with u the
-    row's quadratic-case direction.  So the two-sided ``_sweep`` along +-u at
-    the ``_AMPLITUDES`` times (b - a), projected if ``project`` is given, is
-    scored in one ``gap_terms`` call, and each point's deepest row is
-    re-checked through :func:`definition_gap`: a gap at or below
-    ``-_VIOLATION_TOL`` is the verdict, with that row as its witness."""
+    Where the quadratic test rejects (``e < -PSD_TOL``, from one stacked
+    ``prob.directions`` solve), ``gap(c + eps u) = Phi''(c)/2 eps^2 u Q u +
+    O(eps^3)`` is negative for small eps, with u the row's quadratic-case
+    direction.  So the two-sided ``_sweep`` along +-u at the ``_AMPLITUDES``
+    times (b - a), projected if ``project`` is given, is scored in one
+    ``gap_terms`` call, and each point's deepest row is re-checked by
+    ``_violation``, which gives the verdict."""
     out = [None] * len(lams)
+    u, e = prob.directions(lams)
     rows = np.flatnonzero(e < -PSD_TOL)
     if not len(rows):
         return out
@@ -160,48 +170,29 @@ def _certify(prob: _FlatProblem, lams, u, e, project=None) -> list:
     gaps = G[:, :, 0] + np.einsum("pjv,pv->pj", G[:, :, 1:], lams[rows])
     deepest = np.argmin(np.fmin(gaps, np.inf), axis=1)  # NaN reads +inf
     for i, f in zip(rows, F.reshape(len(rows), len(amps), -1)[np.arange(len(rows)), deepest]):
-        witness = prob.to_joint(f)
-        certified = definition_gap(prob.d, prob.phi, lams[i], witness)
-        if certified <= -_VIOLATION_TOL:
-            out[i] = RibbonVerdict("violated", float(certified), witness)
+        out[i] = _violation(prob.d, prob.phi, lams[i], prob.to_joint(f))
     return out
 
 
-def _seeds(prob: _FlatProblem, lams: np.ndarray, rng, restarts: int, project=None, quad=None):
-    """``restarts`` start rows per lambda row, point by point, ranked by raw gap:
-    a ``_sweep`` along the quadratic-case direction where the quadratic test
-    rejects, box corners (n <= 10), then the first of ``restarts`` uniform
-    rows drawn once for all points, as a lone search would draw them.  The
-    gap is linear in lambda, so one evaluation of the pool ranks every point.
-    ``quad`` is ``prob.directions(lams)``, if the caller has solved it."""
+def _seeds(prob: _FlatProblem, lams: np.ndarray, rng, restarts: int, project=None):
+    """``restarts`` start rows per lambda row, point by point, ranked by raw gap
+    from one shared pool: the box corners at two sizes (n <= 10), then as
+    many uniform rows as fill it to ``restarts``, drawn once for all points,
+    as a lone search would draw them.  The gap is linear in lambda, so one
+    evaluation of the pool ranks every point."""
     a, b = prob.phi.domain
-    (lo, hi), c = _box(prob.phi), 0.5 * (a + b)
-    eps = np.array([0.45, 0.2, 0.05, 0.01, 1e-3])  # amplitudes along the quadratic-case direction
-    P, n, m = len(lams), prob.n, len(eps)
-    u, e = prob.directions(lams) if quad is None else quad
-    rejected = e < -PSD_TOL
-    sweeps = _sweep(u, (b - a) * eps, prob.phi)
+    (lo, hi), c, n = _box(prob.phi), 0.5 * (a + b), prob.n
     bits = np.arange(2**n if n <= 10 else 0)[:, None] >> np.arange(n) & 1
     # every corner of the box, at two sizes
     corners = c + (b - a) * (np.array([[0.5], [0.2]]) * (2.0 * bits - 1)[:, None]).reshape(-1, n)
-    C = len(corners)
-    pool = np.vstack([sweeps, corners, rng.uniform(lo, hi, size=(restarts, n))])
-    pool = np.clip(pool, lo, hi)
+    randoms = rng.uniform(lo, hi, size=(max(restarts - len(corners), 0), n))
+    pool = np.clip(np.vstack([corners, randoms]), lo, hi)
     if project is not None:
         pool = project(pool)
-    # gap(f, lambda) = G @ [1, lambda]: each sweep at its own point, the shared rows at all
-    G, L1 = prob.gap_terms(pool), np.ones((P, 1 + lams.shape[1]))
-    L1[:, 1:] = lams
-    gaps = np.empty((P, m + C + restarts))
-    gaps[:, :m] = np.einsum("pjv,pv->pj", G[: m * P].reshape(P, m, -1), L1)
-    gaps[:, m:] = L1 @ G[m * P :].T
-    fill = restarts - m * rejected - C  # the random rows each point takes
-    valid = np.ones(gaps.shape, dtype=bool)
-    valid[:, :m] = rejected[:, None]
-    valid[:, m + C :] = np.arange(restarts) < fill[:, None]
-    best = np.lexsort((gaps, ~valid))[:, :restarts]  # valid rows first, by gap, NaN last
-    rows = np.where(best < m, m * np.arange(P)[:, None] + best, m * (P - 1) + best)  # into pool
-    return pool[rows.ravel()], lo, hi
+    # gap(f, lambda) = G @ [1, lambda]
+    gaps = np.column_stack([np.ones(len(lams)), lams]) @ prob.gap_terms(pool).T
+    best = np.argsort(gaps, axis=1, kind="stable")[:, :restarts]  # NaN last
+    return pool[best.ravel()], lo, hi
 
 
 def _search(d, phi, lams, opts, project=None, exit_below=_EXIT_BELOW) -> list[RibbonVerdict]:
@@ -211,10 +202,9 @@ def _search(d, phi, lams, opts, project=None, exit_below=_EXIT_BELOW) -> list[Ri
     descend as the rows of one ``_pgd`` call, each point's rows a group.  A
     point's search ends as soon as one of its rows has a gap below
     ``exit_below``, so a violated verdict carries that first witness,
-    certified through :func:`definition_gap`; ``exit_below=-inf`` runs every
-    row out instead, and skips the certificate, whose witness is only the
-    deepest of its sweep.  The one eigensolve of the quadratic-case
-    directions serves the certificate and the search's seeds.
+    certified by ``_violation``; ``exit_below=-inf`` runs every row out
+    instead, and skips the certificate, whose witness is only the deepest of
+    its sweep, and with it the quadratic-case eigensolve.
 
     A point of the simplex is answered without a search: conditional Jensen
     gives ``H(E[f|X_i]) <= H(f)`` for convex Phi, so ``sum(lambda) <= 1``
@@ -237,16 +227,15 @@ def _search(d, phi, lams, opts, project=None, exit_below=_EXIT_BELOW) -> list[Ri
         return out
     lams = lams[todo]
     prob = _FlatProblem(d, phi)
-    u, e = prob.directions(lams)
     if exit_below > -np.inf:  # a run without the early exit wants its deepest witness
-        verdicts = _certify(prob, lams, u, e, project)
+        verdicts = _certify(prob, lams, project)
         for i, v in zip(todo, verdicts):
             out[i] = v
         left = np.array([v is None for v in verdicts])
         if not left.any():
             return out
-        todo, lams, u, e = todo[left], lams[left], u[left], e[left]
-    starts, lo, hi = _seeds(prob, lams, np.random.default_rng(opts.seed), R, project, (u, e))
+        todo, lams = todo[left], lams[left]
+    starts, lo, hi = _seeds(prob, lams, np.random.default_rng(opts.seed), R, project)
     L = np.repeat(lams, R, axis=0)
     vals, ends, _ = _pgd(
         lambda F, rows: prob.rows(F, L[rows]), starts, lo, hi, opts, project,
@@ -254,12 +243,8 @@ def _search(d, phi, lams, opts, project=None, exit_below=_EXIT_BELOW) -> list[Ri
     )
     for i, lam, v, E in zip(todo, lams, vals.reshape(-1, R), ends.reshape(len(lams), R, -1)):
         j = int(np.argmin(v))
-        out[i] = RibbonVerdict("holds_up_to_search", float(v[j]))
-        if v[j] < -_VIOLATION_TOL:
-            witness = prob.to_joint(E[j])
-            certified = definition_gap(d, phi, lam, witness)
-            if certified <= -_VIOLATION_TOL:
-                out[i] = RibbonVerdict("violated", float(certified), witness)
+        found = v[j] < -_VIOLATION_TOL and _violation(d, phi, lam, prob.to_joint(E[j]))
+        out[i] = found or RibbonVerdict("holds_up_to_search", float(v[j]))
     return out
 
 
@@ -349,7 +334,7 @@ def _ray_exits(d: JointDist, phi: PhiSpec, v: np.ndarray, opts: SearchOpts, extr
     T = (H + 2 * _VIOLATION_TOL) / np.maximum(num, 1e-300)  # gap -2 tol at T u
     j = np.arange(len(v)), T.argmin(axis=1)
     f = [prob.to_joint(x) for x in F[j]]
-    t = [s if s * u.max() <= 1 and definition_gap(d, phi, s * u, g) <= -_VIOLATION_TOL else np.inf
+    t = [s if s * u.max() <= 1 and _violation(d, phi, s * u, g) else np.inf
          for s, u, g in zip(T[j], v, f)]
     return (num / H).max(axis=1), np.array(t), f, np.where(e < -PSD_TOL, 1 / (1 - e), 1.0)
 
@@ -393,10 +378,9 @@ def ribbon_boundary_trace(
 
 
 def _transported(d: JointDist, phi: PhiSpec, lam, cands, tol: float) -> RibbonVerdict | None:
-    """The candidate with the lowest certified gap, as a violation if below ``-tol``."""
-    gaps = [definition_gap(d, phi, lam, JointFunction(c)) for c in cands]
-    j = int(np.argmin(np.nan_to_num(gaps, nan=np.inf)))
-    return RibbonVerdict("violated", gaps[j], JointFunction(cands[j])) if gaps[j] < -tol else None
+    """The candidate with the lowest certified gap, as a violation if at or below ``-tol``."""
+    found = [v for c in cands if (v := _violation(d, phi, lam, JointFunction(c), tol))]
+    return min(found, key=lambda v: v.gap, default=None)
 
 
 def alpha_equivalent_membership(d: JointDist, alpha: float, lam, opts: SearchOpts | None = None):

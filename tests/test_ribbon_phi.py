@@ -166,8 +166,8 @@ def test_stacked_search_equals_per_point_calls():
         (make_joint([3, 4], np.outer([0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4]).ravel()), binent(),
          [[1, 1], [0.5, 0.5], [0.7, 0.6]], None),  # independent: every start is a random draw
         # 12 atoms; of the points outside the simplex, two have a quadratic-case
-        # direction and two have none: the searched points take different
-        # numbers of rows from the shared random pool
+        # direction, which the certificate answers, and two have none, which
+        # are searched from the shared random pool
         (make_joint([3, 4], np.random.default_rng(3).dirichlet(np.ones(12))), binent(),
          [[1, 1], [0.2, 0.2], [0.9, 0.6], [0, 1], [0.6, 0.5], [0.8, 0.3]], None),
         (copies, phi_n, [[0.9, 0.9], [0.3, 0.3], [0.0, 0.9]],
@@ -286,6 +286,35 @@ def test_a_mixed_stack_searches_only_its_quadratic_accepted_points(pgd_rows):
     assert pgd_rows == [opts.restarts, opts.restarts]
 
 
+def test_only_the_certificate_solves_for_the_quadratic_case_direction(monkeypatch, pgd_rows):
+    # one stacked eigensolve per search with the early exit; the deep re-search,
+    # which skips the certificate, and the search's starts make none
+    calls = []
+    solve = _FlatProblem.directions
+
+    def counting(self, L):
+        calls.append(len(L))
+        return solve(self, L)
+
+    monkeypatch.setattr(_FlatProblem, "directions", counting)
+    d, phi, opts = canonical("dsbs", lam=0.5), binent(), SearchOpts(restarts=6, max_iters=30, seed=2)
+    # in the simplex, rejected, accepted, rejected, accepted
+    lams = np.array([[0.3, 0.3], [1.0, 1.0], [0.6, 0.6], [0.9, 0.7], [0.3, 0.9]])
+    assert [r.violated for r in _search(d, phi, lams, opts)] == [False, True, False, True, False]
+    assert calls == [4] and pgd_rows == [2 * opts.restarts]
+    calls.clear()
+    assert [r.violated for r in _search(d, phi, lams, opts, exit_below=-np.inf)][1::2] == [True, True]
+    assert calls == [] and pgd_rows[1:] == [4 * opts.restarts]
+
+    def refuse(self, L):
+        raise AssertionError("the starts solved for a quadratic-case direction")
+
+    monkeypatch.setattr(_FlatProblem, "directions", refuse)
+    prob = _FlatProblem(d, phi)
+    starts, _, _ = _seeds(prob, lams[1:], np.random.default_rng(2), opts.restarts)
+    assert starts.shape == (4 * opts.restarts, prob.n)
+
+
 def test_normalized_certificate_is_a_density(pgd_rows):
     # the sweep is projected before it is scored, so its witness has E f = 1
     rng, phi = np.random.default_rng(11), xlogx(0.0, 8.0)
@@ -353,27 +382,18 @@ def _seeds_reference(prob, lams, rng, restarts, project=None):
     reference of the preallocated version."""
     a, b = prob.phi.domain
     lo, hi, c = a + 1e-9 * (b - a), b - 1e-9 * (b - a), 0.5 * (a + b)
-    eps = np.array([0.45, 0.2, 0.05, 0.01, 1e-3])
-    P, n, m = len(lams), prob.n, len(eps)
-    u, least = prob.directions(lams)
-    rejected = least < -PSD_TOL
-    sweeps = c + (b - a) * eps[:, None] * (u / np.max(np.abs(u), axis=1, keepdims=True))[:, None]
+    P, n = len(lams), prob.n
     bits = np.arange(2**n if n <= 10 else 0)[:, None] >> np.arange(n) & 1
     signs = np.repeat(2.0 * bits - 1, 2, axis=0)
     corners = c + (b - a) * np.tile([0.5, 0.2], len(bits))[:, None] * signs
-    pool = np.clip(np.vstack([sweeps.reshape(-1, n), corners]), lo, hi)
-    pool = np.vstack([pool, rng.uniform(lo, hi, size=(restarts, n))])
+    pool = np.vstack([np.clip(corners, lo, hi), rng.uniform(lo, hi, size=(restarts, n))])
     if project is not None:
         pool = project(pool)
-    G, L1 = prob.gap_terms(pool), np.column_stack([np.ones(P), lams])
-    own = np.einsum("pjv,pv->pj", G[: m * P].reshape(P, m, -1), L1)
-    gaps = np.hstack([own, L1 @ G[m * P :].T])
-    fill = restarts - m * rejected - len(corners)
-    valid = np.hstack([np.repeat(rejected[:, None], m, axis=1), np.ones((P, len(corners)), bool),
-                       np.arange(restarts) < fill[:, None]])
-    best = np.lexsort((gaps, ~valid))[:, :restarts]
-    rows = np.where(best < m, m * np.arange(P)[:, None] + best, m * (P - 1) + best)
-    return pool[rows.ravel()], lo, hi
+    gaps = np.column_stack([np.ones(P), lams]) @ prob.gap_terms(pool).T
+    # the corners, then the random rows that fill the pool to restarts
+    valid = np.hstack([np.ones(len(corners), bool), np.arange(restarts) < restarts - len(corners)])
+    best = np.lexsort((gaps, np.broadcast_to(~valid, gaps.shape)))[:, :restarts]
+    return pool[best.ravel()], lo, hi
 
 
 def test_flat_setup_and_seeds_match_the_references():

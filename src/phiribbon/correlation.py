@@ -144,25 +144,29 @@ class _FlatProblem:
     probabilities p, each averaging map given by its joint masses ``M[a, c] =
     P(atom a, cell c)``.  Phi and Phi' are evaluated once per call, on ``X = F
     @ A = [f, E f, E_0 f, ...]``; w holds each column's cell probability and T
-    the tables ``M / p`` (E f's all ones), so ``A[a, n + c] w[n + c] = p[a] T[c, a]``."""
+    the tables ``M / p`` (E f's all ones), so ``A[a, n + c] w[n + c] = p[a] T[c, a]``.
+    Row 0 of ``coefs`` is V0 and the rest are V: each column's coefficient in
+    the gap is ``V0 + lambda @ V``, 1 on f, ``sum(lambda) - 1`` on E f and
+    ``-lambda_i`` on ``E_i f``."""
 
     def __init__(self, p: np.ndarray, maps: list[np.ndarray], phi: PhiSpec):
-        self.p, self.phi, self.n = p, phi, len(p)
-        self.maps = [(M, M.sum(axis=0)) for M in maps]  # with each map's cell masses
+        n = len(p)
+        self.p, self.phi, self.n, self.maps = p, phi, n, maps
         tables = [M / p[:, None] for M in maps]
-        # owner marks the columns of f (-2), of E f (-1) and of E_i f (i)
-        blocks, owner = [np.eye(self.n), p[:, None]], [-2] * self.n + [-1]
-        for i, t in enumerate(tables):
-            blocks.append(t * p[:, None] / (p @ t))  # F @ block = E_i f
-            owner += [i] * t.shape[1]
-        self.A = np.hstack(blocks)
-        self.T = np.hstack([np.ones((self.n, 1)), *tables]).T
+        T = np.concatenate([np.ones((n, 1)), *tables], axis=1)
+        self.T = T.T
+        # F @ A = [f, E f, E_0 f, ...]: the identity, then each column's cell average
+        masses = np.concatenate([[1.0], *(p @ t for t in tables)])
+        self.A = np.concatenate([np.eye(n), T * p[:, None] / masses], axis=1)
         self.w = np.concatenate([p, self.T @ p])
-        owner = np.array(owner)
-        # each column's coefficient in the gap is V0 + lambda @ V: 1 on f,
-        # sum(lambda) - 1 on E f, and -lambda_i on E_i f
-        self.V0 = 1.0 * (owner == -2) - (owner == -1)
-        self.V = 1.0 * (owner == -1) - (owner == np.arange(len(tables))[:, None])
+        self.coefs = np.zeros((1 + len(maps), len(self.w)))
+        self.coefs[0, :n] = 1.0
+        self.coefs[:, n] = [-1.0] + [1.0] * len(maps)
+        end = n + 1
+        for row, t in zip(self.coefs[1:], tables):
+            row[end : end + t.shape[1]] = -1.0
+            end += t.shape[1]
+        self.V0, self.V = self.coefs[0], self.coefs[1:]
 
     def rows(self, F: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gap ``H(f) - sum_i lambda_i H(E_i f)`` and its gradient, per row
@@ -175,7 +179,7 @@ class _FlatProblem:
 
     def gap_terms(self, F: np.ndarray) -> np.ndarray:
         """Per row of F, the terms G of its gap: ``gap(f, lambda) = G @ [1, lambda]``."""
-        return (self.phi.safe_eval(F @ self.A) * self.w) @ np.vstack([self.V0, self.V]).T
+        return (self.phi.safe_eval(F @ self.A) * self.w) @ self.coefs.T
 
     def ratio(self, F: np.ndarray, C: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
         """``sum_i W_i H(E_i f) / H(f)`` and its gradient per row of F, the map
@@ -204,7 +208,10 @@ class _FlatProblem:
         """``sum_i W_i H(E_i f)`` and ``H(f)`` per row of F, the map weights in
         that row of W, re-evaluated through the entropy module; ``E_i f`` sums
         over atoms in order, as ``dist.cond_expectation`` does."""
-        H = [_entropy_rows(self.phi, c, (M * F[:, :, None]).sum(axis=1) / c) for M, c in self.maps]
+        H = []
+        for M in self.maps:
+            c = M.sum(axis=0)  # each cell's mass
+            H.append(_entropy_rows(self.phi, c, (M * F[:, :, None]).sum(axis=1) / c))
         return (W * np.column_stack(H)).sum(axis=1), _entropy_rows(self.phi, self.p, F)
 
 
@@ -330,7 +337,7 @@ def _sweep(U, amps, phi) -> np.ndarray:
     direction: the small-amplitude regime, where every Phi's ratio and gap
     reduce to the ``Phi = t^2`` case."""
     a, b = phi.domain
-    U = U / np.maximum(np.max(np.abs(U), axis=1), 1e-300)[:, None]
+    U = U / np.maximum(np.abs(U).max(axis=1), 1e-300)[:, None]
     F = 0.5 * (a + b) + amps[None, :, None] * U[:, None, :]
     return np.clip(F, *_box(phi)).reshape(-1, U.shape[1])
 

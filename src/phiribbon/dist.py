@@ -37,6 +37,15 @@ _NORM_TOL = 1e-9
 _INDEPENDENCE_TOL = 1e-10
 
 
+def _coordinate(c, k: int) -> int:
+    """``c`` as a coordinate of a law with ``k`` of them: a Python or NumPy
+    integer in 0..k-1, else ``BadCoordinate`` (a bool, float or string names
+    no coordinate)."""
+    if not ((type(c) is int or isinstance(c, np.integer)) and 0 <= c < k):
+        raise BadCoordinate(f"coordinate {c!r} is not an integer in 0..{k - 1}")
+    return int(c)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     a.setflags(write=False)
@@ -67,8 +76,7 @@ class JointDist:
 
     def marginal_vector(self, coord: int) -> np.ndarray:
         """1-D marginal ``p(x_coord)``."""
-        if not 0 <= coord < self.k:
-            raise BadCoordinate(f"coordinate {coord} out of range for k={self.k}")
+        coord = _coordinate(coord, self.k)
         axes = tuple(a for a in range(self.k) if a != coord)
         return self.probs.sum(axis=axes) if axes else self.probs
 
@@ -115,8 +123,7 @@ class MarginalFunction:
 
     def lift(self, d: JointDist) -> JointFunction:
         """View this function as a function of the full joint outcome."""
-        if not 0 <= self.coord < d.k:
-            raise BadCoordinate(f"coordinate {self.coord} out of range for k={d.k}")
+        _coordinate(self.coord, d.k)
         shape = [1] * d.k
         shape[self.coord] = d.alphabet_sizes[self.coord]
         if self.values.shape != (shape[self.coord],):
@@ -170,11 +177,12 @@ def make_joint(sizes: Sequence[int], probs: Sequence[float]) -> JointDist:
 
 def marginal(d: JointDist, coords: Sequence[int]) -> JointDist:
     """Marginal distribution of the given (sorted, distinct) coordinates."""
-    coords = list(coords)
+    try:
+        coords = [_coordinate(c, d.k) for c in coords]
+    except TypeError:  # not iterable
+        raise BadCoordinate(f"coords must be a sequence of integers, got {coords!r}") from None
     if not coords or coords != sorted(set(coords)):
         raise BadCoordinate("coords must be non-empty, sorted and distinct")
-    if coords[0] < 0 or coords[-1] >= d.k:
-        raise BadCoordinate(f"coords {coords} out of range for k={d.k}")
     drop = tuple(a for a in range(d.k) if a not in coords)
     return JointDist(d.probs.sum(axis=drop) if drop else d.probs.copy())
 
@@ -186,8 +194,7 @@ def cond_expectation(d: JointDist, f: JointFunction, coord: int) -> MarginalFunc
     """
     if f.values.shape != d.probs.shape:
         raise ShapeMismatch("function shape does not match distribution")
-    if not 0 <= coord < d.k:
-        raise BadCoordinate(f"coordinate {coord} out of range")
+    coord = _coordinate(coord, d.k)
     axes = tuple(a for a in range(d.k) if a != coord)
     weighted = np.where(d.support_mask, d.probs * f.values, 0.0)
     num = weighted.sum(axis=axes) if axes else weighted

@@ -8,6 +8,7 @@ forms and 5-point finite differences otherwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import JointDist, JointFunction, MarginalFunction
+from .dist import JointDist, JointFunction, MarginalFunction, _coordinate
 from .errors import BadCoordinate, BadParameter, DomainViolation, NotIndependent, ShapeMismatch
 
 _CLAMP = 1e-12
@@ -91,10 +92,9 @@ class PhiSpec:
     def check_in_domain(self, values: np.ndarray, mask: np.ndarray | None = None):
         a, b = self.domain
         v = np.asarray(values, dtype=float)
-        ok = (v >= a) & (v <= b)
-        if mask is not None:
-            ok = ok | ~mask
-        if not np.all(ok):
+        seen = v if mask is None else np.where(mask, v, a)
+        if seen.size and not (seen.min() >= a and seen.max() <= b):  # a NaN fails both
+            ok = (seen >= a) & (seen <= b)
             bad = float(v[~ok].ravel()[0])
             raise DomainViolation(
                 f"value {bad!r} outside domain [{a}, {b}] of {self.name}"
@@ -295,41 +295,43 @@ def _entropy_rows(phi: PhiSpec, weights: np.ndarray, values: np.ndarray) -> np.n
     """H_phi of each row of ``values`` under atom weights broadcast to the
     rows (one vector for all rows, or one row per row), each with a positive total.
 
-    Zero-weight atoms carry arbitrary values and never reach Phi.  Phi and
-    Phi' are evaluated once each, for the Bregman form
-    ``E[Phi(f) - Phi(m) - Phi'(m)(f - m)]`` at the row means m; where that is
-    tiny relative to Phi's scale (catastrophic cancellation) each term is
-    recomputed without subtraction by :func:`_bregman_terms`.  This is the
-    library's only cancellation test: the searches' objectives are plain
-    sums, and the answers they certify (eta values, violations) are
-    re-evaluated here.  A row whose mean is on a domain edge is constant: it
-    takes Phi' at the domain's midpoint, where Phi' is finite, and its terms
-    are exact zeros.  Derivatives a spec lacks come from the stencil of
-    :meth:`PhiSpec.deriv`.
+    Zero-weight atoms carry arbitrary values and never reach Phi: they take
+    the value of their row's heaviest atom, so padding a row with them
+    changes no other entry's terms.  Phi and Phi' are evaluated once each,
+    for the Bregman form ``E[Phi(f) - Phi(m) - Phi'(m)(f - m)]`` at the row
+    means m; where that is tiny relative to Phi's scale (catastrophic
+    cancellation) each term is recomputed without subtraction by
+    :func:`_bregman_terms`.  This is the library's only cancellation test:
+    the searches' objectives are plain sums, and the answers they certify
+    (eta values, violations) are re-evaluated here.  A row whose mean is on
+    a domain edge is constant: it takes Phi' at the domain's midpoint, where
+    Phi' is finite, and its terms are exact zeros.  Derivatives a spec lacks
+    come from the stencil of :meth:`PhiSpec.deriv`.
     """
     values = np.asarray(values, dtype=float)
-    weights = np.broadcast_to(weights, values.shape)
-    on = weights > 0
-    if not on.all():  # zero-weight atoms take the value of their row's heaviest atom
-        heavy = np.take_along_axis(values, weights.argmax(axis=1)[:, None], axis=1)
-        values = np.where(on, values, heavy)
+    if np.shape(weights) != values.shape:
+        weights = np.broadcast_to(weights, values.shape)
+    if not weights.min() > 0:
+        heavy = values[np.arange(len(values)), weights.argmax(axis=1)]
+        values = np.where(weights > 0, values, heavy[:, None])
     total = weights.sum(axis=1)
     # m = c + E[f - c], c an atom's value: exact on a constant row, where a
     # rounded E f can step off a domain edge into the quadrature path
-    c = values[:, 0]
-    m = c + _wmean(values - c[:, None], weights, total)
+    m = values[:, 0] + _wmean(values - values[:, :1], weights, total)
     pfm = phi.safe_eval(np.concatenate([values, m[:, None]], axis=1))
-    pf, pm = pfm[:, :-1], pfm[:, -1]
+    pf, pm = pfm[:, :-1], pfm[:, -1:]
     a, b = phi.domain
     interior = (m > a) & (m < b)
-    d1m = phi.deriv(1, m if interior.all() else np.where(interior, m, 0.5 * (a + b)))
-    out = _wmean(pf - pm[:, None] - d1m[:, None] * (values - m[:, None]), weights, total)
-    scale = np.abs(pf).max(axis=1) + np.abs(pm)
-    tiny = (interior & (out < _CANCEL * scale)).nonzero()[0]
+    d1m = phi.deriv(1, np.where(interior, m, 0.5 * (a + b)))
+    out = _wmean(pf - pm - d1m[:, None] * (values - m[:, None]), weights, total)
+    size = np.abs(pfm)
+    tiny = (interior & (out < _CANCEL * (size[:, :-1].max(axis=1) + size[:, -1]))).nonzero()[0]
     if len(tiny):
-        terms = _bregman_terms(phi, values[tiny], m[tiny])
-        out[tiny] = _wmean(terms, weights[tiny], total[tiny])
-    out[(-_CLAMP <= out) & (out < 0.0)] = 0.0
+        rows = slice(None) if len(tiny) == len(out) else tiny  # a slice copies nothing
+        terms = _bregman_terms(phi, values[rows], m[rows])
+        out[rows] = _wmean(terms, weights[rows], total[rows])
+    if out.min() < 0.0:
+        out[(-_CLAMP <= out) & (out < 0.0)] = 0.0
     return out
 
 
@@ -368,42 +370,49 @@ def cond_phi_entropy(
     return EntropyValue(cond_phi_entropies(d, phi, f, [coords])[0])
 
 
+def _coord_set(coords, k: int) -> list[int]:
+    """A coordinate set as its sorted distinct coordinates; a set that is not
+    an iterable of integers in 0..k-1 raises ``BadCoordinate``."""
+    try:
+        return sorted({_coordinate(c, k) for c in coords})
+    except TypeError:  # not iterable
+        raise BadCoordinate(f"coordinates must be an iterable of integers, got {coords!r}") from None
+
+
 def cond_phi_entropies(
     d: JointDist, phi: PhiSpec, f: JointFunction, coord_sets: Sequence[Sequence[int]]
 ) -> list[float]:
     """``H_phi(f | X_S)`` for each coordinate set S in ``coord_sets``.
 
     Every ``H_phi(f | X_S = s)`` of every set is a row of one
-    :func:`_entropy_rows` call: a set's cells are the law with the axes of
-    S moved to the front and both axis groups flattened, zero-padded to the
-    longest cell (the whole law when a set is empty).  With one set nothing
-    is padded.  Zero-weight atoms never reach Phi.
+    :func:`_entropy_rows` call.  A set's cells are the law and f stacked,
+    with the axes of S moved to the front and both axis groups flattened;
+    each is copied into one zero-padded array as wide as the longest cell
+    (the whole law when a set is empty), weights and values together.  With
+    one set nothing is padded.  Zero-weight atoms never reach Phi, and an
+    empty cell contributes 0.
     """
     if f.values.shape != d.probs.shape:
         raise ShapeMismatch("function shape does not match distribution")
+    sets = [_coord_set(S, d.k) for S in coord_sets]
+    if not sets:
+        return []
     phi.check_in_domain(f.values, d.support_mask)
-    blocks = []
-    for coords in coord_sets:
-        coords = sorted(set(int(c) for c in coords))
-        if coords and not 0 <= coords[0] <= coords[-1] < d.k:
-            raise BadCoordinate(f"coordinates {coords} out of range for k={d.k}")
-        order = coords + [a for a in range(d.k) if a not in coords]
-        probs = np.transpose(d.probs, order).reshape(
-            math.prod(d.alphabet_sizes[c] for c in coords), -1
-        )
-        blocks.append((probs, np.transpose(f.values, order).reshape(probs.shape)))
-    sizes = [len(probs) for probs, _ in blocks]
-    ends = np.cumsum(sizes)
-    W = np.zeros((ends[-1], max(probs.shape[1] for probs, _ in blocks)))
-    V = np.zeros_like(W)
-    for (probs, vals), end in zip(blocks, ends):
-        cols = probs.shape[1]
-        W[end - len(probs) : end, :cols], V[end - len(probs) : end, :cols] = probs, vals
-    ps = np.concatenate([probs.sum(axis=1) for probs, _ in blocks])  # each cell's probability
-    cells = ps > 0  # empty cells contribute 0
+    sizes, N = d.alphabet_sizes, d.probs.size
+    cells = [math.prod([sizes[c] for c in S]) for S in sets]
+    ends = list(itertools.accumulate(cells))
+    # [weights, values] of every cell, one row each, and each cell's probability
+    WV, ps = np.zeros((2, ends[-1], N // min(cells))), np.empty(ends[-1])
+    PV = np.array([d.probs, f.values])
+    for S, n, end in zip(sets, cells, ends):  # axis 0 of PV picks weights or values
+        order = [0, *(c + 1 for c in S), *(a + 1 for a in range(d.k) if a not in S)]
+        block = PV.transpose(order).reshape(2, n, N // n)
+        WV[:, end - n : end, : N // n] = block
+        block[0].sum(axis=1, out=ps[end - n : end])
+    live = slice(None) if ps.min() > 0 else ps > 0  # empty cells contribute 0
     terms = np.zeros(len(ps))
-    terms[cells] = ps[cells] * _entropy_rows(phi, W[cells], V[cells])
-    return [_clamped(float(terms[end - n : end].sum())) for n, end in zip(sizes, ends)]
+    terms[live] = ps[live] * _entropy_rows(phi, WV[0, live], WV[1, live])
+    return [_clamped(float(terms[end - n : end].sum())) for n, end in zip(cells, ends)]
 
 
 def phi_mutual_information(d: JointDist, phi: PhiSpec) -> float:

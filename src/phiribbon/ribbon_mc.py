@@ -105,7 +105,7 @@ def _check_lambda(lam, k: int, ndim: int = 1) -> np.ndarray:
     if lam.ndim != ndim or lam.shape[-1] != k:
         raise BadLambda(f"lambda must have {k} entries")
     # NaN fails both comparisons, so it is rejected along with inf
-    if not np.all((lam >= 0) & (lam <= 1)):
+    if lam.size and not (lam.min() >= 0 and lam.max() <= 1):
         raise BadLambda("lambda entries must lie in [0, 1]")
     return np.where(lam < _LAMBDA_FLOOR, 0.0, lam)
 

@@ -94,10 +94,11 @@ def definition_gap(d: JointDist, phi: PhiSpec, lam, f: JointFunction) -> float:
     Used to certify witnesses independently of the flat evaluator below.  By
     the chain rule ``H(E[f|X_i]) = H(f) - H(f|X_i)`` the gap needs H(f) and
     ``H(f|X_i)`` for each i with lambda_i > 0, all from one
-    :func:`phi.cond_phi_entropies` call.
+    :func:`phi.cond_phi_entropies` call, whose cells are rows of one
+    zero-padded array as wide as the law.
     """
-    lam = _check_lambda(lam, d.k)
-    coords = np.flatnonzero(lam)
+    lam = _check_lambda(lam, d.k).tolist()
+    coords = [i for i, x in enumerate(lam) if x]
     total, *conds = cond_phi_entropies(d, phi, f, [(), *((i,) for i in coords)])
     g = total
     for i, cond in zip(coords, conds):
@@ -121,12 +122,14 @@ class _FlatProblem(correlation._FlatProblem):
 
     def __init__(self, d: JointDist, phi: PhiSpec):
         self.d = d
-        self.sup = np.flatnonzero(d.support_mask.ravel())
+        self.sup = np.flatnonzero(d.support_mask)
+        p = d.probs.ravel()[self.sup]
         # each atom's symbol of every X_i, one-hot over the alphabets
         symbols = np.array(np.unravel_index(self.sup, d.alphabet_sizes))
-        hits = 1.0 * (symbols[:, :, None] == np.arange(max(d.alphabet_sizes)))
-        p = d.probs.ravel()[self.sup]  # each map: each atom's mass in its cell of X_i
-        super().__init__(p, [p[:, None] * h.compress(h.any(axis=0), axis=1) for h in hits], phi)
+        hits = symbols[:, :, None] == np.arange(max(d.alphabet_sizes))
+        carried = np.logical_or.reduce(hits, axis=1)  # the symbols some atom carries
+        # each map: each atom's mass in its cell of X_i
+        super().__init__(p, [p[:, None] * h.compress(c, axis=1) for h, c in zip(hits, carried)], phi)
 
     def directions(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row of L, the minimiser of the Phi = t^2 gap ``u Q u`` per unit
@@ -135,10 +138,11 @@ class _FlatProblem(correlation._FlatProblem):
         quadratic test rejects where ``e < -PSD_TOL``.  Q kills constants, so
         this is the least eigenpair of ``D^-1/2 Q D^-1/2``, ``D = diag(p)``,
         the vector times ``D^-1/2``: one stacked solve for all rows."""
-        S = self.A / np.sqrt(self.p)[:, None]
+        r = np.sqrt(self.p)
+        S = self.A / r[:, None]
         C = self.w * (self.V0 + L @ self.V)
         ev, U = np.linalg.eigh((S * C[:, None, :]) @ S.T)
-        return U[:, :, 0] / np.sqrt(self.p), ev[:, 0]
+        return U[:, :, 0] / r, ev[:, 0]
 
     def to_joint(self, f: np.ndarray) -> JointFunction:
         vals = np.zeros(math.prod(self.d.alphabet_sizes))
@@ -158,7 +162,7 @@ def _certify(prob: _FlatProblem, lams, project=None) -> list:
     ``_violation``, which gives the verdict."""
     out = [None] * len(lams)
     u, e = prob.directions(lams)
-    rows = np.flatnonzero(e < -PSD_TOL)
+    rows = (e < -PSD_TOL).nonzero()[0]
     if not len(rows):
         return out
     a, b = prob.phi.domain
@@ -221,8 +225,8 @@ def _search(d, phi, lams, opts, project=None, exit_below=_EXIT_BELOW) -> list[Ri
         )
     lams, R = _check_lambda(lams, d.k, ndim=2), opts.restarts
     inside = (lams.sum(axis=1) <= 1.0) & phi.is_class_F
-    out = [_PROVEN if p else None for p in inside]
-    todo = np.flatnonzero(~inside)
+    out = [_PROVEN if p else None for p in inside.tolist()]
+    todo = (~inside).nonzero()[0]
     if not len(todo):
         return out
     lams = lams[todo]
@@ -231,8 +235,8 @@ def _search(d, phi, lams, opts, project=None, exit_below=_EXIT_BELOW) -> list[Ri
         verdicts = _certify(prob, lams, project)
         for i, v in zip(todo, verdicts):
             out[i] = v
-        left = np.array([v is None for v in verdicts])
-        if not left.any():
+        left = [v is None for v in verdicts]
+        if not any(left):
             return out
         todo, lams = todo[left], lams[left]
     starts, lo, hi = _seeds(prob, lams, np.random.default_rng(opts.seed), R, project)

@@ -112,6 +112,25 @@ def test_marginal_rejects_bad_coords():
             MarginalFunction(coord, [1.0, 2.0]).lift(d)
 
 
+def test_coordinates_must_be_integers():
+    # a float was truncated or summed over every axis, a bool read as 0 or 1,
+    # and a string raised a raw TypeError
+    d = make_joint([2, 3], np.random.default_rng(1).dirichlet(np.ones(6)))
+    f = JointFunction(np.random.default_rng(2).uniform(size=(2, 3)))
+    for coord in (0.7, 1.0, True, "1", None):
+        with pytest.raises(BadCoordinate):
+            marginal(d, [coord])
+        with pytest.raises(BadCoordinate):
+            cond_expectation(d, f, coord)
+        with pytest.raises(BadCoordinate):
+            d.marginal_vector(coord)
+    with pytest.raises(BadCoordinate):
+        marginal(d, 1)  # not a sequence
+    # NumPy integers name coordinates as Python integers do
+    assert np.array_equal(marginal(d, [np.int64(1)]).probs, marginal(d, [1]).probs)
+    assert np.array_equal(cond_expectation(d, f, np.int32(0)).values, cond_expectation(d, f, 0).values)
+
+
 def test_lift_rejects_values_of_the_wrong_length():
     d = make_joint([2, 3], np.random.default_rng(1).dirichlet(np.ones(6)))
     for coord, values in ((0, [1.0, 2.0, 3.0]), (1, [1.0, 2.0]), (1, [[1.0, 2.0, 3.0]])):

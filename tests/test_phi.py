@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import phiribbon.phi as phi_module
+from phiribbon.ribbon_phi import definition_gap
 from phiribbon.dist import JointFunction, MarginalFunction, canonical, cond_expectation, make_joint
 from phiribbon.errors import (
     BadCoordinate,
@@ -274,14 +275,31 @@ _F23 = JointFunction(np.zeros((2, 3)))
         (lambda d, p: cond_phi_entropy(d, p, _F23, [5]), BadCoordinate),
         (lambda d, p: cond_phi_entropy(d, p, _F23, [0, -1]), BadCoordinate),
         (lambda d, p: cond_phi_entropies(d, p, _F23, [(), (2,)]), BadCoordinate),
+        (lambda d, p: cond_phi_entropy(d, p, _F23, [0.7]), BadCoordinate),
+        (lambda d, p: cond_phi_entropy(d, p, _F23, [1.2]), BadCoordinate),
+        (lambda d, p: cond_phi_entropy(d, p, _F23, [True]), BadCoordinate),
+        (lambda d, p: cond_phi_entropy(d, p, _F23, ["1"]), BadCoordinate),
+        (lambda d, p: cond_phi_entropy(d, p, _F23, "1"), BadCoordinate),
+        (lambda d, p: cond_phi_entropy(d, p, _F23, 0), BadCoordinate),
+        (lambda d, p: marginal_phi_entropy(d, p, MarginalFunction(0.7, [0.3, -0.7])), BadCoordinate),
     ],
     ids=["coord-7", "coord-minus-2", "marginal-length", "f-transposed", "f-flat", "cond-5",
-         "cond-minus-1", "second-set"],
+         "cond-minus-1", "second-set", "cond-float", "cond-float-above-1", "cond-bool",
+         "cond-string", "cond-string-set", "cond-not-iterable", "marginal-float"],
 )
 def test_entropies_reject_bad_coordinates_and_shapes(call, error):
-    # each raised a raw numpy error, or answered for another coordinate
+    # each raised a raw numpy error, or answered for another coordinate: a
+    # float or a bool was read as the integer it rounds to or equals
     with pytest.raises(error):
         call(make_joint([2, 3], np.random.default_rng(1).dirichlet(np.ones(6))), binent())
+
+
+def test_entropies_take_numpy_integer_coordinates_and_no_sets():
+    d = make_joint([2, 3], np.random.default_rng(1).dirichlet(np.ones(6)))
+    f = JointFunction(np.random.default_rng(2).uniform(-0.5, 0.5, size=(2, 3)))
+    want = cond_phi_entropies(d, binent(), f, [(), (1,), (0, 1)])
+    assert cond_phi_entropies(d, binent(), f, [(), (np.int64(1),), np.array([0, 1])]) == want
+    assert cond_phi_entropies(d, binent(), f, []) == []  # raised a raw IndexError
 
 
 def test_marginal_phi_entropy_matches_lift():
@@ -337,6 +355,33 @@ def _cond_phi_entropy_per_cell(d, phi, f, coords):
     return total
 
 
+def _cond_phi_entropies_reference(d, phi, f, coord_sets):
+    """The stacked conditional entropies with one transposed block per set,
+    zero-padded into separate weight and value arrays and the empty cells
+    dropped before one ``_entropy_rows`` call, kept as the bit-for-bit
+    reference of the layout ``cond_phi_entropies`` builds."""
+    blocks = []
+    for coords in coord_sets:
+        coords = sorted(set(int(c) for c in coords))
+        order = coords + [a for a in range(d.k) if a not in coords]
+        probs = np.transpose(d.probs, order).reshape(
+            math.prod(d.alphabet_sizes[c] for c in coords), -1
+        )
+        blocks.append((probs, np.transpose(f.values, order).reshape(probs.shape)))
+    sizes = [len(probs) for probs, _ in blocks]
+    ends = np.cumsum(sizes)
+    W = np.zeros((ends[-1], max(probs.shape[1] for probs, _ in blocks)))
+    V = np.zeros_like(W)
+    for (probs, vals), end in zip(blocks, ends):
+        cols = probs.shape[1]
+        W[end - len(probs) : end, :cols], V[end - len(probs) : end, :cols] = probs, vals
+    ps = np.concatenate([probs.sum(axis=1) for probs, _ in blocks])
+    cells = ps > 0
+    terms = np.zeros(len(ps))
+    terms[cells] = ps[cells] * _entropy_rows(phi, W[cells], V[cells])
+    return [phi_module._clamped(float(terms[end - n : end].sum())) for n, end in zip(sizes, ends)]
+
+
 @pytest.mark.parametrize(
     "name", ["square", "power:1.5", "sym:1.5", "binent", "xlogx", "xlogx:0.05,4", "xlogx:0,4"]
 )
@@ -374,6 +419,15 @@ def test_cond_phi_entropy_matches_per_cell_loop(name, shape):
             stacked = cond_phi_entropies(d, phi, f, many)
             single = [cond_phi_entropy(d, phi, f, S).value for S in many]
             assert np.allclose(stacked, single, rtol=1e-13, atol=1e-18), (amp, stacked, single)
+            # bit for bit: the layout must not move a verdict's re-checked gap
+            assert stacked == _cond_phi_entropies_reference(d, phi, f, many), amp
+            for lam in ([0.9, 0.0, 0.6], [1.0, 1.0, 1.0], [0.0, 0.3, 0.0]):
+                on = [i for i in range(3) if lam[i]]
+                total, *conds = _cond_phi_entropies_reference(d, phi, f, [(), *([i] for i in on)])
+                want = total
+                for i, cond in zip(on, conds):
+                    want -= lam[i] * (total - cond)
+                assert definition_gap(d, phi, lam, f) == want, (amp, lam)
 
 
 def test_chain_rule_identity():

@@ -15,6 +15,7 @@ from phiribbon.dist import (
     canonical,
     dist_to_json,
     make_joint,
+    marginal,
     pair_product,
 )
 from phiribbon.errors import (
@@ -377,6 +378,45 @@ def _flat_blocks_reference(prob):
     return np.hstack(blocks)
 
 
+def _flat_reference(p, maps):
+    """``correlation._FlatProblem``'s arrays built block by block with
+    ``np.hstack`` and read off a column-owner vector, kept as the bit-for-bit
+    reference of the preallocated layout."""
+    n = len(p)
+    tables = [M / p[:, None] for M in maps]
+    blocks, owner = [np.eye(n), p[:, None]], [-2] * n + [-1]
+    for i, t in enumerate(tables):
+        blocks.append(t * p[:, None] / (p @ t))
+        owner += [i] * t.shape[1]
+    T = np.hstack([np.ones((n, 1)), *tables]).T
+    owner = np.array(owner)
+    return {
+        "A": np.hstack(blocks),
+        "T": T,
+        "w": np.concatenate([p, T @ p]),
+        "V0": 1.0 * (owner == -2) - (owner == -1),
+        "V": 1.0 * (owner == -1) - (owner == np.arange(len(tables))[:, None]),
+    }
+
+
+def _law_maps_reference(d):
+    """The support atoms and the one-hot cell maps of each X_i, kept as the
+    reference of ``ribbon_phi._FlatProblem``'s."""
+    sup = np.flatnonzero(d.support_mask.ravel())
+    symbols = np.array(np.unravel_index(sup, d.alphabet_sizes))
+    hits = 1.0 * (symbols[:, :, None] == np.arange(max(d.alphabet_sizes)))
+    p = d.probs.ravel()[sup]
+    return sup, p, [p[:, None] * h.compress(h.any(axis=0), axis=1) for h in hits]
+
+
+def _assert_flat_matches(prob, p, maps):
+    want = _flat_reference(p, maps)
+    for name, array in want.items():
+        assert np.array_equal(getattr(prob, name), array), name
+    assert np.array_equal(prob.p, p)
+    assert len(prob.maps) == len(maps) and all(map(np.array_equal, prob.maps, maps))
+
+
 def _seeds_reference(prob, lams, rng, restarts, project=None):
     """``_seeds`` with its pool and ranking built piece by piece, kept as the
     reference of the preallocated version."""
@@ -413,6 +453,12 @@ def test_flat_setup_and_seeds_match_the_references():
         phi = parse_phi(name)
         prob = _FlatProblem(d, phi)
         assert np.array_equal(prob.A, _flat_blocks_reference(prob))
+        sup, p, maps = _law_maps_reference(d)
+        assert np.array_equal(prob.sup, sup)
+        _assert_flat_matches(prob, p, maps)
+        if t % 6 == 0:  # an eta problem: one map, the joint masses of a pair
+            P, px = correlation._bipartite_matrices(marginal(d, [0, d.k - 1]))[:2]
+            _assert_flat_matches(correlation._FlatProblem(px, [P], phi), px, [P])
         lams = rng.uniform(0.0, 1.0, size=(3, d.k)) * (rng.uniform(size=(3, d.k)) > 0.2)
         top = phi.domain[1] - 1e-9 * (phi.domain[1] - phi.domain[0])
         project = (lambda V: _project_density(V, prob.p, _DENSITY_FLOOR, top)) if name == "xlogx:0,4" else None

@@ -37,11 +37,15 @@ _NORM_TOL = 1e-9
 _INDEPENDENCE_TOL = 1e-10
 
 
+def _is_integer(c) -> bool:
+    """A Python or NumPy integer; a bool, float or string names no coordinate."""
+    return type(c) is int or isinstance(c, np.integer)
+
+
 def _coordinate(c, k: int) -> int:
-    """``c`` as a coordinate of a law with ``k`` of them: a Python or NumPy
-    integer in 0..k-1, else ``BadCoordinate`` (a bool, float or string names
-    no coordinate)."""
-    if not ((type(c) is int or isinstance(c, np.integer)) and 0 <= c < k):
+    """``c`` as a coordinate of a law with ``k`` of them: an integer (see
+    ``_is_integer``) in 0..k-1, else ``BadCoordinate``."""
+    if not (_is_integer(c) and 0 <= c < k):
         raise BadCoordinate(f"coordinate {c!r} is not an integer in 0..{k - 1}")
     return int(c)
 
@@ -134,12 +138,15 @@ class MarginalFunction:
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """Row-stochastic transition matrix acting on one coordinate."""
+    """Row-stochastic transition matrix acting on one coordinate; ``coord``
+    must be an integer (``apply_channels`` checks its range against the law)."""
 
     coord: int
     matrix: np.ndarray
 
     def __post_init__(self):
+        if not _is_integer(self.coord):
+            raise BadCoordinate(f"channel coordinate {self.coord!r} is not an integer")
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise ShapeMismatch("channel matrix must be 2-D")

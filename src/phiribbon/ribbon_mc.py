@@ -20,11 +20,13 @@ scratch.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import JointDist, JointFunction, MarginalFunction
+from .dist import JointDist, JointFunction, MarginalFunction, _coordinate
 from .errors import (
     BadCoordinate,
     BadLambda,
@@ -32,6 +34,7 @@ from .errors import (
     BadShape,
     NonGeneric,
     NotCorrelationMatrix,
+    ShapeMismatch,
 )
 
 PSD_TOL = 1e-9
@@ -64,38 +67,53 @@ def _marginal_basis(p: np.ndarray) -> np.ndarray:
     """Orthonormal zero-mean basis under <f,g> = sum p f g, as columns.
 
     The Gram-Schmidt basis of the centered indicators in closed form: with
-    the support sorted as q_1 >= ... >= q_m, tails T_j = q_j + ... + q_m and
-    residual norms r_j = sqrt(q_j T_{j+1} / T_j), column j is 0 before symbol
-    j, r_j / q_j at it and -r_j / T_{j+1} after it.  Columns from the first
-    with r_j < 1e-10 drop (r_m = 0).  Rows at zero-probability symbols are 0.
+    the support sorted as q_1 >= ... >= q_m (ties by symbol), tails
+    T_j = q_j + ... + q_m and residual norms r_j = sqrt(q_j T_{j+1} / T_j),
+    column j is 0 before symbol j, r_j / q_j at it and -r_j / T_{j+1} after
+    it.  Columns from the first with r_j < 1e-10 drop (r_m = 0).  Rows at
+    zero-probability symbols are 0.  The O(m) scalars are Python floats;
+    ``B`` is then filled by a fixed number of NumPy calls.
     """
-    support = np.flatnonzero(p > 0)
-    order = support[np.argsort(-p[support])]
-    q = p[order]
-    tail = np.cumsum(q[::-1])[::-1]  # summed from the smallest up: small tails stay exact
-    q, after = q[:-1], tail[1:]  # column m, with r_m = 0, always drops
-    r = np.sqrt(q * after / tail[:-1])
-    dim = next((j for j, x in enumerate(r.tolist()) if x < 1e-10), len(r))
-    col = np.arange(dim)
-    B = np.zeros((len(p), dim))
-    B[order] = (np.arange(len(order))[:, None] > col) * (-r / after)[:dim]  # the tail rows
-    B[order[:dim], col] = (r / q)[:dim]
+    pl = p.tolist()
+    order = sorted((s for s, x in enumerate(pl) if x > 0), key=pl.__getitem__, reverse=True)
+    q = [pl[s] for s in order]
+    tail, t = [], 0.0
+    for x in reversed(q):  # summed from the smallest up: small tails stay exact
+        t += x
+        tail.append(t)
+    tail.reverse()
+    at, after = [], []  # column j's entry at symbol j, and after it
+    for j in range(len(q) - 1):  # column m, with r_m = 0, always drops
+        r = math.sqrt(q[j] * tail[j + 1] / tail[j])
+        if r < 1e-10:
+            break
+        at.append(r / q[j])
+        after.append(-r / tail[j + 1])
+    rank = [-1] * len(pl)  # each symbol's place in the order; -1 off the support
+    for j, s in enumerate(order):
+        rank[s] = j
+    rank, cols = np.array(rank)[:, None], np.arange(len(at))
+    B = (rank > cols) * after
+    B[order[: len(at)], cols] = at
+    if len(order) < len(pl):  # +0.0 at zero-probability symbols, not False * after = -0.0
+        B[rank[:, 0] < 0] = 0.0
     return B
 
 
 def gram_matrix(d: JointDist) -> GramMatrix:
-    """Assemble ``M = W^T W``, row a of W holding sqrt(p_a) times every basis
-    function at atom a; the diagonal blocks are set to exactly I."""
+    """Assemble ``M`` from its cross blocks ``B_i^T P_ij B_j``, where ``B_i``
+    is coordinate i's basis and ``P_ij`` the pairwise marginal of (X_i, X_j)
+    (for k = 2, the law itself); the diagonal blocks are exactly I."""
     basis = tuple(_marginal_basis(d.marginal_vector(i)) for i in range(d.k))
     dims = tuple(b.shape[1] for b in basis)
-    p = d.probs.ravel()
-    symbols = np.unravel_index(np.arange(p.size), d.alphabet_sizes)  # per coordinate, per atom
-    W = np.sqrt(p)[:, None] * np.concatenate([b[s] for b, s in zip(basis, symbols)], 1)
-    M, a = W.T @ W, 0
-    for n in dims:  # the product leaves rounding-level entries in the diagonal blocks
-        M[a : a + n, a : a + n] = 0.0
-        a += n
-    np.fill_diagonal(M, 1.0)
+    off = [0, *itertools.accumulate(dims)]
+    M = np.eye(off[-1])
+    for i, j in itertools.combinations(range(d.k), 2):
+        others = tuple(a for a in range(d.k) if a != i and a != j)
+        pij = d.probs.sum(axis=others) if others else d.probs
+        block = basis[i].T @ pij @ basis[j]
+        M[off[i] : off[i + 1], off[j] : off[j + 1]] = block
+        M[off[j] : off[j + 1], off[i] : off[i + 1]] = block.T
     return GramMatrix(dims, M, basis)
 
 
@@ -129,51 +147,109 @@ def _test_matrices(kind: str, M: np.ndarray, dims, lams: np.ndarray):
 
 def _witness_functions(g: GramMatrix, coeffs: np.ndarray) -> tuple[MarginalFunction, ...]:
     """Map a coefficient vector over all of M back to one function per coordinate."""
-    off = np.cumsum((0, *g.block_dims))
+    off = [0, *itertools.accumulate(g.block_dims)]
     return tuple(
         MarginalFunction(i, b @ coeffs[off[i] : off[i + 1]]) for i, b in enumerate(g.basis)
     )
+
+
+def _variance(p: np.ndarray, v: np.ndarray) -> float:
+    """Variance of finite values ``v`` under weights ``p`` of the same shape."""
+    c = v - np.vdot(p, v)
+    return float(np.vdot(p, c * c))
+
+
+def _along(d: JointDist, i: int, v: np.ndarray) -> np.ndarray:
+    """Values of coordinate i as a view that broadcasts along axis i of the law."""
+    return v.reshape([-1 if a == i else 1 for a in range(d.k)])
+
+
+def _checked(d: JointDist, fs) -> tuple[MarginalFunction, ...]:
+    """``fs`` as one MarginalFunction per coordinate, ``fs[i]`` of coordinate i."""
+    fs = tuple(fs)
+    if len(fs) != d.k:
+        raise ShapeMismatch(f"need {d.k} marginal functions, one per coordinate, got {len(fs)}")
+    for i, f in enumerate(fs):
+        if not isinstance(f, MarginalFunction):
+            raise ShapeMismatch(f"entry {i} is not a MarginalFunction")
+        if _coordinate(f.coord, d.k) != i:
+            raise BadCoordinate(f"entry {i} is a function of coordinate {f.coord}, not {i}")
+        if f.values.shape != (d.alphabet_sizes[i],):
+            raise ShapeMismatch("function shape does not match the coordinate's alphabet")
+    return fs
+
+
+def _sum_variances(d: JointDist, fs) -> tuple[float, list[float]]:
+    """``Var[sum f_i]`` on the law, and each ``Var[f_i]`` on its marginal;
+    values at zero-probability symbols read as 0."""
+    total, variances = 0.0, []
+    for i, f in enumerate(_checked(d, fs)):
+        p = d.marginal_vector(i)
+        v = np.where(p > 0, f.values, 0.0)
+        variances.append(_variance(p, v))
+        total = total + _along(d, i, v)
+    return _variance(d.probs, total), variances
+
+
+def _fc2_gap(d: JointDist, lam: np.ndarray, fs) -> float:
+    var_sum, variances = _sum_variances(d, fs)
+    bound = 0.0
+    for l, v in zip(lam.tolist(), variances):
+        if l > 0:
+            bound += v / l
+        elif v > 1e-15:
+            return float("inf")  # lambda_i = 0 puts no constraint via f_i
+    return bound - var_sum
+
+
+def _tilde_gap(d: JointDist, lam: np.ndarray, fs) -> float:
+    g, variances = _sum_variances(d, fs)
+    for l, v in zip(lam.tolist(), variances):
+        g -= l * v
+    return g
+
+
+def _def_gap(d: JointDist, lam: np.ndarray, values: np.ndarray) -> float:
+    """``Var f - sum_i lambda_i Var E[f|X_i]``, each ``E[f|X_i]`` and its
+    variance taken on coordinate i's marginal; values at zero-probability
+    atoms read as 0."""
+    values = np.where(d.support_mask, values, 0.0)
+    g = _variance(d.probs, values)
+    weighted = d.probs * values
+    for i, l in enumerate(lam.tolist()):
+        if l > 0:  # a zero entry subtracts 0
+            axes = tuple(a for a in range(d.k) if a != i)
+            p = d.marginal_vector(i)
+            num = weighted.sum(axis=axes) if axes else weighted
+            g -= l * _variance(p, np.divide(num, p, out=np.zeros_like(p), where=p > 0))
+    return g
 
 
 def fc2_gap(d: JointDist, lam, fs) -> float:
     """Gap of the strong Cauchy-Schwarz inequality at single-coordinate fs.
 
     Negative iff ``Var[sum f_i] > sum (1/lambda_i) Var[f_i]`` restricted to
-    coordinates with positive lambda and all other f_i constant.
+    coordinates with positive lambda and all other f_i constant.  ``fs``
+    holds one MarginalFunction per coordinate, ``fs[i]`` of coordinate i;
+    ``sum f_i`` is summed from broadcast views on the law, each ``Var[f_i]``
+    is taken on coordinate i's marginal.
     """
-    lam = _check_lambda(lam, d.k)
-    total = JointFunction(sum(f.lift(d).values for f in fs))
-    var_sum = d.variance(total)
-    bound = 0.0
-    for i, f in enumerate(fs):
-        v = d.variance(f.lift(d))
-        if lam[i] > 0:
-            bound += v / lam[i]
-        elif v > 1e-15:
-            return float("inf")  # lambda_i = 0 puts no constraint via f_i
-    return bound - var_sum
+    return _fc2_gap(d, _check_lambda(lam, d.k), fs)
 
 
 def mc_def_gap(d: JointDist, lam, f: JointFunction) -> float:
-    """Gap of the defining variance inequality at a joint function f."""
-    from .dist import cond_expectation
-
+    """Gap of the defining variance inequality at a joint function f; each
+    ``E[f|X_i]`` and its variance are taken on coordinate i's marginal."""
     lam = _check_lambda(lam, d.k)
-    g = d.variance(f)
-    for i in range(d.k):
-        gi = cond_expectation(d, f, i)
-        g -= lam[i] * d.variance(gi.lift(d))
-    return g
+    if f.values.shape != d.probs.shape:
+        raise ShapeMismatch("function shape does not match distribution")
+    return _def_gap(d, lam, f.values)
 
 
 def tilde_gap(d: JointDist, lam, fs) -> float:
-    """Gap ``Var[sum f_i] - sum lambda_i Var[f_i]`` at single-coordinate fs."""
-    lam = _check_lambda(lam, d.k)
-    total = JointFunction(sum(f.lift(d).values for f in fs))
-    g = d.variance(total)
-    for i, f in enumerate(fs):
-        g -= lam[i] * d.variance(f.lift(d))
-    return g
+    """Gap ``Var[sum f_i] - sum lambda_i Var[f_i]`` at single-coordinate fs,
+    one per coordinate and read as in ``fc2_gap``."""
+    return _tilde_gap(d, _check_lambda(lam, d.k), fs)
 
 
 def _membership(kind: str, d: JointDist, lam, g: GramMatrix | None) -> MembershipResult:
@@ -189,11 +265,11 @@ def _membership(kind: str, d: JointDist, lam, g: GramMatrix | None) -> Membershi
     s = np.sqrt(np.repeat(lam, g.block_dims)) if kind == "mc" else 1.0
     fs = _witness_functions(g, s * V[:, 0])
     if kind == "mc":
-        gap = fc2_gap(d, lam, fs)
+        gap = _fc2_gap(d, lam, fs)
     elif kind == "sprime":
-        gap = mc_def_gap(d, lam, JointFunction(sum(f.lift(d).values for f in fs)))
+        gap = _def_gap(d, lam, sum(_along(d, i, f.values) for i, f in enumerate(fs)))
     else:
-        gap = tilde_gap(d, lam, fs)
+        gap = _tilde_gap(d, lam, fs)
     return MembershipResult(False, float(w[0]), fs, float(gap))
 
 

@@ -188,6 +188,24 @@ def test_bsc_channel_on_dsbs_shrinks_correlation():
     assert np.allclose(out.probs, want.probs)
 
 
+@pytest.mark.parametrize(
+    "coord", [0.0, 1.0, True, False, "0"], ids=["float0", "float1", "true", "false", "str"]
+)
+def test_channel_coordinate_must_be_an_integer(coord):
+    # a float or bool coordinate reached apply_channels, which raised a raw TypeError
+    d = make_joint([2, 2], [0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(BadCoordinate):
+        Channel(coord, np.eye(2))
+    other = 1 if coord in (0, "0") else 0
+    with pytest.raises(BadCoordinate):
+        apply_channels(d, [Channel(other, np.eye(2)), Channel(coord, np.eye(2))])
+    # NumPy integers name coordinates; the range is checked against the law
+    same = apply_channels(d, [Channel(np.int64(0), np.eye(2)), Channel(1, np.eye(2))])
+    assert np.array_equal(same.probs, d.probs)
+    with pytest.raises(BadCoordinate):
+        apply_channels(d, [Channel(0, np.eye(2)), Channel(2, np.eye(2))])
+
+
 def test_channel_rejects_bad_rows():
     with pytest.raises(NotNormalized):
         Channel(0, np.array([[0.5, 0.4], [0.5, 0.5]]))

@@ -9,13 +9,23 @@ import pytest
 
 from phiribbon import ribbon_mc
 from phiribbon.correlation import maximal_correlation
-from phiribbon.dist import JointFunction, canonical, make_joint, marginal, pair_product
+from phiribbon.dist import (
+    JointFunction,
+    MarginalFunction,
+    canonical,
+    cond_expectation,
+    make_joint,
+    marginal,
+    pair_product,
+)
 from phiribbon.errors import (
+    BadCoordinate,
     BadLambda,
     BadParameter,
     BadShape,
     NonGeneric,
     NotCorrelationMatrix,
+    ShapeMismatch,
 )
 from phiribbon.ribbon_mc import (
     bbt_closed_form,
@@ -663,8 +673,8 @@ def test_marginal_basis_is_orthonormal_with_near_absent_symbols(p):
 
 
 def test_gram_matrix_diagonal_blocks_are_exactly_identity():
-    # the product W^T W leaves rounding-level entries there; gram's CLI
-    # output, detect_structure and the trace's t* <= 1 rely on exact I
+    # an atom product W^T W would leave rounding-level entries there; gram's
+    # CLI output, detect_structure and the trace's t* <= 1 rely on exact I
     rng = np.random.default_rng(31)
     for sizes in ((2, 2), (3, 3), (4, 4), (2, 2, 3), (3, 3, 3), (2, 5)):
         g = gram_matrix(_random_dist(rng, sizes))
@@ -679,3 +689,149 @@ def test_mc_zero_lambda_entries_leave_identity_blocks():
     assert mc_membership(d, [0.0, 0.0]).min_eigenvalue == 1.0
     assert mc_membership(d, [0.0, 0.7]).min_eigenvalue == pytest.approx(0.3, abs=1e-15)
     assert gaussian_mc_membership(pearson_matrix(d), [0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# The NumPy closed-form basis, the atom-product Gram matrix and the gaps on
+# lifted copies that the pairwise blocks and marginal variances replaced,
+# kept as references
+
+
+def _marginal_basis_numpy_reference(p):
+    """The closed form of ``_marginal_basis`` with every step in NumPy."""
+    support = np.flatnonzero(p > 0)
+    order = support[np.argsort(-p[support])]
+    q = p[order]
+    tail = np.cumsum(q[::-1])[::-1]
+    q, after = q[:-1], tail[1:]
+    r = np.sqrt(q * after / tail[:-1])
+    dim = next((j for j, x in enumerate(r.tolist()) if x < 1e-10), len(r))
+    col = np.arange(dim)
+    B = np.zeros((len(p), dim))
+    B[order] = (np.arange(len(order))[:, None] > col) * (-r / after)[:dim]
+    B[order[:dim], col] = (r / q)[:dim]
+    return B
+
+
+def _gram_matrix_atoms_reference(d):
+    """Block dims and ``M = W^T W``, row a of W holding sqrt(p_a) times every
+    basis function at atom a, the diagonal blocks then set to I."""
+    basis = [_marginal_basis_numpy_reference(d.marginal_vector(i)) for i in range(d.k)]
+    dims = tuple(b.shape[1] for b in basis)
+    p = d.probs.ravel()
+    symbols = np.unravel_index(np.arange(p.size), d.alphabet_sizes)
+    W = np.sqrt(p)[:, None] * np.concatenate([b[s] for b, s in zip(basis, symbols)], 1)
+    M = W.T @ W
+    block = np.repeat(np.arange(d.k), dims)
+    M[block[:, None] == block] = np.eye(len(block))[block[:, None] == block]
+    return basis, dims, M
+
+
+def _lifted_sum(d, fs):
+    return JointFunction(sum(f.lift(d).values for f in fs))
+
+
+def _fc2_gap_lift_reference(d, lam, fs):
+    """``fc2_gap`` on lifted copies, and the sum of its terms' magnitudes."""
+    terms = [-d.variance(_lifted_sum(d, fs))]
+    for i, f in enumerate(fs):
+        v = d.variance(f.lift(d))
+        if lam[i] > 0:
+            terms.append(v / lam[i])
+        elif v > 1e-15:
+            return float("inf"), 1.0
+    return sum(terms), sum(map(abs, terms))
+
+
+def _tilde_gap_lift_reference(d, lam, fs):
+    terms = [d.variance(_lifted_sum(d, fs))]
+    terms += [-lam[i] * d.variance(f.lift(d)) for i, f in enumerate(fs)]
+    return sum(terms), sum(map(abs, terms))
+
+
+def _mc_def_gap_lift_reference(d, lam, f):
+    terms = [d.variance(f)]
+    terms += [-lam[i] * d.variance(cond_expectation(d, f, i).lift(d)) for i in range(d.k)]
+    return sum(terms), sum(map(abs, terms))
+
+
+def _near_absent_laws():
+    """(64,64), (2,200) and (8,8,8) laws whose last four symbols on each axis
+    wider than 4 are scaled by 1e-8 to 1e-22, so that columns drop."""
+    rng = np.random.default_rng(59)
+    for shape in ((64, 64), (2, 200), (8, 8, 8)):
+        p = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
+        for axis, n in enumerate(shape):
+            if n > 4:
+                scale = np.ones(n)
+                scale[-4:] = (1e-8, 1e-12, 1e-16, 1e-22)
+                p = p * scale.reshape([-1 if a == axis else 1 for a in range(len(shape))])
+        yield make_joint(shape, (p / p.sum()).ravel())
+
+
+def _reference_laws():
+    yield from (d for d, _ in _corpus())
+    yield from _near_absent_laws()
+
+
+def test_gram_matrix_matches_the_atom_product_reference():
+    dropped = 0
+    for d in _reference_laws():
+        g = gram_matrix(d)
+        basis, dims, M = _gram_matrix_atoms_reference(d)
+        assert g.block_dims == dims
+        for B, ref in zip(g.basis, basis):
+            assert B.shape == ref.shape and B.tobytes() == ref.tobytes()  # bitwise
+        assert np.max(np.abs(g.M - M), initial=0.0) <= 1e-15
+        dropped += sum(s - 1 - n for s, n in zip(d.alphabet_sizes, dims))
+    assert dropped > 0  # some laws lose columns to zero and near-absent symbols
+
+
+def test_gaps_match_the_lifted_references():
+    rng = np.random.default_rng(61)
+    checked = 0
+    for d in _reference_laws():
+        g = gram_matrix(d)
+        basis, dims, M = _gram_matrix_atoms_reference(d)
+        g_ref = ribbon_mc.GramMatrix(dims, M, tuple(basis))
+        lams = rng.uniform(0.0, 1.0, (4, d.k))
+        lams[rng.random(lams.shape) < 0.2] = 0.0
+        for lam in lams:
+            for fn, ref_gap in (
+                (mc_membership, _fc2_gap_lift_reference),
+                (mc_membership_sprime, None),
+                (tilde_membership, _tilde_gap_lift_reference),
+            ):
+                res, ref = fn(d, lam, g), fn(d, lam, g_ref)
+                assert res.min_eigenvalue == pytest.approx(ref.min_eigenvalue, rel=0, abs=1e-13)
+                if abs(ref.min_eigenvalue) >= 1e-9:
+                    assert res.verdict == ref.verdict, (fn.__name__, lam)
+                if res.verdict:
+                    continue
+                if ref_gap is None:
+                    want, scale = _mc_def_gap_lift_reference(d, lam, _lifted_sum(d, res.witness))
+                else:
+                    want, scale = ref_gap(d, lam, res.witness)
+                assert abs(res.gap - want) <= 1e-13 * scale, (fn.__name__, lam)
+                checked += 1
+    assert checked > 300
+
+
+def test_gaps_need_one_function_per_coordinate():
+    d = make_joint([2, 2], [0.1, 0.2, 0.3, 0.4])
+    res = mc_membership(d, [0.99, 0.99])
+    assert not res.verdict
+    f0, f1 = res.witness
+    for gap in (fc2_gap, tilde_gap):
+        assert gap(d, [0.5, 0.5], (f0, f1)) == pytest.approx(gap(d, [0.5, 0.5], [f0, f1]))
+        for fs in ((f0,), (f0, f1, f1), ()):
+            with pytest.raises(ShapeMismatch):
+                gap(d, [0.5, 0.5], fs)
+        for fs in ((f1, f0), (f0, f0), (f0, MarginalFunction(1.0, f1.values))):
+            with pytest.raises(BadCoordinate):
+                gap(d, [0.5, 0.5], fs)
+        for fs in ((f0, MarginalFunction(1, [1.0, 2.0, 3.0])), (f0, f1.lift(d))):
+            with pytest.raises(ShapeMismatch):
+                gap(d, [0.5, 0.5], fs)
+    with pytest.raises(ShapeMismatch):
+        mc_def_gap(d, [0.5, 0.5], JointFunction(np.ones(3)))
